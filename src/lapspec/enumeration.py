@@ -1,35 +1,61 @@
 """Exhaustive enumeration of small graphs up to isomorphism.
 
-The workhorse grows graphs on a fixed vertex set one edge at a time, keeping
-one canonical representative per isomorphism class at every level (orderly
-style, favoring simplicity over generation-tree cleverness: the vertex counts
-here are desk scale).  Two prunes are applied only when they cannot lose a
-wanted graph: a connectivity budget (a child whose component count exceeds
-the remaining edge budget plus one can never become connected in time) and a
-degree cap when an exact degree sequence is requested (degrees only grow).
+Graphs are grown level by level, keeping one canonical representative per
+isomorphism class at every level (dedup by canonical form; simple rather
+than clever, since the vertex counts here are desk scale).  No child is
+generated only to be thrown away:
+
+- Unconnected tasks grow from the empty graph one edge at a time.  Every
+  graph with m + 1 edges is a graph with m edges plus one edge.
+- Connected tasks start from the trees, grown by leaf addition (every tree
+  on k + 1 vertices is a tree on k vertices plus a leaf), and then add
+  edges.  Every connected graph is a spanning tree plus edges, and deleting
+  a cycle edge keeps a graph connected, so each level of connected graphs
+  comes from the level below and every child is connected.
+- With an exact degree sequence, a degree cap prunes children (degrees only
+  grow) and the last level is filtered by the sequence.
+
+Every complete level grown for a task without a degree sequence is kept in
+the in-process memo, and such tasks resume from the deepest level already
+there: (7, m) grows one level from (7, m - 1), and the trees on n vertices
+grow from the trees on n - 1.
 
 A second, independent enumerator grows by vertex instead of by edge and is
 used to cross-check census totals; the two routes share nothing but the
 canonical form.
 
 Results are deterministic: canonical graph6 forms, sorted.  They can be
-cached on disk, one graph6 line per file, keyed by the task.
+cached on disk, one file per task: a header line
+
+    #lapspec-pool <format version> <file name> <line count> <sha256 of the body>
+
+then one graph6 line per class, strictly sorted.  Files are written to a
+temporary name and renamed into place.  A file whose header is missing or
+disagrees with its task or body, or whose lines are not strictly sorted, is
+never trusted: the pool is regrown and the file rewritten.  The check
+guards against truncation and stale formats, not against a forged header.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .canonical import canonical_form
 from .graph6 import graph6_decode
-from .graphs import Graph, connected_components, is_connected
+from .graphs import Graph
 
 DEFAULT_CAP = 10
 CACHE_ENV_VAR = "LAPSPEC_CACHE_DIR"
+CACHE_MAGIC = "#lapspec-pool"
+# Bump when the file layout or the canonical form changes: files written
+# before then no longer validate and are regrown.
+CACHE_VERSION = 1
 
 
 class EnumerationCapError(ValueError):
@@ -87,42 +113,111 @@ def _resolve_cache_dir(cache_dir: Optional[str | Path]) -> Optional[Path]:
     return Path(env) if env else None
 
 
-def _grow_forms(task: EnumerationTask) -> list[bytes]:
-    n = task.n
-    max_degree = max(task.degree_sequence) if task.degree_sequence else None
-    level: dict[bytes, Graph] = {canonical_form(Graph(n)): Graph(n)}
-    for m in range(1, task.m + 1):
-        budget = task.m - m
-        nxt: dict[bytes, Graph] = {}
-        for g in level.values():
-            present = set(g.edges)
-            degs = [0] * n
-            for i, j in g.edges:
-                degs[i] += 1
-                degs[j] += 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if (i, j) in present:
-                        continue
-                    if max_degree is not None and (degs[i] >= max_degree or degs[j] >= max_degree):
-                        continue
-                    child = Graph(n, g.edges + ((i, j),))
-                    if task.connected and len(connected_components(child)) - 1 > budget:
-                        continue
-                    form = canonical_form(child)
-                    if form not in nxt:
-                        nxt[form] = child
-        level = nxt
+def _degrees(g: Graph) -> list[int]:
+    degs = [0] * g.n
+    for i, j in g.edges:
+        degs[i] += 1
+        degs[j] += 1
+    return degs
 
-    forms = []
-    for form, g in level.items():
-        if task.connected and not is_connected(g):
-            continue
-        if task.degree_sequence is not None and g.degree_sequence() != task.degree_sequence:
-            continue
-        forms.append(form)
-    forms.sort()
+
+def _add_edge(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Graph]:
+    """Every graph of level plus one new edge whose ends are below max_degree."""
+    for g in level:
+        present = set(g.edges)
+        degs = _degrees(g)
+        for i in range(g.n):
+            if max_degree is not None and degs[i] >= max_degree:
+                continue
+            for j in range(i + 1, g.n):
+                if (i, j) in present:
+                    continue
+                if max_degree is not None and degs[j] >= max_degree:
+                    continue
+                yield Graph(g.n, g.edges + ((i, j),))
+
+
+def _add_leaf(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Graph]:
+    """Every tree of level plus one new vertex hung off a vertex below
+    max_degree."""
+    for g in level:
+        degs = _degrees(g)
+        for v in range(g.n):
+            if max_degree is None or degs[v] < max_degree:
+                yield Graph(g.n + 1, g.edges + ((v, g.n),))
+
+
+def _dedup(children: Iterable[Graph]) -> dict[bytes, Graph]:
+    """One representative per isomorphism class, keyed by canonical form."""
+    level: dict[bytes, Graph] = {}
+    for child in children:
+        form = canonical_form(child)
+        if form not in level:
+            level[form] = child
+    return level
+
+
+def _grow_forms(task: EnumerationTask) -> list[bytes]:
+    n, m, degree_sequence = task.n, task.m, task.degree_sequence
+    # Levels from the seed (a graph without edges) to the task, each with the
+    # step that grows it from the one before.
+    if task.connected and n > 0:
+        if m < n - 1:
+            return []
+        stages = [(EnumerationTask(k, k - 1, True), _add_leaf) for k in range(1, n + 1)]
+        stages += [(EnumerationTask(n, e, True), _add_edge) for e in range(n, m + 1)]
+    else:
+        stages = [(EnumerationTask(n, e, task.connected), _add_edge) for e in range(m + 1)]
+
+    # Capped levels are incomplete, so only uncapped growth reads and writes
+    # the memo.
+    max_degree = None if degree_sequence is None else max(degree_sequence, default=0)
+    done = [i for i, (stage, _) in enumerate(stages) if max_degree is None and stage in _memo]
+    if done:
+        start = done[-1]
+        level = {form: graph6_decode(form) for form in _memo[stages[start][0]]}
+    else:
+        start, seed = 0, Graph(stages[0][0].n)
+        level = {canonical_form(seed): seed}
+    for stage, step in stages[start + 1:]:
+        level = _dedup(step(level.values(), max_degree))
+        if max_degree is None:
+            _memo[stage] = sorted(level)
+
+    if degree_sequence is None:
+        return sorted(level)
+    return sorted(form for form, g in level.items() if g.degree_sequence() == degree_sequence)
+
+
+def _encode_pool(task: EnumerationTask, forms: list[bytes]) -> bytes:
+    body = b"".join(form + b"\n" for form in forms)
+    header = (f"{CACHE_MAGIC} {CACHE_VERSION} {task.cache_name()} {len(forms)} "
+              f"{hashlib.sha256(body).hexdigest()}\n")
+    return header.encode("ascii") + body
+
+
+def _decode_pool(task: EnumerationTask, data: bytes) -> Optional[list[bytes]]:
+    """The forms of a cache file, or None unless its header matches the task
+    and the body and its lines are strictly sorted."""
+    _, _, body = data.partition(b"\n")
+    forms = body.split(b"\n")[:-1]
+    if data != _encode_pool(task, forms):
+        return None
+    if any(a >= b for a, b in zip(forms, forms[1:])):
+        return None
     return forms
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as out:
+            out.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def enumerate_graphs(task: EnumerationTask, cap: int = DEFAULT_CAP,
@@ -139,13 +234,11 @@ def enumerate_graphs(task: EnumerationTask, cap: int = DEFAULT_CAP,
         directory = _resolve_cache_dir(cache_dir)
         cache_file = directory / task.cache_name() if directory else None
         if cache_file is not None and cache_file.exists():
-            lines = cache_file.read_bytes().split()
-            forms = sorted(lines)
-        else:
+            forms = _decode_pool(task, cache_file.read_bytes())
+        if forms is None:
             forms = _grow_forms(task)
             if cache_file is not None:
-                directory.mkdir(parents=True, exist_ok=True)
-                cache_file.write_bytes(b"\n".join(forms) + (b"\n" if forms else b""))
+                _write_atomic(cache_file, _encode_pool(task, forms))
         _memo[task] = forms
     return [graph6_decode(form) for form in forms]
 

@@ -146,3 +146,19 @@ def test_11_codec_and_census():
     assert census.details["totals"] == {"0": 1, "1": 1, "2": 2, "3": 4,
                                         "4": 11, "5": 34, "6": 156, "7": 1044}
     assert codec_ok
+
+
+def test_12_determination_and_profile_forcing_at_11():
+    determination = verify_determination(11, cap=11)
+    structure = verify_cospectral_structure(11, cap=11)
+    ok = (determination.passed and structure.passed
+          and determination.counts["members"] == 23
+          and determination.counts["pool"] == 8833
+          and structure.counts["cospectral_hits"] == 23)
+    _verdict(ok, "[12] spectral determination and profile forcing certified "
+                 "at n=11 (23 members vs 8833 pool graphs, 23 cospectral hits)")
+    assert determination.passed, determination.counterexamples[:5]
+    assert structure.passed, structure.counterexamples[:5]
+    assert determination.counts["members"] == 23
+    assert determination.counts["pool"] == structure.counts["pool"] == 8833
+    assert structure.counts["cospectral_hits"] == 23

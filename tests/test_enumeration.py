@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -9,6 +10,31 @@ from lapspec.enumeration import (DEFAULT_CAP, EnumerationCapError,
                                  enumerate_graphs, random_connected_graph)
 from lapspec.graph6 import graph6_encode
 from lapspec.graphs import is_connected
+from lapspec.verify import family_members, verify_determination
+
+# SHA-256 of b"\n".join(sorted forms) of the connected (n, n+1) pools,
+# computed by growing every graph from the empty graph and keeping the
+# connected ones.
+POOL_DIGESTS = {
+    4: "6d8e7398da5d5577f9976742a966a66ab47296f98fe8d2f6393061a8134926cf",
+    5: "f45965cb6720dbc80e37bc80739a8a577f4178ef5c54ddf13383faffb815849e",
+    6: "638ef2d9781588a1615b71bd469620e4e8f2e34fba82e13e448b4357ea382b9e",
+    7: "2337f221ab0ec4fcaa17ad7822e703e938d24af4e46958f258e6cd5515995d07",
+    8: "df3b59de8375d147071d270a8ad848b541fce26b22e69aaae1e682f0cd3c70b3",
+    9: "7fe02632bbe85a32334f8c531439c63f9120423e05bc9a8a5cb6ef98d57ed0d0",
+    10: "384ec7627d27f06fa4ccb46587d57932d1899710b1371805a44640e5555772c2",
+}
+
+
+@pytest.fixture
+def private_memo(monkeypatch):
+    """An empty memo for this test only; the shared one is put back after."""
+    monkeypatch.setattr(enumeration, "_memo", {})
+    return enumeration._memo
+
+
+def _forms(graphs):
+    return [canonical_form(g) for g in graphs]
 
 
 class TestTaskValidation:
@@ -65,6 +91,49 @@ class TestCounts:
         assert [g for g in unfiltered if is_connected(g)] == pruned
 
 
+class TestPoolIdentity:
+    @pytest.mark.parametrize("n", sorted(POOL_DIGESTS))
+    def test_connected_bicyclic_pool_digest(self, n):
+        pool = enumerate_graphs(EnumerationTask(n, n + 1, connected=True))
+        digest = hashlib.sha256(b"\n".join(sorted(_forms(pool)))).hexdigest()
+        assert digest == POOL_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_every_task_matches_vertex_growth(self, n, private_memo):
+        by_growth = enumerate_by_vertex_growth(n)
+        edge_counts = range(n * (n - 1) // 2 + 1)
+        # ascending: a fresh seed, then every task resumes one level
+        for m in edge_counts:
+            expected = sorted(canonical_form(g) for g in by_growth if g.m == m)
+            assert _forms(enumerate_graphs(EnumerationTask(n, m))) == expected, m
+        private_memo.clear()
+        # descending: one fresh growth from the trees, then memo hits on
+        # the levels it wrote on the way
+        for m in reversed(edge_counts):
+            expected = sorted(canonical_form(g) for g in by_growth
+                              if g.m == m and is_connected(g))
+            pool = enumerate_graphs(EnumerationTask(n, m, connected=True))
+            assert _forms(pool) == expected, m
+
+    def test_resume_grows_one_level(self, private_memo, monkeypatch):
+        below = enumerate_graphs(EnumerationTask(6, 6, connected=True))
+        calls = []
+        monkeypatch.setattr(enumeration, "canonical_form",
+                            lambda g: calls.append(g) or canonical_form(g))
+        enumerate_graphs(EnumerationTask(6, 7, connected=True))
+        # one child per non-edge of each (6, 6) class, nothing deeper
+        assert len(calls) == len(below) * (15 - 6)
+
+    @pytest.mark.parametrize("connected", [False, True])
+    def test_degree_capped_growth_matches_filter(self, connected):
+        full = enumerate_graphs(EnumerationTask(6, 7, connected=connected))
+        sequences = sorted({g.degree_sequence() for g in full})
+        assert len(sequences) > 5
+        for seq in sequences:
+            task = EnumerationTask(6, 7, connected=connected, degree_sequence=seq)
+            assert enumerate_graphs(task) == [g for g in full if g.degree_sequence() == seq]
+
+
 class TestDeterminism:
     def test_sorted_canonical_output(self):
         pool = enumerate_graphs(EnumerationTask(5, 5, connected=True))
@@ -112,7 +181,9 @@ class TestDiskCache:
         fresh = enumerate_graphs(task, cache_dir=tmp_path)
         cache_file = tmp_path / task.cache_name()
         assert cache_file.exists()
-        assert len(cache_file.read_bytes().split()) == len(fresh)
+        # a header line, then one line per class
+        assert len(cache_file.read_bytes().splitlines()) == len(fresh) + 1
+        assert list(tmp_path.iterdir()) == [cache_file]  # no temp file left
         # drop the in-process memo so the next call must hit the disk file
         enumeration._memo.pop(task)
         again = enumerate_graphs(task, cache_dir=tmp_path)
@@ -125,6 +196,56 @@ class TestDiskCache:
         pool = enumerate_graphs(task)
         assert (tmp_path / task.cache_name()).exists()
         assert len(pool) == 2
+
+
+    def test_header_names_format_task_count_and_digest(self, tmp_path, private_memo):
+        task = EnumerationTask(5, 6, connected=True)
+        forms = _forms(enumerate_graphs(task, cache_dir=tmp_path))
+        header, body = (tmp_path / task.cache_name()).read_bytes().split(b"\n", 1)
+        assert header.split() == [b"#lapspec-pool", b"1", b"n5_m6_conn.g6",
+                                  str(len(forms)).encode(),
+                                  hashlib.sha256(body).hexdigest().encode()]
+        assert body == b"".join(form + b"\n" for form in forms)
+
+    def test_truncated_cache_is_regrown(self, tmp_path, private_memo):
+        # A cache holding only the family members must not let
+        # determination pass at n=8 against 10 pool graphs instead of 236.
+        task = EnumerationTask(8, 9, connected=True)
+        members = [graph6_encode(g) for g in family_members(8)]
+        cache_file = tmp_path / task.cache_name()
+        cache_file.write_bytes(b"\n".join(sorted(members)) + b"\n")
+        report = verify_determination(8, cache_dir=tmp_path)
+        assert report.passed
+        assert report.counts["pool"] == 236
+        assert len(cache_file.read_bytes().splitlines()) == 236 + 1
+
+    @pytest.mark.parametrize("damage", ["drop last line", "wrong task", "unsorted",
+                                        "bad digest", "old format", "empty"])
+    def test_damaged_cache_is_regrown_and_rewritten(self, tmp_path, damage, private_memo):
+        task = EnumerationTask(6, 7, connected=True)
+        forms = _forms(enumerate_graphs(task))
+        good = enumeration._encode_pool(task, forms)
+        header, body = good.split(b"\n", 1)
+        damaged = {
+            "drop last line": header + b"\n" + b"".join(f + b"\n" for f in forms[:-1]),
+            "wrong task": enumeration._encode_pool(EnumerationTask(6, 7), forms),
+            "unsorted": enumeration._encode_pool(task, forms[::-1]),
+            "bad digest": header.rsplit(b" ", 1)[0] + b" " + b"0" * 64 + b"\n" + body,
+            "old format": body,
+            "empty": b"",
+        }[damage]
+        cache_file = tmp_path / task.cache_name()
+        cache_file.write_bytes(damaged)
+        private_memo.clear()
+        assert _forms(enumerate_graphs(task, cache_dir=tmp_path)) == forms
+        assert cache_file.read_bytes() == good
+
+    def test_valid_cache_is_read_without_growing(self, tmp_path, monkeypatch, private_memo):
+        task = EnumerationTask(6, 7, connected=True)
+        fresh = enumerate_graphs(task, cache_dir=tmp_path)
+        private_memo.clear()
+        monkeypatch.setattr(enumeration, "_grow_forms", None)
+        assert enumerate_graphs(task, cache_dir=tmp_path) == fresh
 
 
 class TestRandomConnected:
