@@ -4,98 +4,129 @@ The certificate is the graph6 encoding of the graph relabeled by a canonical
 permutation, so two graphs are isomorphic exactly when their certificates are
 equal bytes.  The permutation is found by exhaustive search restricted to
 orderings that list vertices cell by cell, where the cells come from an
-iterated neighbor-color refinement; the search keeps, at every position, only
-the candidates whose adjacency bits against the already-placed prefix are
-maximal, since any other choice is lexicographically dominated.  Interchangeable
-candidates (mutual twins) are collapsed.  This is exhaustive-with-pruning, not
-a refinement-based canonizer, which is plenty at the vertex counts used here.
+iterated neighbor-color refinement.  Vertex v placed at position j
+contributes a j-bit field, its adjacency to positions 0..j-1 with position 0
+most significant, and the search maximizes the sequence of fields.  At every
+position it keeps only the candidates whose field is maximal, since any other
+choice is lexicographically dominated, and it collapses interchangeable
+candidates (mutual twins).  This is exhaustive-with-pruning, not a
+refinement-based canonizer, which is plenty at the vertex counts used here.
+
+The graph is held as int bitmask rows, one per vertex.  Every unplaced
+vertex carries its field against the placed prefix as an int, and placing x
+shifts in one bit per vertex: ``(s << 1) | (rows[x] >> v & 1)``.  The twin
+test is ``rows[v] & ~(1 << w) == rows[w] & ~(1 << v)``.  Positions with a
+single candidate are walked in a loop; only real choices recurse.  The
+field at position j is exactly column j of the relabeled upper triangle, the
+order graph6 packs, so the certificate is packed straight from the winning
+fields without building the relabeled graph.
 """
 
 from __future__ import annotations
 
-from .graph6 import graph6_encode
+from typing import Collection, Sequence
+
+from .graph6 import graph6_pack
 from .graphs import Graph, relabel
 
 
-def refined_colors(n: int, adj: list[set[int]]) -> list[int]:
+def refined_colors(n: int, adj: Sequence[Collection[int]]) -> list[int]:
     """Stable vertex coloring: start from degrees, repeatedly split classes
     by the multiset of neighbor colors.  Color ranks are derived from sorted
     structural keys, so they are invariant under relabeling."""
     colors = [len(adj[v]) for v in range(n)]
+    distinct = len(set(colors))
     while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[w] for w in adj[v])))
-            for v in range(n)
-        ]
-        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new = [rank[keys[v]] for v in range(n)]
-        if len(set(new)) == len(set(colors)):
+        get = colors.__getitem__
+        # (color, *sorted neighbor colors) orders like (color, sorted tuple)
+        keys = [(colors[v], *sorted(map(get, adj[v]))) for v in range(n)]
+        rank = dict(zip(sorted(set(keys)), range(n)))
+        new = list(map(rank.__getitem__, keys))
+        # With n distinct ranks the next round would return them unchanged.
+        if len(rank) in (distinct, n):
             return new
-        colors = new
+        colors, distinct = new, len(rank)
+
+
+def _search(g: Graph) -> tuple[list[int], list[int]]:
+    """The maximal field sequence and the first placement order (position ->
+    original vertex) that reaches it."""
+    n = g.n
+    rows = [0] * n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in g.edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        adj[i].append(j)
+        adj[j].append(i)
+    colors = refined_colors(n, adj)
+
+    # Colors are ranks 0..k-1.  Small cells first, ties by color (the sort is
+    # stable): the first positions then branch as little as possible, and
+    # (size, color) is relabeling-invariant, so this order is too.
+    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, color in enumerate(colors):
+        cells[color].append(v)
+    cells.sort(key=len)
+    cell_at = [cell for cell in cells for _ in cell]
+
+    fields = [0] * n
+    order = [0] * n
+    best: list[int] = []
+    best_order: list[int] = []
+
+    def walk(pos: int, scores: list[int], free: int, ahead: bool) -> bool:
+        """Extend the placement order[:pos]; scores are the fields against
+        order[:pos - 1], and ahead means fields[:pos] already beats best.
+        Returns whether best was replaced."""
+        nonlocal best, best_order
+        while pos < n:
+            if pos:
+                row = rows[order[pos - 1]]
+                scores = [(s << 1) | (row >> v & 1) for v, s in enumerate(scores)]
+            reps = [v for v in cell_at[pos] if free >> v & 1]
+            if len(reps) == 1:
+                top = scores[reps[0]]
+            else:
+                top = max([scores[v] for v in reps])
+                candidates, reps = reps, []
+                for v in candidates:
+                    if scores[v] != top:
+                        continue
+                    row = rows[v]
+                    for w in reps:
+                        if row & ~(1 << w) == rows[w] & ~(1 << v):
+                            break  # swapping two twins changes nothing downstream
+                    else:
+                        reps.append(v)
+            if not ahead:
+                # A smaller field at this position loses no matter what follows.
+                if top < best[pos]:
+                    return False
+                ahead = top > best[pos]
+            fields[pos] = top
+            if len(reps) > 1:
+                improved = False
+                for x in reps:
+                    order[pos] = x
+                    if walk(pos + 1, scores, free & ~(1 << x), ahead):
+                        # best now runs through fields[:pos + 1]
+                        improved, ahead = True, False
+                return improved
+            x = order[pos] = reps[0]
+            free &= ~(1 << x)
+            pos += 1
+        if ahead:
+            best, best_order = fields.copy(), order.copy()
+        return ahead
+
+    walk(0, [0] * n, (1 << n) - 1, True)
+    return best, best_order
 
 
 def canonical_permutation(g: Graph) -> tuple[int, ...]:
     """Position -> original vertex for the canonical relabeling."""
-    n = g.n
-    if n == 0:
-        return ()
-    adj = g.adjacency()
-    colors = refined_colors(n, adj)
-
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
-    # Small cells first: the first positions then branch as little as
-    # possible.  (size, color) is relabeling-invariant, so this order is too.
-    cells = sorted(by_color.values(), key=lambda cell: (len(cell), colors[cell[0]]))
-    cell_of_pos: list[int] = []
-    for idx, cell in enumerate(cells):
-        cell_of_pos.extend([idx] * len(cell))
-
-    used = [False] * n
-    placed: list[int] = []
-    cur_bits: list[int] = []
-    best_bits: list[int] | None = None
-    best_perm: tuple[int, ...] | None = None
-
-    def dfs() -> None:
-        nonlocal best_bits, best_perm
-        pos = len(placed)
-        if pos == n:
-            if best_bits is None or cur_bits > best_bits:
-                best_bits = cur_bits.copy()
-                best_perm = tuple(placed)
-            return
-        candidates = [v for v in cells[cell_of_pos[pos]] if not used[v]]
-        scored = []
-        for v in candidates:
-            av = adj[v]
-            b = 0
-            for u in placed:
-                b = (b << 1) | (1 if u in av else 0)
-            scored.append((b, v))
-        maxb = max(b for b, _ in scored)
-        cur_bits.append(maxb)
-        # A smaller bit field at this position loses no matter what follows.
-        if best_bits is None or cur_bits >= best_bits[: pos + 1]:
-            reps: list[int] = []
-            for b, v in scored:
-                if b != maxb:
-                    continue
-                if any(adj[v] - {w} == adj[w] - {v} for w in reps):
-                    continue  # swapping two twins changes nothing downstream
-                reps.append(v)
-            for v in reps:
-                used[v] = True
-                placed.append(v)
-                dfs()
-                placed.pop()
-                used[v] = False
-        cur_bits.pop()
-
-    dfs()
-    assert best_perm is not None
-    return best_perm
+    return tuple(_search(g)[1])
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -107,7 +138,7 @@ def canonical_graph(g: Graph) -> Graph:
 def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant certificate: graph6 bytes of the canonical
     relabeling.  Equal certificates iff isomorphic graphs."""
-    return graph6_encode(canonical_graph(g))
+    return graph6_pack(g.n, _search(g)[0])
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:

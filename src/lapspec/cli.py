@@ -7,7 +7,8 @@ side), ``invariants`` prints the spectrum-determined graph invariants, and
 its report.
 
 Exit codes: 0 on success (for ``verify``, success means the suite passed),
-1 when a computation ran but the check failed, 2 for usage errors.
+1 when a computation ran but the check failed, 2 for usage errors,
+including a graph above ``MAX_CLI_VERTICES``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ _REQUIRED = {"determination": ("n",), "cospectral-structure": ("n",)}
 
 _KINDS = ("dumbbell", "theta", "cycle", "path", "g6")
 
+# Largest graph charpoly and invariants accept; Berkowitz is O(n^4) and
+# already takes ~0.2 s at n = 80.
+MAX_CLI_VERTICES = 200
+
 
 def _parse_graph_spec(parser: argparse.ArgumentParser, kind: str,
                       params: list[str]) -> tuple[Graph, Optional[IntPoly]]:
@@ -61,15 +66,24 @@ def _parse_graph_spec(parser: argparse.ArgumentParser, kind: str,
     arity = {"dumbbell": 3, "theta": 3, "cycle": 1, "path": 1, "g6": 1}[kind]
     if len(params) != arity:
         parser.error(f"{kind} takes {arity} parameter(s), got {len(params)}")
+
+    def check_size(vertices: int) -> None:
+        if vertices > MAX_CLI_VERTICES:
+            parser.error(f"{kind} graph has {vertices} vertices; "
+                         f"at most {MAX_CLI_VERTICES} are accepted")
+
     if kind == "g6":
         try:
-            return graph6_decode(params[0].encode("ascii")), None
+            g = graph6_decode(params[0].encode("ascii"))
         except (Graph6Error, UnicodeEncodeError) as exc:
             parser.error(f"bad graph6 string: {exc}")
+        check_size(g.n)
+        return g, None
     try:
         values = [int(text) for text in params]
     except ValueError:
         parser.error(f"{kind} parameters must be integers, got {params!r}")
+    check_size(sum(values) + (2 if kind == "theta" else 0))
     try:
         if kind == "dumbbell":
             p, k, q = values

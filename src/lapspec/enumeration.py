@@ -14,6 +14,12 @@ generated only to be thrown away:
   comes from the level below and every child is connected.
 - With an exact degree sequence, a degree cap prunes children (degrees only
   grow) and the last level is filtered by the sequence.
+- Children are pruned by twin swaps.  Twins v, w have N(v) - {w} =
+  N(w) - {v}; any permutation inside a twin class is an automorphism, so a
+  leaf goes only on the first vertex of each class, and an edge (i, j) is
+  added only when i and j are each first in their class or are the first
+  two vertices of one class.  Twins have equal degrees, so the degree cap
+  treats them alike, and the pruned children still reach every class.
 
 Every complete level grown for a task without a degree sequence is kept in
 the in-process memo, and such tasks resume from the deepest level already
@@ -34,6 +40,8 @@ temporary name and renamed into place.  A file whose header is missing or
 disagrees with its task or body, or whose lines are not strictly sorted, is
 never trusted: the pool is regrown and the file rewritten.  The check
 guards against truncation and stale formats, not against a forged header.
+A task answered from the memo still writes its file when the cache
+directory has no valid one.
 """
 
 from __future__ import annotations
@@ -113,38 +121,69 @@ def _resolve_cache_dir(cache_dir: Optional[str | Path]) -> Optional[Path]:
     return Path(env) if env else None
 
 
-def _degrees(g: Graph) -> list[int]:
-    degs = [0] * g.n
+def _rows(g: Graph) -> list[int]:
+    """Adjacency bitmask of every vertex."""
+    rows = [0] * g.n
     for i, j in g.edges:
-        degs[i] += 1
-        degs[j] += 1
-    return degs
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return rows
+
+
+def _twin_classes(rows: list[int]) -> list[list[int]]:
+    """Twin classes, each in vertex order, ordered by first vertex.  Twins
+    have N(v) - {w} = N(w) - {v}; this is an equivalence, and any permutation
+    inside a class is an automorphism."""
+    classes: list[list[int]] = []
+    for v, row in enumerate(rows):
+        for cls in classes:
+            w = cls[0]
+            if row & ~(1 << w) == rows[w] & ~(1 << v):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def _below_cap(rows: list[int], max_degree: Optional[int]) -> int:
+    """Bitmask of the vertices whose degree is below max_degree."""
+    if max_degree is None:
+        return (1 << len(rows)) - 1
+    return sum(1 << v for v, row in enumerate(rows) if row.bit_count() < max_degree)
 
 
 def _add_edge(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Graph]:
-    """Every graph of level plus one new edge whose ends are below max_degree."""
+    """Every graph of level plus one new edge whose ends are below max_degree,
+    up to twin swaps: the edge (i, j) is added only when i and j are each
+    first in their twin class, or are the first two vertices of one class.
+    Twins have equal degrees, so the cap treats them alike."""
     for g in level:
-        present = set(g.edges)
-        degs = _degrees(g)
-        for i in range(g.n):
-            if max_degree is not None and degs[i] >= max_degree:
+        rows = _rows(g)
+        classes = _twin_classes(rows)
+        open_ = _below_cap(rows, max_degree)
+        firsts = sum(1 << cls[0] for cls in classes)
+        for cls in classes:
+            i = cls[0]
+            if not open_ >> i & 1:
                 continue
+            ends = firsts | (1 << cls[1] if len(cls) > 1 else 0)
+            ends &= open_ & ~rows[i] & -(2 << i)  # open non-neighbors above i
             for j in range(i + 1, g.n):
-                if (i, j) in present:
-                    continue
-                if max_degree is not None and degs[j] >= max_degree:
-                    continue
-                yield Graph(g.n, g.edges + ((i, j),))
+                if ends >> j & 1:
+                    yield Graph(g.n, g.edges + ((i, j),))
 
 
 def _add_leaf(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Graph]:
     """Every tree of level plus one new vertex hung off a vertex below
-    max_degree."""
+    max_degree, up to twin swaps: only the first vertex of each twin class
+    gets the leaf."""
     for g in level:
-        degs = _degrees(g)
-        for v in range(g.n):
-            if max_degree is None or degs[v] < max_degree:
-                yield Graph(g.n + 1, g.edges + ((v, g.n),))
+        rows = _rows(g)
+        hosts = _below_cap(rows, max_degree)
+        for cls in _twin_classes(rows):
+            if hosts >> cls[0] & 1:
+                yield Graph(g.n + 1, g.edges + ((cls[0], g.n),))
 
 
 def _dedup(children: Iterable[Graph]) -> dict[bytes, Graph]:
@@ -229,17 +268,18 @@ def enumerate_graphs(task: EnumerationTask, cap: int = DEFAULT_CAP,
     if task.n > cap:
         raise EnumerationCapError(task.n, cap)
 
-    forms = _memo.get(task)
+    directory = _resolve_cache_dir(cache_dir)
+    cache_file = directory / task.cache_name() if directory else None
+    stored = None
+    if cache_file is not None and cache_file.exists():
+        stored = _decode_pool(task, cache_file.read_bytes())
+    forms = _memo.get(task, stored)
     if forms is None:
-        directory = _resolve_cache_dir(cache_dir)
-        cache_file = directory / task.cache_name() if directory else None
-        if cache_file is not None and cache_file.exists():
-            forms = _decode_pool(task, cache_file.read_bytes())
-        if forms is None:
-            forms = _grow_forms(task)
-            if cache_file is not None:
-                _write_atomic(cache_file, _encode_pool(task, forms))
-        _memo[task] = forms
+        forms = _grow_forms(task)
+    # A memo hit still fills a cache directory that lacks a valid file.
+    if cache_file is not None and stored != forms:
+        _write_atomic(cache_file, _encode_pool(task, forms))
+    _memo[task] = forms
     return [graph6_decode(form) for form in forms]
 
 

@@ -20,31 +20,30 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-def graph6_encode(g: Graph) -> bytes:
-    n = g.n
+def graph6_pack(n: int, columns: list[int]) -> bytes:
+    """graph6 bytes from the columns of the upper triangle: columns[j] holds
+    x0j .. x(j-1)j as a j-bit int, x0j most significant (columns[0] is 0)."""
     if n <= 62:
         head = bytes([n + 63])
     elif n <= 258047:
         head = bytes([126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)])
     else:
         raise ValueError(f"graph6 size form for n={n} not supported")
-    adj = [[False] * n for _ in range(n)]
-    for i, j in g.edges:
-        adj[i][j] = True
-    out = bytearray(head)
-    group = 0
-    nbits = 0
+    bits = 0
     for j in range(1, n):
-        for i in range(j):
-            group = (group << 1) | (1 if adj[i][j] else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(63 + group)
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append(63 + (group << (6 - nbits)))
-    return bytes(out)
+        bits = (bits << j) | columns[j]
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    bits <<= pad
+    return head + bytes(63 + (bits >> shift & 63)
+                        for shift in range(nbits + pad - 6, -1, -6))
+
+
+def graph6_encode(g: Graph) -> bytes:
+    columns = [0] * g.n
+    for i, j in g.edges:
+        columns[j] |= 1 << (j - 1 - i)
+    return graph6_pack(g.n, columns)
 
 
 def graph6_decode(data: bytes | str) -> Graph:

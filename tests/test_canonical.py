@@ -1,10 +1,36 @@
+import hashlib
+from collections import Counter
+from functools import lru_cache
 from random import Random
+
+import pytest
 
 from lapspec.canonical import (are_isomorphic, canonical_form, canonical_graph,
                                canonical_permutation, refined_colors)
-from lapspec.enumeration import EnumerationTask, enumerate_graphs
+from lapspec.enumeration import (EnumerationTask, enumerate_by_vertex_growth,
+                                 enumerate_graphs)
+from lapspec.graph6 import graph6_encode
 from lapspec.graphs import (Graph, dumbbell_graph, make_cycle, make_dumbbell,
                             make_path, make_theta, relabel, theta_graph)
+
+# SHA-256 of b"\n".join(sorted canonical forms of every graph on n vertices),
+# recorded with the set-based search that preceded the bitmask kernel.
+CENSUS_DIGESTS = {
+    0: "8a8de823d5ed3e12746a62ef169bcf372be0ca44f0a1236abc35df05d96928e1",
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+    3: "7e05eb99d8336feba4819edbcfd42edfb66a1afc1debc1110c0ae9a435f39e35",
+    4: "1146199424866a6532f8af7d2f90d888e9b50c40c82158ac3dfe4fd9b44feaa8",
+    5: "e9e17cde42f9035ed8921825c31e79b7bcef5e474aac2d1a2cd3a53fa1856f02",
+    6: "81fb828117b6fe9bceeb3fbb6fc961d093aefd5544b622522fa8ed316d7d1295",
+    7: "d0ae4f25fd5643b9320bd57b7400e135de3dc5bfcaee47abe9344f186b620651",
+}
+CENSUS_TOTALS = [1, 1, 2, 4, 11, 34, 156, 1044]  # OEIS A000088
+
+
+@lru_cache(maxsize=None)
+def all_graphs(n: int) -> tuple[Graph, ...]:
+    return tuple(enumerate_by_vertex_growth(n))
 
 
 def shuffled(g: Graph, rng: Random) -> Graph:
@@ -47,6 +73,35 @@ class TestCanonicalForm:
         assert sorted(perm) == list(range(g.n))
         # perm maps position -> original vertex, so invert it to relabel
         assert relabel(g, {v: i for i, v in enumerate(perm)}) == canonical_graph(g)
+
+
+class TestCensusIdentity:
+    @pytest.mark.parametrize("n", sorted(CENSUS_DIGESTS))
+    def test_census_forms_digest(self, n):
+        forms = sorted(canonical_form(g) for g in all_graphs(n))
+        assert len(forms) == CENSUS_TOTALS[n]
+        assert hashlib.sha256(b"\n".join(forms)).hexdigest() == CENSUS_DIGESTS[n]
+
+    def test_every_class_on_seven_vertices_survives_relabeling(self):
+        rng = Random(7)
+        forms = set()
+        for g in all_graphs(7):
+            want = canonical_form(g)
+            forms.add(want)
+            for _ in range(3):
+                assert canonical_form(shuffled(g, rng)) == want, graph6_encode(g)
+        assert len(forms) == 1044
+
+    def test_graph_atlas(self):
+        networkx = pytest.importorskip("networkx")
+        atlas = networkx.graph_atlas_g()
+        forms = {}
+        for nx_graph in atlas:
+            g = Graph(nx_graph.number_of_nodes(), nx_graph.edges())
+            forms.setdefault(canonical_form(g), g.n)
+        assert len(atlas) == len(forms) == 1253
+        per_n = Counter(forms.values())
+        assert [per_n[n] for n in range(8)] == CENSUS_TOTALS
 
 
 class TestAreIsomorphic:

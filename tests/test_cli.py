@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from lapspec.cli import main
+from lapspec import cli
+from lapspec.cli import MAX_CLI_VERTICES, main
 from lapspec.graph6 import graph6_encode
-from lapspec.graphs import make_theta
+from lapspec.graphs import Graph, make_theta
 from lapspec.reports import VerificationReport
 
 
@@ -146,3 +147,36 @@ class TestVerify:
         a = VerificationReport.from_json(out_a).without_timing()
         b = VerificationReport.from_json(out_b).without_timing()
         assert a == b
+
+
+class TestVertexLimit:
+    OVER = MAX_CLI_VERTICES + 1
+
+    @pytest.mark.parametrize("command", ["charpoly", "invariants"])
+    @pytest.mark.parametrize("spec", [
+        ("path", str(OVER)),
+        ("cycle", str(OVER)),
+        ("dumbbell", str(OVER // 2), "1", str(OVER // 2)),
+        ("g6", graph6_encode(Graph(OVER)).decode("ascii")),
+    ], ids=["path", "cycle", "dumbbell", "g6"])
+    def test_just_over_the_limit_is_refused(self, capsys, command, spec):
+        with pytest.raises(SystemExit) as info:
+            main([command, *spec])
+        assert info.value.code == 2
+        assert f"{self.OVER} vertices; at most {MAX_CLI_VERTICES}" in capsys.readouterr().err
+
+    def test_parametric_kinds_are_checked_before_building(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("graph built before the size check")
+        monkeypatch.setattr(cli, "make_path", refuse)
+        with pytest.raises(SystemExit) as info:
+            main(["charpoly", "path", "1000000"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("spec", [
+        ("path", str(MAX_CLI_VERTICES)),
+        ("g6", graph6_encode(Graph(MAX_CLI_VERTICES)).decode("ascii")),
+    ], ids=["path", "g6"])
+    def test_the_limit_itself_is_accepted(self, spec):
+        g, _ = cli._parse_graph_spec(cli.build_parser(), spec[0], list(spec[1:]))
+        assert g.n == MAX_CLI_VERTICES

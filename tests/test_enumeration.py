@@ -121,8 +121,11 @@ class TestPoolIdentity:
         monkeypatch.setattr(enumeration, "canonical_form",
                             lambda g: calls.append(g) or canonical_form(g))
         enumerate_graphs(EnumerationTask(6, 7, connected=True))
-        # one child per non-edge of each (6, 6) class, nothing deeper
-        assert len(calls) == len(below) * (15 - 6)
+        # one child per non-edge of each (6, 6) class up to twin swaps,
+        # nothing deeper
+        children = sum(1 for _ in enumeration._add_edge(below, None))
+        assert len(calls) == children == 88
+        assert children < len(below) * (15 - 6)
 
     @pytest.mark.parametrize("connected", [False, True])
     def test_degree_capped_growth_matches_filter(self, connected):
@@ -188,6 +191,15 @@ class TestDiskCache:
         enumeration._memo.pop(task)
         again = enumerate_graphs(task, cache_dir=tmp_path)
         assert again == fresh
+
+    def test_memo_hit_fills_cache_dir(self, tmp_path, private_memo):
+        task = EnumerationTask(6, 7, connected=True)
+        pool = enumerate_graphs(task)  # grown in-process, no cache directory
+        assert task in private_memo
+        assert enumerate_graphs(task, cache_dir=tmp_path) == pool
+        cache_file = tmp_path / task.cache_name()
+        assert cache_file.exists()
+        assert enumeration._decode_pool(task, cache_file.read_bytes()) == _forms(pool)
 
     def test_env_var_selects_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LAPSPEC_CACHE_DIR", str(tmp_path))

@@ -1,0 +1,73 @@
+"""Property tests: the graph6 decoder, canonical forms and twin-pruned
+children on random inputs."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lapspec import enumeration
+from lapspec.canonical import canonical_form
+from lapspec.graph6 import Graph6Error, graph6_decode
+from lapspec.graphs import Graph, relabel
+
+# Bounded so the suite stays quick on a slow machine.
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def graphs(draw, max_n: int = 9) -> Graph:
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+def _open(g: Graph, max_degree) -> list[bool]:
+    degs = [0] * g.n
+    for i, j in g.edges:
+        degs[i] += 1
+        degs[j] += 1
+    return [max_degree is None or d < max_degree for d in degs]
+
+
+def _edge_children(g: Graph, max_degree):
+    """One child per non-edge whose ends are below max_degree."""
+    open_ = _open(g, max_degree)
+    present = set(g.edges)
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if (i, j) not in present and open_[i] and open_[j]:
+                yield Graph(g.n, g.edges + ((i, j),))
+
+
+def _leaf_children(g: Graph, max_degree):
+    """One child per vertex below max_degree, with a new leaf on it."""
+    for v, is_open in enumerate(_open(g, max_degree)):
+        if is_open:
+            yield Graph(g.n + 1, g.edges + ((v, g.n),))
+
+
+@PROPERTY
+@given(st.one_of(st.binary(max_size=64),
+                 st.lists(st.integers(63, 126), max_size=64).map(bytes)))
+def test_graph6_decode_raises_only_graph6_error(data):
+    try:
+        graph6_decode(data)
+    except Graph6Error:
+        pass
+
+
+@PROPERTY
+@given(graphs(), st.randoms(use_true_random=False))
+def test_canonical_form_survives_relabeling(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    assert canonical_form(relabel(g, perm)) == canonical_form(g)
+
+
+@PROPERTY
+@given(graphs(max_n=8), st.sampled_from([None, 1, 2, 3, 4]))
+def test_twin_pruned_children_cover_every_class(g, max_degree):
+    for pruned, full in ((enumeration._add_edge, _edge_children),
+                         (enumeration._add_leaf, _leaf_children)):
+        kept = [canonical_form(c) for c in pruned([g], max_degree)]
+        assert set(kept) == {canonical_form(c) for c in full(g, max_degree)}
