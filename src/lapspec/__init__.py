@@ -45,92 +45,3 @@ from .verify import (dumbbell_parameter_grid, family_members, member_charpoly,
                      verify_within_family)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_CAP",
-    "DumbbellParams",
-    "EnumerationCapError",
-    "EnumerationTask",
-    "Graph",
-    "Graph6Error",
-    "IntPoly",
-    "InvalidCharpolyError",
-    "LaurentPoly",
-    "SpectralInvariants",
-    "TermTable",
-    "ThetaParams",
-    "VerificationReport",
-    "Y_SUBSTITUTION",
-    "are_isomorphic",
-    "audit_dumbbell_identity",
-    "audit_theta_identity",
-    "canonical_form",
-    "canonical_graph",
-    "canonical_permutation",
-    "charpoly",
-    "charpoly_interpolated",
-    "classify_bicyclic",
-    "connected_components",
-    "correction_poly",
-    "cycles_through",
-    "degree_constraint_solver",
-    "det_bareiss",
-    "dumbbell_charpoly_rec",
-    "dumbbell_graph",
-    "dumbbell_helper_poly",
-    "dumbbell_parameter_grid",
-    "dumbbell_table",
-    "dumbbell_table_lowest_term",
-    "dumbbell_value_at4",
-    "enumerate_by_vertex_growth",
-    "enumerate_graphs",
-    "family_members",
-    "find_bridges",
-    "graph6_decode",
-    "graph6_encode",
-    "graph_invariants",
-    "identity_lhs",
-    "invariants_from_charpoly",
-    "is_connected",
-    "is_l_cospectral",
-    "laplacian",
-    "make_cycle",
-    "make_dumbbell",
-    "make_path",
-    "make_theta",
-    "member_charpoly",
-    "path_charpoly_rec",
-    "path_value_at4",
-    "random_connected_graph",
-    "refined_colors",
-    "relabel",
-    "spanning_tree_count",
-    "submatrix_charpoly",
-    "substitute_y",
-    "theta_charpoly_rec",
-    "theta_graph",
-    "theta_helper_poly",
-    "theta_parameter_grid",
-    "theta_table",
-    "theta_table_lowest_term",
-    "theta_value_at4",
-    "u_generating_identity_holds",
-    "u_matrix",
-    "u_matrix_charpoly",
-    "u_poly_rec",
-    "u_value_at2",
-    "u_value_at4",
-    "verify_census",
-    "verify_cospectral_structure",
-    "verify_deletion_formula",
-    "verify_deletion_suite",
-    "verify_determination",
-    "verify_dumbbell_table",
-    "verify_family_values",
-    "verify_generating_identity",
-    "verify_invariants_suite",
-    "verify_recurrences",
-    "verify_special_values",
-    "verify_theta_table",
-    "verify_within_family",
-]

@@ -6,15 +6,21 @@ side), ``invariants`` prints the spectrum-determined graph invariants, and
 ``verify`` runs a named verification suite over a parameter grid and emits
 its report.
 
+The ``verify`` flags are derived from the suite signatures in
+``verify.SUITES``: one ``--flag-name`` per parameter name, accepted only by
+the suites that take it, and required where the parameter has no default.
+
 Exit codes: 0 on success (for ``verify``, success means the suite passed),
 1 when a computation ran but the check failed, 2 for usage errors,
-including a graph above ``MAX_CLI_VERTICES``.
+including a graph above ``MAX_CLI_VERTICES`` and a negative bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from .graph6 import Graph6Error, graph6_decode
@@ -24,33 +30,15 @@ from .laplacian import charpoly, laplacian
 from .polynomials import IntPoly
 from .recurrences import (dumbbell_charpoly_rec, path_charpoly_rec,
                           theta_charpoly_rec)
-from .verify import (verify_census, verify_cospectral_structure,
-                     verify_deletion_suite, verify_determination,
-                     verify_dumbbell_table, verify_family_values,
-                     verify_generating_identity, verify_invariants_suite,
-                     verify_recurrences, verify_special_values,
-                     verify_theta_table, verify_within_family)
+from .verify import SUITES, UNRECORDED
 
-# Suite registry: runner plus the grid parameters it accepts.  Flag names are
-# the parameter names with dashes; suites reject flags they do not take so a
-# typo cannot silently run the default grid.
-_SUITES = {
-    "recurrences": (verify_recurrences, ("path_n_max", "p_max", "k_max", "r_max")),
-    "special-values": (verify_special_values, ("n_max",)),
-    "generating-identity": (verify_generating_identity, ("r_max",)),
-    "dumbbell-table": (verify_dumbbell_table, ("p_max", "k_max")),
-    "theta-table": (verify_theta_table, ("r_max",)),
-    "family-values": (verify_family_values, ("p_max", "k_max", "r_max")),
-    "deletion-formula": (verify_deletion_suite,
-                         ("family_n_max", "samples", "sample_n_max", "seed")),
-    "invariants": (verify_invariants_suite, ("samples", "n_max", "seed")),
-    "within-family": (verify_within_family, ("n_max",)),
-    "determination": (verify_determination, ("n", "cap", "cache_dir")),
-    "cospectral-structure": (verify_cospectral_structure, ("n", "cap", "cache_dir")),
-    "census": (verify_census, ("n_max", "cap", "cache_dir")),
-}
-
-_REQUIRED = {"determination": ("n",), "cospectral-structure": ("n",)}
+# Suite parameters by name, from the suite signatures.  Each one is a flag;
+# suites reject flags they do not take so a typo cannot silently run the
+# default grid.
+_SIGNATURES = {suite: inspect.signature(runner).parameters
+               for suite, runner in SUITES.items()}
+_PARAMETERS = {name: param for params in _SIGNATURES.values()
+               for name, param in params.items()}
 
 _KINDS = ("dumbbell", "theta", "cycle", "path", "g6")
 
@@ -146,14 +134,7 @@ def _cmd_invariants(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     inv = graph_invariants(g)
     if args.format == "json":
         import json
-        payload = {
-            "vertices": inv.vertices,
-            "edges": inv.edges,
-            "components": inv.components,
-            "spanning_trees": inv.spanning_trees,
-            "degree_square_sum": inv.degree_square_sum,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json.dumps(asdict(inv), indent=2), args.out)
     else:
         trees = inv.spanning_trees
         lines = [
@@ -167,26 +148,30 @@ def _cmd_invariants(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     return 0
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    runner, allowed = _SUITES[args.suite]
-    required = _REQUIRED.get(args.suite, ())
+    accepted = _SIGNATURES[args.suite]
+    required = [name for name, param in accepted.items()
+                if param.default is inspect.Parameter.empty]
     overrides = {}
-    for name in ("path_n_max", "p_max", "k_max", "r_max", "n_max", "n",
-                 "family_n_max", "samples", "sample_n_max", "seed", "cap",
-                 "cache_dir"):
+    for name in _PARAMETERS:
         value = getattr(args, name)
         if value is None:
             continue
-        if name not in allowed:
-            parser.error(f"--{name.replace('_', '-')} is not a parameter "
-                         f"of suite '{args.suite}'")
-        if args.grid == "default" and name not in required:
+        if name not in accepted:
+            parser.error(f"{_flag(name)} is not a parameter of suite '{args.suite}'")
+        # --grid default drops the grid bounds a report records; required
+        # parameters and the cache directory still apply.
+        if args.grid == "default" and name not in required and name not in UNRECORDED:
             continue
         overrides[name] = value
     for name in required:
         if name not in overrides:
-            parser.error(f"suite '{args.suite}' requires --{name.replace('_', '-')}")
-    report = runner(**overrides)
+            parser.error(f"suite '{args.suite}' requires {_flag(name)}")
+    report = SUITES[args.suite](**overrides)
     if args.format == "json":
         _emit(report.to_json(), args.out)
         if args.out is not None:
@@ -227,21 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", parents=[common],
                          help="run a verification suite; exit 0 iff it passes")
-    ver.add_argument("suite", choices=sorted(_SUITES))
+    ver.add_argument("suite", choices=sorted(SUITES))
     ver.add_argument("--grid", choices=("default",), default=None,
                      help="use the suite's built-in grid, ignoring bound flags")
-    ver.add_argument("--path-n-max", dest="path_n_max", type=int, default=None)
-    ver.add_argument("--p-max", dest="p_max", type=int, default=None)
-    ver.add_argument("--k-max", dest="k_max", type=int, default=None)
-    ver.add_argument("--r-max", dest="r_max", type=int, default=None)
-    ver.add_argument("--n-max", dest="n_max", type=int, default=None)
-    ver.add_argument("--n", dest="n", type=int, default=None)
-    ver.add_argument("--family-n-max", dest="family_n_max", type=int, default=None)
-    ver.add_argument("--samples", dest="samples", type=int, default=None)
-    ver.add_argument("--sample-n-max", dest="sample_n_max", type=int, default=None)
-    ver.add_argument("--seed", dest="seed", type=int, default=None)
-    ver.add_argument("--cap", dest="cap", type=int, default=None)
-    ver.add_argument("--cache-dir", dest="cache_dir", default=None)
+    for name, param in _PARAMETERS.items():
+        # Every suite parameter is an int bound except the cache directory,
+        # whose default is None.
+        kind = str if param.default is None else int
+        ver.add_argument(_flag(name), dest=name, type=kind, default=None)
     return parser
 
 

@@ -5,23 +5,35 @@ VerificationReport: exact integer checks, no tolerances, counterexamples
 listed with enough context to replay by hand.  Suites that sample use a
 caller-supplied seed so reruns are bit-identical.
 
+A suite body returns only ``(scope, counts, counterexamples[, details])``.
+The ``_suite`` runner it is registered with builds the report around it:
+it binds the arguments against the body's signature, records every one
+except ``cache_dir`` as the report's parameters, refuses negative bounds,
+times the call and sets ``passed`` from the counterexamples.  ``SUITES``
+maps each suite name to its function; the CLI derives its flags from
+their signatures.
+
 The certified statements are the finite ones actually executed here (the
 report's scope says which); nothing unbounded is claimed.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
+from collections import defaultdict
+from dataclasses import asdict
 from random import Random
-from typing import Union
+from typing import Callable
 
 from .canonical import canonical_form
 from .enumeration import (DEFAULT_CAP, EnumerationTask, enumerate_by_vertex_growth,
                           enumerate_graphs, random_connected_graph)
 from .graph6 import graph6_decode, graph6_encode
-from .graphs import (DumbbellParams, Graph, ThetaParams, classify_bicyclic,
-                     connected_components, dumbbell_graph, make_dumbbell,
-                     make_path, make_theta, theta_graph)
+from .graphs import (DumbbellParams, FamilyParams, Graph, ThetaParams,
+                     classify_bicyclic, connected_components, dumbbell_graph,
+                     make_dumbbell, make_path, make_theta, theta_graph)
 from .invariants import (degree_constraint_solver, graph_invariants,
                          invariants_from_charpoly)
 from .laplacian import (charpoly, laplacian, spanning_tree_count, u_matrix_charpoly,
@@ -36,31 +48,80 @@ from .termtables import audit_dumbbell_identity, audit_theta_identity
 
 DEFAULT_SEED = 20260825
 
-FamilyParams = Union[DumbbellParams, ThetaParams]
+# Arguments that say where work is cached, not what is checked; they are
+# not recorded in a report's parameters.
+UNRECORDED = ("cache_dir",)
+
+SUITES: dict[str, Callable[..., VerificationReport]] = {}
+
+
+def _suite(name: str):
+    """Register a suite body under ``name`` and wrap it in the report runner.
+
+    The body returns ``(scope, counts, counterexamples[, details])``; the
+    suite passes iff it found no counterexample.  Every int argument except
+    ``seed`` is a bound and must be >= 0.  The registered function keeps the
+    body's name, docstring and signature, and returns the report."""
+    def register(body: Callable[..., tuple]) -> Callable[..., VerificationReport]:
+        signature = inspect.signature(body)
+
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> VerificationReport:
+            start = time.perf_counter()
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            parameters = {key: value for key, value in bound.arguments.items()
+                          if key not in UNRECORDED}
+            for key, value in parameters.items():
+                if key != "seed" and isinstance(value, int) and value < 0:
+                    raise ValueError(f"{key} must be >= 0, got {value}")
+            scope, counts, counterexamples, *details = body(*bound.args, **bound.kwargs)
+            return VerificationReport(
+                suite=name,
+                scope=scope,
+                parameters=parameters,
+                passed=not counterexamples,
+                counts=counts,
+                counterexamples=counterexamples,
+                details=details[0] if details else {},
+                wall_time_s=time.perf_counter() - start,
+            )
+
+        SUITES[name] = run
+        return run
+    return register
+
+
+def _dumbbell_grid(p_max: int, k_max: int) -> list[DumbbellParams]:
+    """Normalized dumbbells p >= q >= 3 with p <= p_max and k <= k_max, in
+    (p, q, k) order."""
+    return [DumbbellParams(p, k, q)
+            for p in range(3, p_max + 1)
+            for q in range(3, p + 1)
+            for k in range(k_max + 1)]
+
+
+def _theta_grid(r_max: int) -> list[ThetaParams]:
+    """Normalized thetas r >= s >= t >= 0, (s, t) != (0, 0), with r <= r_max,
+    in (r, s, t) order."""
+    return [ThetaParams(r, s, t)
+            for r in range(r_max + 1)
+            for s in range(r + 1)
+            for t in range(s + 1)
+            if (s, t) != (0, 0)]
 
 
 def dumbbell_parameter_grid(n: int) -> list[DumbbellParams]:
     """All normalized dumbbell parameters (p >= q >= 3, k >= 0) on n vertices."""
-    grid = []
-    for p in range(3, n + 1):
-        for q in range(3, p + 1):
-            k = n - p - q
-            if k >= 0:
-                grid.append(DumbbellParams(p, k, q))
-    return sorted(grid, key=lambda d: (d.p, d.k, d.q))
+    # With p, q >= 3, n vertices allow p <= n - 3 and k <= n - 6.
+    return sorted((d for d in _dumbbell_grid(n - 3, n - 6) if d.vertex_count == n),
+                  key=lambda d: (d.p, d.k, d.q))
 
 
 def theta_parameter_grid(n: int) -> list[ThetaParams]:
     """All normalized theta parameters (r >= s >= t >= 0, (s,t) != (0,0))
     on n vertices."""
-    grid = []
-    total = n - 2
-    for r in range(total + 1):
-        for s in range(min(r, total - r) + 1):
-            t = total - r - s
-            if 0 <= t <= s and (s, t) != (0, 0):
-                grid.append(ThetaParams(r, s, t))
-    return sorted(grid, key=lambda h: (h.r, h.s, h.t))
+    return [h for h in _theta_grid(n - 2) if h.vertex_count == n]
 
 
 def family_members(n: int) -> list[Graph]:
@@ -94,13 +155,13 @@ def _g6(g: Graph) -> str:
     return canonical_form(g).decode("ascii")
 
 
+@_suite("recurrences")
 def verify_recurrences(path_n_max: int = 40, p_max: int = 8, k_max: int = 5,
                        r_max: int = 8) -> VerificationReport:
     """Recurrence route equals direct matrix charpoly, exactly: paths and
     cycle-interior matrices up to path_n_max, dumbbells over the full
     p,q in [3,p_max] x k in [0,k_max] grid (both orders of p and q), thetas
     with r <= r_max."""
-    start = time.perf_counter()
     counterexamples = []
     counts = {"paths": 0, "interior_matrices": 0, "dumbbells": 0, "thetas": 0}
 
@@ -118,39 +179,20 @@ def verify_recurrences(path_n_max: int = 40, p_max: int = 8, k_max: int = 5,
                 counts["dumbbells"] += 1
                 if dumbbell_charpoly_rec(p, k, q) != charpoly(laplacian(dumbbell_graph(p, k, q))):
                     counterexamples.append({"case": "dumbbell", "p": p, "k": k, "q": q})
-    for h in _theta_grid_up_to(r_max):
+    for h in _theta_grid(r_max):
         counts["thetas"] += 1
         if theta_charpoly_rec(h.r, h.s, h.t) != charpoly(laplacian(theta_graph(h.r, h.s, h.t))):
             counterexamples.append({"case": "theta", "r": h.r, "s": h.s, "t": h.t})
-
-    return VerificationReport(
-        suite="recurrences",
-        scope=(f"paths and interior matrices n <= {path_n_max}; dumbbells "
-               f"p,q in [3,{p_max}], k in [0,{k_max}]; thetas r <= {r_max}"),
-        parameters={"path_n_max": path_n_max, "p_max": p_max, "k_max": k_max,
-                    "r_max": r_max},
-        passed=not counterexamples,
-        counts=counts,
-        counterexamples=counterexamples,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return (f"paths and interior matrices n <= {path_n_max}; dumbbells "
+            f"p,q in [3,{p_max}], k in [0,{k_max}]; thetas r <= {r_max}",
+            counts, counterexamples)
 
 
-def _theta_grid_up_to(r_max: int) -> list[ThetaParams]:
-    grid = []
-    for r in range(r_max + 1):
-        for s in range(r + 1):
-            for t in range(s + 1):
-                if (s, t) != (0, 0):
-                    grid.append(ThetaParams(r, s, t))
-    return grid
-
-
+@_suite("special-values")
 def verify_special_values(n_max: int = 200) -> VerificationReport:
     """Closed forms at special points, exactly: path charpoly at 4 equals 4n,
     interior charpoly at 4 equals n+1, interior charpoly at 2 alternates
     0 / +-1 with the sign of n/2."""
-    start = time.perf_counter()
     counterexamples = []
     for n in range(n_max + 1):
         pv = path_charpoly_rec(n).eval(4)
@@ -163,36 +205,21 @@ def verify_special_values(n_max: int = 200) -> VerificationReport:
         want = 0 if n % 2 == 1 else (-1) ** (n // 2)
         if u2 != want or u2 != u_value_at2(n):
             counterexamples.append({"case": "interior_at_2", "n": n, "value": u2})
-    return VerificationReport(
-        suite="special-values",
-        scope=f"values at x=4 and x=2 for n <= {n_max}",
-        parameters={"n_max": n_max},
-        passed=not counterexamples,
-        counts={"evaluations": 3 * (n_max + 1)},
-        counterexamples=counterexamples,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return (f"values at x=4 and x=2 for n <= {n_max}",
+            {"evaluations": 3 * (n_max + 1)}, counterexamples)
 
 
+@_suite("generating-identity")
 def verify_generating_identity(r_max: int = 50) -> VerificationReport:
     """The substituted interior charpoly times y^(r+2) - y^r telescopes to
     y^(2r+2) - 1, exactly, for r <= r_max."""
-    start = time.perf_counter()
     counterexamples = [{"r": r} for r in range(r_max + 1)
                        if not u_generating_identity_holds(r)]
-    return VerificationReport(
-        suite="generating-identity",
-        scope=f"r <= {r_max}",
-        parameters={"r_max": r_max},
-        passed=not counterexamples,
-        counts={"checked": r_max + 1},
-        counterexamples=counterexamples,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return f"r <= {r_max}", {"checked": r_max + 1}, counterexamples
 
 
-def _table_suite(suite: str, scope: str, parameters: dict, grid, audit) -> VerificationReport:
-    start = time.perf_counter()
+def _audit_grid(grid: list[FamilyParams], audit) -> tuple[dict, list, dict]:
+    """Counts, counterexamples and per-tuple details of a term-table audit."""
     counterexamples = []
     mismatched_tuples = 0
     diff_terms = 0
@@ -207,91 +234,62 @@ def _table_suite(suite: str, scope: str, parameters: dict, grid, audit) -> Verif
             diff_terms += len(result["diffs"])
         tuple_status.append({**pd, "table_matches": result["table_matches"],
                              "diffs": result["diffs"]})
-    return VerificationReport(
-        suite=suite,
-        scope=scope,
-        parameters=parameters,
-        passed=not counterexamples,
-        counts={"tuples": len(grid), "table_mismatched_tuples": mismatched_tuples,
-                "table_diff_terms": diff_terms},
-        counterexamples=counterexamples,
-        details={"tuples": tuple_status},
-        wall_time_s=time.perf_counter() - start,
-    )
+    counts = {"tuples": len(grid), "table_mismatched_tuples": mismatched_tuples,
+              "table_diff_terms": diff_terms}
+    return counts, counterexamples, {"tuples": tuple_status}
 
 
+@_suite("dumbbell-table")
 def verify_dumbbell_table(p_max: int = 8, k_max: int = 5) -> VerificationReport:
     """Audit the dumbbell term table over the normalized grid.  Passing means
     the matrix and recurrence routes agree on every tuple; the table column
     reports how the published term data compares against both."""
-    grid = [DumbbellParams(p, k, q)
-            for p in range(3, p_max + 1)
-            for q in range(3, p + 1)
-            for k in range(k_max + 1)]
-    return _table_suite(
-        "dumbbell-table",
-        f"p in [3,{p_max}], q in [3,p], k in [0,{k_max}]",
-        {"p_max": p_max, "k_max": k_max},
-        grid,
-        lambda d: audit_dumbbell_identity(d.p, d.k, d.q),
-    )
+    return (f"p in [3,{p_max}], q in [3,p], k in [0,{k_max}]",
+            *_audit_grid(_dumbbell_grid(p_max, k_max),
+                         lambda d: audit_dumbbell_identity(d.p, d.k, d.q)))
 
 
+@_suite("theta-table")
 def verify_theta_table(r_max: int = 8) -> VerificationReport:
     """Audit the theta term table for r <= r_max.  Same pass condition as the
     dumbbell audit; the table data carries one known bad printed coefficient
     (see the data file header), which shows up in the diff counts rather
     than failing the suite."""
-    grid = _theta_grid_up_to(r_max)
-    return _table_suite(
-        "theta-table",
-        f"r <= {r_max}, normalized parameters",
-        {"r_max": r_max},
-        grid,
-        lambda h: audit_theta_identity(h.r, h.s, h.t),
-    )
+    return (f"r <= {r_max}, normalized parameters",
+            *_audit_grid(_theta_grid(r_max),
+                         lambda h: audit_theta_identity(h.r, h.s, h.t)))
 
 
+@_suite("family-values")
 def verify_family_values(p_max: int = 8, k_max: int = 5,
                          r_max: int = 8) -> VerificationReport:
     """Closed forms for the family charpolys at x=4 equal direct evaluation
     over the grids; includes the 5-vertex theta with all bridge paths of one
     interior vertex, whose value at 4 is -16 by its known spectrum."""
-    start = time.perf_counter()
-    counterexamples = []
-    count = 0
-    for p in range(3, p_max + 1):
-        for q in range(3, p + 1):
-            for k in range(k_max + 1):
-                count += 1
-                if dumbbell_charpoly_rec(p, k, q).eval(4) != dumbbell_value_at4(p, k, q):
-                    counterexamples.append({"family": "dumbbell", "p": p, "k": k, "q": q})
-    for h in _theta_grid_up_to(r_max):
-        count += 1
-        if theta_charpoly_rec(h.r, h.s, h.t).eval(4) != theta_value_at4(h.r, h.s, h.t):
-            counterexamples.append(_params_dict(h))
+    dumbbells = _dumbbell_grid(p_max, k_max)
+    thetas = _theta_grid(r_max)
+    counterexamples = [_params_dict(d) for d in dumbbells
+                       if dumbbell_charpoly_rec(d.p, d.k, d.q).eval(4)
+                       != dumbbell_value_at4(d.p, d.k, d.q)]
+    counterexamples += [_params_dict(h) for h in thetas
+                        if theta_charpoly_rec(h.r, h.s, h.t).eval(4)
+                        != theta_value_at4(h.r, h.s, h.t)]
     spot = theta_charpoly_rec(1, 1, 1).eval(4)
     if spot != -16 or theta_value_at4(1, 1, 1) != -16:
         counterexamples.append({"family": "theta", "r": 1, "s": 1, "t": 1,
                                 "failure": f"spot value {spot} != -16"})
-    return VerificationReport(
-        suite="family-values",
-        scope=f"dumbbells p,q in [3,{p_max}], k in [0,{k_max}]; thetas r <= {r_max}",
-        parameters={"p_max": p_max, "k_max": k_max, "r_max": r_max},
-        passed=not counterexamples,
-        counts={"evaluations": count, "spot_checks": 1},
-        counterexamples=counterexamples,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return (f"dumbbells p,q in [3,{p_max}], k in [0,{k_max}]; thetas r <= {r_max}",
+            {"evaluations": len(dumbbells) + len(thetas), "spot_checks": 1},
+            counterexamples)
 
 
+@_suite("deletion-formula")
 def verify_deletion_suite(family_n_max: int = 12, samples: int = 100,
                           sample_n_max: int = 9,
                           seed: int = DEFAULT_SEED) -> VerificationReport:
     """Vertex deletion expansion checked at every vertex of every family
     member with n <= family_n_max, then at every vertex of seeded random
     connected graphs with n <= sample_n_max."""
-    start = time.perf_counter()
     counterexamples = []
     checks = 0
     members = 0
@@ -311,25 +309,17 @@ def verify_deletion_suite(family_n_max: int = 12, samples: int = 100,
             sub = verify_deletion_formula(g, u)
             if not sub.passed:
                 counterexamples.append({"graph6": _g6(g), "vertex": u})
-    return VerificationReport(
-        suite="deletion-formula",
-        scope=(f"all vertices of family members n <= {family_n_max} plus "
-               f"{samples} random connected graphs n <= {sample_n_max}"),
-        parameters={"family_n_max": family_n_max, "samples": samples,
-                    "sample_n_max": sample_n_max, "seed": seed},
-        passed=not counterexamples,
-        counts={"family_members": members, "vertex_checks": checks},
-        counterexamples=counterexamples,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return (f"all vertices of family members n <= {family_n_max} plus "
+            f"{samples} random connected graphs n <= {sample_n_max}",
+            {"family_members": members, "vertex_checks": checks}, counterexamples)
 
 
+@_suite("invariants")
 def verify_invariants_suite(samples: int = 200, n_max: int = 10,
                             seed: int = DEFAULT_SEED) -> VerificationReport:
     """Invariants read off the charpoly coefficients match direct counts
     (component search, matrix-tree cofactor, degree squares) on seeded
     random connected graphs."""
-    start = time.perf_counter()
     counterexamples = []
     rng = Random(seed)
     for _ in range(samples):
@@ -342,32 +332,19 @@ def verify_invariants_suite(samples: int = 200, n_max: int = 10,
             "spanning_trees": spanning_tree_count(g),
             "degree_square_sum": sum(d * d for d in g.degree_sequence()),
         }
-        derived = {
-            "vertices": inv.vertices,
-            "edges": inv.edges,
-            "components": inv.components,
-            "spanning_trees": inv.spanning_trees,
-            "degree_square_sum": inv.degree_square_sum,
-        }
+        derived = asdict(inv)
         if derived != direct:
             counterexamples.append({"graph6": _g6(g), "derived": derived,
                                     "direct": direct})
-    return VerificationReport(
-        suite="invariants",
-        scope=f"{samples} random connected graphs, n <= {n_max}",
-        parameters={"samples": samples, "n_max": n_max, "seed": seed},
-        passed=not counterexamples,
-        counts={"graphs": samples},
-        counterexamples=counterexamples,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return (f"{samples} random connected graphs, n <= {n_max}",
+            {"graphs": samples}, counterexamples)
 
 
+@_suite("within-family")
 def verify_within_family(n_max: int = 20) -> VerificationReport:
     """All dumbbells and thetas with n <= n_max have pairwise distinct
     Laplacian charpolys, by exact comparison of recurrence-route
     polynomials within each vertex count."""
-    start = time.perf_counter()
     counterexamples = []
     members_total = 0
     pairs = 0
@@ -387,63 +364,49 @@ def verify_within_family(n_max: int = 20) -> VerificationReport:
                 })
             else:
                 by_coeffs[key] = g.family
-    return VerificationReport(
-        suite="within-family",
-        scope=f"all family members with 4 <= n <= {n_max}",
-        parameters={"n_max": n_max},
-        passed=not counterexamples,
-        counts={"members": members_total, "pairs": pairs},
-        counterexamples=counterexamples,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return (f"all family members with 4 <= n <= {n_max}",
+            {"members": members_total, "pairs": pairs}, counterexamples)
 
 
+@_suite("determination")
 def verify_determination(n: int, cap: int = DEFAULT_CAP,
                          cache_dir=None) -> VerificationReport:
     """No family member on n vertices has a non-isomorphic cospectral mate
     among all connected graphs with n vertices and n+1 edges.  Member
     charpolys come from the recurrences, pool charpolys from the matrix
-    route, so a match also cross-checks the two.  Certifies exactly this n."""
-    start = time.perf_counter()
+    route, so a match also cross-checks the two.  Certifies exactly this n.
+    Pool graphs are keyed by charpoly, so one lookup per member decides its
+    pairs with the whole pool; ``comparisons`` counts those pairs."""
     if n < 4:
         raise ValueError("need n >= 4 for the family to be nonempty")
     members = family_members(n)
     pool = enumerate_graphs(EnumerationTask(n, n + 1, connected=True),
                             cap=cap, cache_dir=cache_dir)
-    pool_charpolys = [charpoly(laplacian(g)) for g in pool]
+    by_charpoly: defaultdict[IntPoly, list[Graph]] = defaultdict(list)
+    for g in pool:
+        by_charpoly[charpoly(laplacian(g))].append(g)
     counterexamples = []
-    comparisons = 0
     for g in members:
         phi = member_charpoly(g)
-        mates = []
-        for other, other_phi in zip(pool, pool_charpolys):
-            comparisons += 1
-            if other_phi == phi:
-                mates.append(other)
-        own_form = canonical_form(g)
+        mates = by_charpoly.get(phi, [])
         params = _params_dict(g.family)
         if len(mates) != 1:
             counterexamples.append({**params, "failure": "match count",
                                     "mates": [graph6_encode(m).decode("ascii")
                                               for m in mates]})
-        elif canonical_form(mates[0]) != own_form:
+        elif canonical_form(mates[0]) != canonical_form(g):
             counterexamples.append({**params, "failure": "non-isomorphic mate",
                                     "mate": graph6_encode(mates[0]).decode("ascii"),
                                     "charpoly": str(phi)})
-    return VerificationReport(
-        suite="determination",
-        scope=(f"members on n={n} against all connected ({n},{n + 1}) graphs; "
-               f"certified for this n only"),
-        parameters={"n": n, "cap": cap},
-        passed=not counterexamples,
-        counts={"members": len(members), "pool": len(pool),
-                "comparisons": comparisons},
-        counterexamples=counterexamples,
-        details={"members": [_params_dict(g.family) for g in members]},
-        wall_time_s=time.perf_counter() - start,
-    )
+    return (f"members on n={n} against all connected ({n},{n + 1}) graphs; "
+            f"certified for this n only",
+            {"members": len(members), "pool": len(pool),
+             "comparisons": len(members) * len(pool)},
+            counterexamples,
+            {"members": [_params_dict(g.family) for g in members]})
 
 
+@_suite("cospectral-structure")
 def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
                                 cache_dir=None) -> VerificationReport:
     """Structure forcing at one vertex count: every connected (n, n+1) graph
@@ -451,7 +414,6 @@ def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
     equals the family census; the degree constraint solver pins that profile
     from charpoly invariants alone for every member; any pool graph
     cospectral with a member has the profile."""
-    start = time.perf_counter()
     if n < 4:
         raise ValueError("need n >= 4 for the family to be nonempty")
     profile = (3, 3) + (2,) * (n - 2)
@@ -484,24 +446,18 @@ def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
             counterexamples.append({**_params_dict(g.family),
                                     "failure": "solver did not force profile",
                                     "solved": solved})
-    return VerificationReport(
-        suite="cospectral-structure",
-        scope=f"connected ({n},{n + 1}) graphs and family members on n={n}",
-        parameters={"n": n, "cap": cap},
-        passed=not counterexamples,
-        counts={"pool": len(pool), "profile_graphs": profiled,
-                "members": len(members), "cospectral_hits": cospectral_hits},
-        counterexamples=counterexamples,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return (f"connected ({n},{n + 1}) graphs and family members on n={n}",
+            {"pool": len(pool), "profile_graphs": profiled,
+             "members": len(members), "cospectral_hits": cospectral_hits},
+            counterexamples)
 
 
+@_suite("census")
 def verify_census(n_max: int = 7, cap: int = DEFAULT_CAP,
                   cache_dir=None) -> VerificationReport:
     """Edge-addition and vertex-growth enumeration agree, class by class, on
     all graphs with n <= n_max vertices, and the graph6 codec round-trips
     every one of them bit-exactly."""
-    start = time.perf_counter()
     counterexamples = []
     totals = {}
     round_trips = 0
@@ -524,13 +480,7 @@ def verify_census(n_max: int = 7, cap: int = DEFAULT_CAP,
             if back != g or graph6_encode(back) != encoded:
                 counterexamples.append({"n": n, "failure": "round trip",
                                         "graph6": encoded.decode("ascii")})
-    return VerificationReport(
-        suite="census",
-        scope=f"all graphs on n <= {n_max} vertices, both enumeration routes",
-        parameters={"n_max": n_max, "cap": cap},
-        passed=not counterexamples,
-        counts={"classes": sum(totals.values()), "round_trips": round_trips},
-        counterexamples=counterexamples,
-        details={"totals": {str(n): c for n, c in totals.items()}},
-        wall_time_s=time.perf_counter() - start,
-    )
+    return (f"all graphs on n <= {n_max} vertices, both enumeration routes",
+            {"classes": sum(totals.values()), "round_trips": round_trips},
+            counterexamples,
+            {"totals": {str(n): c for n, c in totals.items()}})

@@ -1,12 +1,18 @@
+import argparse
+import inspect
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from lapspec import cli
 from lapspec.cli import MAX_CLI_VERTICES, main
+from lapspec.enumeration import EnumerationTask
 from lapspec.graph6 import graph6_encode
 from lapspec.graphs import Graph, make_theta
 from lapspec.reports import VerificationReport
+from lapspec.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -121,6 +127,28 @@ class TestVerify:
         assert "r <= 50" in out
         assert report_code == 0
 
+    def test_grid_default_keeps_cache_dir(self, capsys, tmp_path):
+        code, _ = run(capsys, "verify", "determination", "--n", "6",
+                      "--grid", "default", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / EnumerationTask(6, 7, connected=True).cache_name()).exists()
+
+    @pytest.mark.parametrize("argv,name", [
+        (("special-values", "--n-max", "-5"), "n_max"),
+        (("generating-identity", "--r-max", "-3"), "r_max"),
+        (("invariants", "--samples", "-4"), "samples"),
+    ])
+    def test_negative_bound_is_a_usage_error(self, capsys, argv, name):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name} must be >= 0" in captured.err
+
+    def test_negative_seed_is_accepted(self, capsys):
+        code, _ = run(capsys, "verify", "invariants", "--samples", "3",
+                      "--n-max", "5", "--seed", "-1")
+        assert code == 0
+
     def test_flag_not_for_suite(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "census", "--p-max", "4"])
@@ -147,6 +175,56 @@ class TestVerify:
         a = VerificationReport.from_json(out_a).without_timing()
         b = VerificationReport.from_json(out_b).without_timing()
         assert a == b
+
+
+class TestDerivedSurface:
+    """The verify flags come from the suite signatures; pin what they add up to."""
+
+    BOUND_FLAGS = {"--path-n-max", "--p-max", "--k-max", "--r-max", "--n-max",
+                   "--n", "--family-n-max", "--samples", "--sample-n-max",
+                   "--seed", "--cap", "--cache-dir"}
+
+    @staticmethod
+    def _verify_parser():
+        sub = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        return sub.choices["verify"]
+
+    def test_flag_set(self):
+        flags = {option for action in self._verify_parser()._actions
+                 for option in action.option_strings}
+        assert flags == self.BOUND_FLAGS | {"-h", "--help", "--grid", "--format", "--out"}
+
+    def test_suite_names_match_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = readme.split("\nSuites: ", 1)[1].split(". ", 1)[0]
+        names = re.findall(r"`([a-z-]+)`", listed)
+        assert len(names) == 12
+        assert sorted(SUITES) == sorted(names)
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_each_suite_takes_exactly_its_signature(self, suite, monkeypatch, capsys):
+        taken = set(inspect.signature(SUITES[suite]).parameters)
+        calls = []
+
+        def stub(**kwargs):
+            calls.append(kwargs)
+            return VerificationReport(suite, "stub", {}, True)
+
+        monkeypatch.setitem(SUITES, suite, stub)
+        for flag in sorted(self.BOUND_FLAGS):
+            name = flag[2:].replace("-", "_")
+            argv = ["verify", suite, flag, "3"]
+            if name != "n" and "n" in taken:
+                argv += ["--n", "6"]
+            if name in taken:
+                assert main(argv) == 0
+                assert calls.pop()[name] == (3 if name != "cache_dir" else "3")
+            else:
+                with pytest.raises(SystemExit) as info:
+                    main(argv)
+                assert info.value.code == 2
+        capsys.readouterr()
 
 
 class TestVertexLimit:

@@ -1,6 +1,7 @@
-"""Property tests: the graph6 decoder, canonical forms and twin-pruned
-children on random inputs."""
+"""Property tests: the graph6 decoder, canonical forms, twin-pruned
+children and the ring laws of IntPoly and LaurentPoly on random inputs."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from lapspec import enumeration
 from lapspec.canonical import canonical_form
 from lapspec.graph6 import Graph6Error, graph6_decode
 from lapspec.graphs import Graph, relabel
+from lapspec.polynomials import IntPoly, LaurentPoly
 
 # Bounded so the suite stays quick on a slow machine.
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -71,3 +73,31 @@ def test_twin_pruned_children_cover_every_class(g, max_degree):
                          (enumeration._add_leaf, _leaf_children)):
         kept = [canonical_form(c) for c in pruned([g], max_degree)]
         assert set(kept) == {canonical_form(c) for c in full(g, max_degree)}
+
+
+COEFFS = st.integers(-50, 50)
+RINGS = {
+    "IntPoly": (st.lists(COEFFS, max_size=6).map(IntPoly), IntPoly()),
+    "LaurentPoly": (st.dictionaries(st.integers(-4, 4), COEFFS, max_size=5)
+                    .map(LaurentPoly), LaurentPoly()),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_ring_laws(ring):
+    polys, zero = RINGS[ring]
+
+    @PROPERTY
+    @given(polys, polys, polys)
+    def laws(a, b, c):
+        assert a + b == b + a
+        assert a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
+        assert a + zero == a == zero + a
+        assert a + (-a) == zero
+        assert a - b == a + (-b)
+
+    laws()

@@ -1,3 +1,6 @@
+import pytest
+
+from lapspec.enumeration import DEFAULT_CAP
 from lapspec.graphs import DumbbellParams, ThetaParams
 from lapspec.reports import VerificationReport
 from lapspec.verify import (dumbbell_parameter_grid, family_members,
@@ -123,3 +126,28 @@ class TestReportHygiene:
                                        sample_n_max=5, seed=123)
         assert report.parameters["seed"] == 123
         assert report.parameters["samples"] == 3
+
+
+class TestRunner:
+    def test_parameters_bind_positional_and_default_arguments(self):
+        report = verify_recurrences(3, k_max=0)
+        assert report.parameters == {"path_n_max": 3, "p_max": 8, "k_max": 0,
+                                     "r_max": 8}
+
+    def test_cache_dir_is_not_a_parameter(self, tmp_path):
+        report = verify_determination(6, cache_dir=tmp_path)
+        assert report.parameters == {"n": 6, "cap": DEFAULT_CAP}
+
+    @pytest.mark.parametrize("suite,kwargs", [
+        (verify_dumbbell_table, {"p_max": -1}),
+        (verify_within_family, {"n_max": -2}),
+        (verify_census, {"n_max": 3, "cap": -1}),
+        (verify_determination, {"n": -6}),
+    ])
+    def test_negative_bound_is_refused(self, suite, kwargs):
+        name = next(key for key, value in kwargs.items() if value < 0)
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            suite(**kwargs)
+
+    def test_negative_seed_is_a_seed(self):
+        assert verify_invariants_suite(samples=3, n_max=5, seed=-7).passed
