@@ -5,7 +5,8 @@ which is division-free: every intermediate quantity is an integer, so the
 result is exact by construction.  A second, independent route evaluates
 det(xI - L) at x = 0..n with fraction-free (Bareiss) elimination and
 recovers the coefficients by exact Lagrange interpolation; it exists only to
-cross-check the first and is never used as the reference.
+cross-check the first and is never used as the reference.  Both refuse a
+matrix that is not square.
 
 Also here: principal submatrix characteristic polynomials (vertex-deleted
 Laplacians keep the degrees of the original graph), the tridiagonal matrix
@@ -50,35 +51,63 @@ def u_matrix(n: int) -> IntMatrix:
     return mat
 
 
+def _require_square(mat: IntMatrix) -> int:
+    """The order of mat; ValueError unless every row has len(mat) entries."""
+    n = len(mat)
+    for i, row in enumerate(mat):
+        if len(row) != n:
+            raise ValueError(f"matrix is not square: row {i} has {len(row)} "
+                             f"entries, expected {n}")
+    return n
+
+
 def charpoly(mat: IntMatrix) -> IntPoly:
     """det(xI - M) by the Berkowitz method (division-free, exact).
 
-    Works bottom-up over trailing principal submatrices; each step multiplies
-    the current coefficient vector by a Toeplitz column built from powers of
-    the submatrix applied to one column.  Matrix-vector products skip zero
-    entries, which matters for the sparse Laplacians this package feeds in.
+    Works bottom-up over trailing principal submatrices [[a, R], [C, A]] of
+    M, i = n-1 down to 0.  Each step multiplies the coefficient vector by the
+    Toeplitz column 1, -a, -R C, -R A C, ..., -R A^(m-2) C of its m x m
+    submatrix.  A is kept as per-column lists of its nonzero (row, value)
+    entries, indexed by absolute row and column; going from i to i - 1 it
+    grows by one row (appended to the columns it touches) and one column,
+    and is never rebuilt.  The product A v is a scatter: each nonzero v[j]
+    adds v[j] times the entries of column j into the result, so zeros of
+    both the matrix and the vector cost nothing, which matters for the
+    sparse Laplacians this package feeds in.  Raises ValueError unless M is
+    square.
     """
-    n = len(mat)
+    n = _require_square(mat)
     poly = [1]  # leading coefficient first
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i in range(n - 1, -1, -1):
         m = n - i
-        a = mat[i][i]
-        row = mat[i][i + 1:]
-        col = [mat[j][i] for j in range(i + 1, n)]
-        sparse_rows = [
-            [(c, mat[j][i + 1 + c]) for c in range(m - 1) if mat[j][i + 1 + c]]
-            for j in range(i + 1, n)
-        ]
-        toeplitz = [1, -a]
-        vec = col
-        for k in range(2, m + 1):
-            toeplitz.append(-sum(row[c] * vec[c] for c in range(m - 1) if row[c]))
-            if k < m:
-                vec = [sum(val * vec[c] for c, val in entries) for entries in sparse_rows]
-        new = [0] * (m + 1)
-        for ti, tv in enumerate(toeplitz):
+        top = mat[i]
+        row = [(j, top[j]) for j in range(i + 1, n) if top[j]]
+        vec = [0] * n  # A^k C, by absolute row
+        for r in range(i + 1, n):
+            vec[r] = mat[r][i]
+        toeplitz = [-top[i]]  # below the leading 1
+        for k in range(m - 1):
+            s = 0
+            for j, val in row:
+                s -= val * vec[j]
+            toeplitz.append(s)
+            if k < m - 2:
+                nxt = [0] * n
+                for j in range(i + 1, n):
+                    vj = vec[j]
+                    if vj:
+                        for r, val in cols[j]:
+                            nxt[r] += val * vj
+                vec = nxt
+        # Row and column i join A for the next, larger submatrix.
+        for j, val in row:
+            cols[j].append((i, val))
+        cols[i] = [(r, mat[r][i]) for r in range(i, n) if mat[r][i]]
+        new = poly + [0]  # the leading 1 times poly
+        for ti, tv in enumerate(toeplitz, 1):
             if tv:
-                for pj in range(min(len(poly), m + 1 - ti)):
+                for pj in range(m + 1 - ti):
                     new[ti + pj] += tv * poly[pj]
         poly = new
     return IntPoly(reversed(poly))
@@ -112,8 +141,9 @@ def det_bareiss(mat: IntMatrix) -> int:
 def charpoly_interpolated(mat: IntMatrix) -> IntPoly:
     """det(xI - M) by evaluation at x = 0..n plus exact interpolation.
 
-    Independent of the Berkowitz route; used as a cross-check oracle."""
-    n = len(mat)
+    Independent of the Berkowitz route; used as a cross-check oracle.
+    Raises ValueError unless M is square."""
+    n = _require_square(mat)
     points = list(range(n + 1))
     values = []
     for x0 in points:

@@ -13,6 +13,11 @@ times the call and sets ``passed`` from the counterexamples.  ``SUITES``
 maps each suite name to its function; the CLI derives its flags from
 their signatures.
 
+The determination and cospectral-structure suites share the Laplacian
+charpolys of their pool: the charpolys of the last pool are kept and reused
+only while the enumeration memo still holds that very list of forms, so
+clearing the memo ends the reuse and the next suite computes them afresh.
+
 The certified statements are the finite ones actually executed here (the
 report's scope says which); nothing unbounded is claimed.
 """
@@ -27,6 +32,7 @@ from dataclasses import asdict
 from random import Random
 from typing import Callable
 
+from . import enumeration
 from .canonical import canonical_form
 from .enumeration import (DEFAULT_CAP, EnumerationTask, enumerate_by_vertex_growth,
                           enumerate_graphs, random_connected_graph)
@@ -153,6 +159,30 @@ def _params_dict(params: FamilyParams) -> dict:
 
 def _g6(g: Graph) -> str:
     return canonical_form(g).decode("ascii")
+
+
+# The forms list of the last pool whose charpolys were computed, and those
+# charpolys in pool order.  One slot: it keeps no graphs, and a reference to
+# the forms list only so that an identity check against the memo is sound.
+_pool_charpolys: tuple[list[bytes] | None, list[IntPoly]] = (None, [])
+
+
+def _bicyclic_pool(n: int, cap: int, cache_dir) -> tuple[list[Graph], list[IntPoly]]:
+    """All connected (n, n+1) graphs and their Laplacian charpolys.
+
+    The pool is always enumerated.  The charpolys are reused only while
+    ``enumeration._memo`` still holds the very forms list they were computed
+    for; any other pool, or the same pool after the memo was cleared, has
+    them computed again."""
+    global _pool_charpolys
+    task = EnumerationTask(n, n + 1, connected=True)
+    pool = enumerate_graphs(task, cap=cap, cache_dir=cache_dir)
+    forms = enumeration._memo[task]
+    kept, phis = _pool_charpolys
+    if forms is not kept:
+        phis = [charpoly(laplacian(g)) for g in pool]
+        _pool_charpolys = (forms, phis)
+    return pool, phis
 
 
 @_suite("recurrences")
@@ -380,11 +410,10 @@ def verify_determination(n: int, cap: int = DEFAULT_CAP,
     if n < 4:
         raise ValueError("need n >= 4 for the family to be nonempty")
     members = family_members(n)
-    pool = enumerate_graphs(EnumerationTask(n, n + 1, connected=True),
-                            cap=cap, cache_dir=cache_dir)
+    pool, pool_phis = _bicyclic_pool(n, cap, cache_dir)
     by_charpoly: defaultdict[IntPoly, list[Graph]] = defaultdict(list)
-    for g in pool:
-        by_charpoly[charpoly(laplacian(g))].append(g)
+    for g, phi in zip(pool, pool_phis):
+        by_charpoly[phi].append(g)
     counterexamples = []
     for g in members:
         phi = member_charpoly(g)
@@ -419,19 +448,18 @@ def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
     profile = (3, 3) + (2,) * (n - 2)
     members = family_members(n)
     member_phis = {member_charpoly(g).coeffs for g in members}
-    pool = enumerate_graphs(EnumerationTask(n, n + 1, connected=True),
-                            cap=cap, cache_dir=cache_dir)
+    pool, pool_phis = _bicyclic_pool(n, cap, cache_dir)
     counterexamples = []
     profiled = 0
     cospectral_hits = 0
-    for g in pool:
+    for g, phi in zip(pool, pool_phis):
         has_profile = g.degree_sequence() == profile
         if has_profile:
             profiled += 1
             if classify_bicyclic(g) is None:
                 counterexamples.append({"graph6": graph6_encode(g).decode("ascii"),
                                         "failure": "profile graph not classified"})
-        if charpoly(laplacian(g)).coeffs in member_phis:
+        if phi.coeffs in member_phis:
             cospectral_hits += 1
             if not has_profile:
                 counterexamples.append({"graph6": graph6_encode(g).decode("ascii"),

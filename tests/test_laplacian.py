@@ -81,6 +81,19 @@ class TestCharpoly:
         with pytest.raises(ArithmeticError):
             charpoly_interpolated([[Fraction(1, 2)]])
 
+    @pytest.mark.parametrize("route", [charpoly, charpoly_interpolated])
+    @pytest.mark.parametrize("mat", [
+        [[1, 2]],
+        [[1, 2, 3], [4, 5, 6]],
+        [[1], [2]],
+        [[1, 2], [3]],
+        [[1, 2], [3, 4, 5]],
+        [[]],
+    ], ids=["1x2", "2x3", "2x1", "ragged-short", "ragged-long", "empty-row"])
+    def test_non_square_is_refused(self, route, mat):
+        with pytest.raises(ValueError, match="not square"):
+            route(mat)
+
 
 class TestBareiss:
     def test_known_values(self):

@@ -1,5 +1,6 @@
 """Property tests: the graph6 decoder, canonical forms, twin-pruned
-children and the ring laws of IntPoly and LaurentPoly on random inputs."""
+children, the ring laws of IntPoly and LaurentPoly, and the Berkowitz
+charpoly against the interpolation route on random inputs."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from lapspec import enumeration
 from lapspec.canonical import canonical_form
 from lapspec.graph6 import Graph6Error, graph6_decode
-from lapspec.graphs import Graph, relabel
+from lapspec.graphs import Graph, make_path, relabel
+from lapspec.laplacian import charpoly, charpoly_interpolated, laplacian, u_matrix
 from lapspec.polynomials import IntPoly, LaurentPoly
+from lapspec.recurrences import path_charpoly_rec, u_poly_rec
 
 # Bounded so the suite stays quick on a slow machine.
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -101,3 +104,34 @@ def test_ring_laws(ring):
         assert a - b == a + (-b)
 
     laws()
+
+
+@st.composite
+def square_matrices(draw, max_n: int = 7):
+    """Square integer matrices, not symmetric, often with zero rows and
+    columns."""
+    n = draw(st.integers(0, max_n))
+    mat = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                        min_size=n, max_size=n))
+    if n:
+        lines = st.sets(st.integers(0, n - 1), max_size=2)
+        for i in draw(lines):
+            mat[i] = [0] * n
+        for j in draw(lines):
+            for row in mat:
+                row[j] = 0
+    return mat
+
+
+@PROPERTY
+@given(square_matrices())
+def test_berkowitz_matches_interpolation(mat):
+    assert charpoly(mat) == charpoly_interpolated(mat)
+
+
+@pytest.mark.parametrize("mat, expected", [
+    (u_matrix(40), u_poly_rec(40)),
+    (laplacian(make_path(40)), path_charpoly_rec(40)),
+], ids=["u_matrix(40)", "path(40)"])
+def test_berkowitz_on_large_tridiagonals(mat, expected):
+    assert charpoly(mat) == expected

@@ -1,7 +1,9 @@
 import pytest
 
+from lapspec import enumeration, invariants, verify
 from lapspec.enumeration import DEFAULT_CAP
 from lapspec.graphs import DumbbellParams, ThetaParams
+from lapspec.laplacian import charpoly
 from lapspec.reports import VerificationReport
 from lapspec.verify import (dumbbell_parameter_grid, family_members,
                             member_charpoly, theta_parameter_grid,
@@ -103,6 +105,70 @@ class TestPoolSuites:
         assert report.passed
         assert report.details["totals"] == {"0": 1, "1": 1, "2": 2, "3": 4,
                                             "4": 11, "5": 34}
+
+
+@pytest.fixture
+def charpoly_calls(monkeypatch):
+    """A private pool memo, and the size of every matrix the pool suites
+    hand to charpoly, directly or through graph_invariants, in call order."""
+    monkeypatch.setattr(enumeration, "_memo", {})
+    calls = []
+
+    def counted(mat):
+        calls.append(len(mat))
+        return charpoly(mat)
+
+    for module in (verify, invariants):
+        monkeypatch.setattr(module, "charpoly", counted)
+    return calls
+
+
+def fresh_json(monkeypatch, suite, n):
+    """Timing-free JSON of suite(n) run against an empty memo."""
+    memo = enumeration._memo
+    monkeypatch.setattr(enumeration, "_memo", {})
+    try:
+        return suite(n).without_timing().to_json()
+    finally:
+        monkeypatch.setattr(enumeration, "_memo", memo)
+
+
+class TestSharedPoolCharpolys:
+    def run_pair(self, calls, n):
+        """Charpoly calls made by determination then cospectral-structure at
+        n, and the two reports."""
+        before = len(calls)
+        reports = verify_determination(n), verify_cospectral_structure(n)
+        return len(calls) - before, reports
+
+    def assert_as_fresh(self, monkeypatch, reports):
+        for report in reports:
+            suite = verify.SUITES[report.suite]
+            assert report.without_timing().to_json() == fresh_json(
+                monkeypatch, suite, report.parameters["n"])
+
+    def test_pair_computes_each_pool_charpoly_once(self, monkeypatch, charpoly_calls):
+        made, reports = self.run_pair(charpoly_calls, 8)
+        # the pool once, then graph_invariants once per member
+        assert made == 236 + 10
+        self.assert_as_fresh(monkeypatch, reports)
+
+    def test_clearing_the_memo_ends_the_reuse(self, monkeypatch, charpoly_calls):
+        assert self.run_pair(charpoly_calls, 8)[0] == 246
+        before = len(charpoly_calls)
+        verify_cospectral_structure(8)
+        assert len(charpoly_calls) - before == 10
+        enumeration._memo.clear()
+        made, reports = self.run_pair(charpoly_calls, 8)
+        assert made == 246
+        self.assert_as_fresh(monkeypatch, reports)
+
+    def test_another_pool_is_not_reused(self, monkeypatch, charpoly_calls):
+        verify_determination(8)
+        before = len(charpoly_calls)
+        report = verify_cospectral_structure(9)
+        assert charpoly_calls[before:] == [9] * (797 + 13)
+        self.assert_as_fresh(monkeypatch, [report])
 
 
 class TestReportHygiene:
