@@ -26,8 +26,25 @@ the in-process memo, and such tasks resume from the deepest level already
 there: (7, m) grows one level from (7, m - 1), and the trees on n vertices
 grow from the trees on n - 1.
 
+The connected graphs with n >= 4 vertices and n + 1 edges, the pool of the
+determination suites, come from a structural route instead, when the task
+has no degree sequence.  Such a graph has cyclomatic number 2, so its 2-core
+(what is left after deleting leaves until none remain) is a subdivided
+theta, a dumbbell, or two cycles sharing one vertex (a figure-eight), and
+the graph is that core with one rooted tree hung on each core vertex.  An
+isomorphism maps 2-core onto 2-core and hung trees onto hung trees, so two
+such graphs are isomorphic exactly when they have the same core and their
+tree tuples differ by an automorphism of the core.  The route walks every
+core on at most n vertices, finds its automorphism group by a small
+backtracking search, and keeps each tuple of rooted trees (one per core
+vertex, n vertices in all) only when it is minimal in its orbit under that
+group.  Every class comes out exactly once, so each costs one canonical
+call and nothing is deduplicated; a repeated form raises instead.  The
+forms equal the edge route's byte for byte, which stays callable as the
+reference.  Every other task takes the edge route.
+
 A second, independent enumerator grows by vertex instead of by edge and is
-used to cross-check census totals; the two routes share nothing but the
+used to cross-check census totals; the routes share nothing but the
 canonical form.
 
 Results are deterministic: canonical graph6 forms, sorted.  They can be
@@ -42,6 +59,10 @@ never trusted: the pool is regrown and the file rewritten.  The check
 guards against truncation and stale formats, not against a forged header.
 A task answered from the memo still writes its file when the cache
 directory has no valid one.
+
+``enumerate_graphs`` decodes the forms into graphs and keeps the last
+decoded pool while the memo holds its very forms list, so asking for the
+same pool twice decodes it once.
 """
 
 from __future__ import annotations
@@ -50,13 +71,14 @@ import hashlib
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import combinations, product
 from pathlib import Path
 from random import Random
 from typing import Iterable, Iterator, Optional
 
 from .canonical import canonical_form
 from .graph6 import graph6_decode
-from .graphs import Graph
+from .graphs import Graph, _dumbbell_edges, _theta_edges
 
 DEFAULT_CAP = 10
 CACHE_ENV_VAR = "LAPSPEC_CACHE_DIR"
@@ -228,6 +250,126 @@ def _grow_forms(task: EnumerationTask) -> list[bytes]:
     return sorted(form for form, g in level.items() if g.degree_sequence() == degree_sequence)
 
 
+def _figure_eight_edges(p: int, q: int) -> list[tuple[int, int]]:
+    """Cycles of lengths p and q sharing vertex 0."""
+    second = [0] + list(range(p, p + q - 1)) + [0]
+    return [(i, (i + 1) % p) for i in range(p)] + list(zip(second, second[1:]))
+
+
+def _bicyclic_cores(n: int) -> list[tuple[str, tuple[int, ...], list[tuple[int, int]]]]:
+    """(kind, parameters, edges) of every 2-core with cyclomatic number 2 on
+    at most n vertices: thetas r >= s >= t >= 0 with s >= 1, dumbbells
+    p >= q >= 3 with k >= 0, and figure-eights p >= q >= 3.  A core with
+    edges E has len(E) - 1 vertices."""
+    cores = [("theta", (r, s, t), _theta_edges(r, s, t))
+             for r in range(1, n - 2) for s in range(1, r + 1) for t in range(s + 1)
+             if r + s + t + 2 <= n]
+    for p in range(3, n):
+        for q in range(3, min(p, n - p + 1) + 1):
+            cores += [("dumbbell", (p, k, q), _dumbbell_edges(p, k, q))
+                      for k in range(n - p - q + 1)]
+            cores.append(("figure-eight", (p, q), _figure_eight_edges(p, q)))
+    return cores
+
+
+def _automorphisms(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Every automorphism of a connected graph, as the tuple of vertex
+    images.  Vertices are mapped in breadth-first order from vertex 0, each
+    to an unused vertex of its degree whose adjacency to the images of the
+    vertices mapped so far matches its own.  Every vertex after the first
+    has a mapped neighbor, so its candidates are neighbors of that
+    neighbor's image."""
+    rows = [0] * n
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    order, seen = [0], 1
+    for v in order:
+        for w in range(n):
+            if rows[v] >> w & 1 and not seen >> w & 1:
+                seen |= 1 << w
+                order.append(w)
+    image = [0] * n
+    found: list[tuple[int, ...]] = []
+
+    def extend(i: int, used: int) -> None:
+        if i == n:
+            found.append(tuple(image))
+            return
+        v = order[i]
+        for w in range(n):
+            if (not used >> w & 1 and rows[w].bit_count() == rows[v].bit_count()
+                    and all(rows[v] >> u & 1 == rows[w] >> image[u] & 1 for u in order[:i])):
+                image[v] = w
+                extend(i + 1, used | 1 << w)
+
+    extend(0, 0)
+    return found
+
+
+def _rooted_trees(size_max: int) -> list[list[int]]:
+    """Every rooted tree on 1..size_max vertices once, ordered by vertex
+    count, each as the list of the parents of vertices 1, 2, ... in preorder
+    (the root is vertex 0).  Trees are told apart by their AHU codes: a code is the sorted
+    tuple of the root's child codes, so isomorphic rooted trees have equal
+    codes, and every tree on s + 1 vertices is a tree on s plus a leaf."""
+    def hang_leaf(code: tuple) -> Iterator[tuple]:
+        yield tuple(sorted(code + ((),)))
+        for i, child in enumerate(code):
+            for grown in hang_leaf(child):
+                yield tuple(sorted(code[:i] + (grown,) + code[i + 1:]))
+
+    def parents(code: tuple, at: int, out: list[int]) -> list[int]:
+        for child in code:
+            out.append(at)
+            parents(child, len(out), out)
+        return out
+
+    level = [()]
+    trees = []
+    for _ in range(size_max):
+        trees += [parents(code, 0, []) for code in level]
+        level = sorted({grown for code in level for grown in hang_leaf(code)})
+    return trees
+
+
+def _bicyclic_forms(n: int) -> list[bytes]:
+    """Sorted canonical forms of the connected graphs with n >= 4 vertices
+    and n + 1 edges, built from their 2-cores: one canonical call per class
+    and no dedup.  Raises RuntimeError if a class comes out twice."""
+    trees = _rooted_trees(n - 3)
+    by_size: list[list[int]] = [[] for _ in range(n - 2)]
+    for i, tree in enumerate(trees):
+        by_size[len(tree) + 1].append(i)
+    forms = []
+    for _, _, core in _bicyclic_cores(n):
+        c = len(core) - 1
+        group = _automorphisms(c, core)
+        # An attachment (a tree per core vertex) is kept when it is minimal
+        # in its orbit, ordered by tree sizes and then by tree index.
+        for cuts in combinations(range(1, n), c - 1):
+            sizes = tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+            images = [tuple(sizes[v] for v in sigma) for sigma in group]
+            if any(image < sizes for image in images):
+                continue
+            stabilizer = [sigma for sigma, image in zip(group, images) if image == sizes]
+            for attachment in product(*(by_size[size] for size in sizes)):
+                if any(tuple(attachment[v] for v in sigma) < attachment
+                       for sigma in stabilizer):
+                    continue
+                edges = list(core)
+                base = c - 1  # tree vertex j >= 1 becomes base + j
+                for v, tree in enumerate(attachment):
+                    edges += [(v if p == 0 else base + p, base + j)
+                              for j, p in enumerate(trees[tree], 1)]
+                    base += len(trees[tree])
+                forms.append(canonical_form(Graph(n, edges)))
+    forms.sort()
+    if any(a == b for a, b in zip(forms, forms[1:])):
+        raise RuntimeError(f"the structural route built a class twice on n={n}")
+    return forms
+
+
 def _encode_pool(task: EnumerationTask, forms: list[bytes]) -> bytes:
     body = b"".join(form + b"\n" for form in forms)
     header = (f"{CACHE_MAGIC} {CACHE_VERSION} {task.cache_name()} {len(forms)} "
@@ -259,10 +401,11 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-def enumerate_graphs(task: EnumerationTask, cap: int = DEFAULT_CAP,
-                     cache_dir: Optional[str | Path] = None) -> list[Graph]:
-    """One canonically labeled representative per isomorphism class matching
-    the task, sorted by graph6 form.  Raises EnumerationCapError above cap."""
+def _pool_forms(task: EnumerationTask, cap: int,
+                cache_dir: Optional[str | Path]) -> list[bytes]:
+    """The sorted canonical forms of the task, from the memo, a valid cache
+    file or fresh growth.  Fills the memo, and a cache directory that lacks
+    a valid file; the list returned is the one the memo holds."""
     task = EnumerationTask(task.n, task.m, task.connected, task.degree_sequence)
     task.validate()
     if task.n > cap:
@@ -275,12 +418,33 @@ def enumerate_graphs(task: EnumerationTask, cap: int = DEFAULT_CAP,
         stored = _decode_pool(task, cache_file.read_bytes())
     forms = _memo.get(task, stored)
     if forms is None:
-        forms = _grow_forms(task)
+        # m = n + 1 is possible only for n >= 4, which validate() checked.
+        bicyclic = (task.connected and task.m == task.n + 1
+                    and task.degree_sequence is None)
+        forms = _bicyclic_forms(task.n) if bicyclic else _grow_forms(task)
     # A memo hit still fills a cache directory that lacks a valid file.
     if cache_file is not None and stored != forms:
         _write_atomic(cache_file, _encode_pool(task, forms))
     _memo[task] = forms
-    return [graph6_decode(form) for form in forms]
+    return forms
+
+
+# The forms list decoded last and its graphs.  The pool suites ask for the
+# same pool twice in a row; the identity check against the memo's list makes
+# a cleared memo decode afresh.
+_decoded: tuple[Optional[list[bytes]], list[Graph]] = (None, [])
+
+
+def enumerate_graphs(task: EnumerationTask, cap: int = DEFAULT_CAP,
+                     cache_dir: Optional[str | Path] = None) -> list[Graph]:
+    """One canonically labeled representative per isomorphism class matching
+    the task, sorted by graph6 form.  Raises EnumerationCapError above cap."""
+    global _decoded
+    forms = _pool_forms(task, cap, cache_dir)
+    if _decoded[0] is not forms:
+        _decoded = (None, [])  # let the last pool go before decoding this one
+        _decoded = (forms, [graph6_decode(form) for form in forms])
+    return list(_decoded[1])
 
 
 def enumerate_by_vertex_growth(n: int, cap: int = DEFAULT_CAP) -> list[Graph]:

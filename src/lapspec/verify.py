@@ -13,10 +13,11 @@ times the call and sets ``passed`` from the counterexamples.  ``SUITES``
 maps each suite name to its function; the CLI derives its flags from
 their signatures.
 
-The determination and cospectral-structure suites share the Laplacian
-charpolys of their pool: the charpolys of the last pool are kept and reused
-only while the enumeration memo still holds that very list of forms, so
-clearing the memo ends the reuse and the next suite computes them afresh.
+The determination and cospectral-structure suites share the decoded
+graphs and the Laplacian charpolys of their pool: both are kept for the
+last pool and reused only while the enumeration memo still holds that very
+list of forms, so clearing the memo ends the reuse and the next suite
+decodes the pool and computes its charpolys afresh.
 
 The certified statements are the finite ones actually executed here (the
 report's scope says which); nothing unbounded is claimed.
@@ -170,10 +171,11 @@ _pool_charpolys: tuple[list[bytes] | None, list[IntPoly]] = (None, [])
 def _bicyclic_pool(n: int, cap: int, cache_dir) -> tuple[list[Graph], list[IntPoly]]:
     """All connected (n, n+1) graphs and their Laplacian charpolys.
 
-    The pool is always enumerated.  The charpolys are reused only while
-    ``enumeration._memo`` still holds the very forms list they were computed
-    for; any other pool, or the same pool after the memo was cleared, has
-    them computed again."""
+    The pool is always enumerated, and ``enumerate_graphs`` decodes it only
+    when it is not the pool it decoded last.  The charpolys are reused only
+    while ``enumeration._memo`` still holds the very forms list they were
+    computed for; any other pool, or the same pool after the memo was
+    cleared, has them computed again."""
     global _pool_charpolys
     task = EnumerationTask(n, n + 1, connected=True)
     pool = enumerate_graphs(task, cap=cap, cache_dir=cache_dir)

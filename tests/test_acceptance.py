@@ -5,8 +5,11 @@ tune.  Each test prints one verdict line to the real stdout so a tee'd
 pytest log shows the whole checklist even with capture on.
 """
 
+import hashlib
+
 import pytest
 
+from lapspec import enumeration
 from lapspec.enumeration import EnumerationTask, enumerate_graphs
 from lapspec.graph6 import graph6_decode, graph6_encode
 from lapspec.recurrences import theta_value_at4
@@ -18,6 +21,9 @@ from lapspec.verify import (verify_census, verify_cospectral_structure,
                             verify_theta_table, verify_within_family)
 
 DS_RANGE = range(6, 11)
+# SHA-256 of b"\n".join(sorted forms) of the connected (12, 13) pool, equal
+# on the structural and the tree-first edge route.
+POOL_DIGEST_12 = "9155e60374ae82ef77272694929f4542620a205ceb0717091c3a17d9f794c2fa"
 
 _capture = None
 
@@ -162,3 +168,23 @@ def test_12_determination_and_profile_forcing_at_11():
     assert determination.counts["members"] == 23
     assert determination.counts["pool"] == structure.counts["pool"] == 8833
     assert structure.counts["cospectral_hits"] == 23
+
+
+def test_13_determination_and_profile_forcing_at_12():
+    determination = verify_determination(12, cap=12)
+    structure = verify_cospectral_structure(12, cap=12)
+    forms = enumeration._memo[EnumerationTask(12, 13, connected=True)]
+    digest = hashlib.sha256(b"\n".join(forms)).hexdigest()
+    ok = (determination.passed and structure.passed
+          and determination.counts["members"] == 29
+          and determination.counts["pool"] == 28908
+          and structure.counts["cospectral_hits"] == 29
+          and digest == POOL_DIGEST_12)
+    _verdict(ok, "[13] spectral determination and profile forcing certified "
+                 "at n=12 (29 members vs 28908 pool graphs, 29 cospectral hits)")
+    assert determination.passed, determination.counterexamples[:5]
+    assert structure.passed, structure.counterexamples[:5]
+    assert determination.counts["members"] == 29
+    assert determination.counts["pool"] == structure.counts["pool"] == 28908
+    assert structure.counts["cospectral_hits"] == 29
+    assert digest == POOL_DIGEST_12

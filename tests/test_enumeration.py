@@ -1,4 +1,5 @@
 import hashlib
+import math
 from random import Random
 
 import pytest
@@ -14,7 +15,7 @@ from lapspec.verify import family_members, verify_determination
 
 # SHA-256 of b"\n".join(sorted forms) of the connected (n, n+1) pools,
 # computed by growing every graph from the empty graph and keeping the
-# connected ones.
+# connected ones (n <= 10), and by the tree-first edge route (n = 11).
 POOL_DIGESTS = {
     4: "6d8e7398da5d5577f9976742a966a66ab47296f98fe8d2f6393061a8134926cf",
     5: "f45965cb6720dbc80e37bc80739a8a577f4178ef5c54ddf13383faffb815849e",
@@ -23,7 +24,10 @@ POOL_DIGESTS = {
     8: "df3b59de8375d147071d270a8ad848b541fce26b22e69aaae1e682f0cd3c70b3",
     9: "7fe02632bbe85a32334f8c531439c63f9120423e05bc9a8a5cb6ef98d57ed0d0",
     10: "384ec7627d27f06fa4ccb46587d57932d1899710b1371805a44640e5555772c2",
+    11: "8edbc836aab7cc59494d632b16b6b2689ea98bc4a60014382872391aa9e6e9a0",
 }
+# Connected graphs with n vertices and n + 1 edges, n = 4..11 (OEIS A001435).
+POOL_SIZES = {4: 1, 5: 5, 6: 19, 7: 67, 8: 236, 9: 797, 10: 2678, 11: 8833}
 
 
 @pytest.fixture
@@ -94,7 +98,8 @@ class TestCounts:
 class TestPoolIdentity:
     @pytest.mark.parametrize("n", sorted(POOL_DIGESTS))
     def test_connected_bicyclic_pool_digest(self, n):
-        pool = enumerate_graphs(EnumerationTask(n, n + 1, connected=True))
+        pool = enumerate_graphs(EnumerationTask(n, n + 1, connected=True), cap=n)
+        assert len(pool) == POOL_SIZES[n]
         digest = hashlib.sha256(b"\n".join(sorted(_forms(pool)))).hexdigest()
         assert digest == POOL_DIGESTS[n]
 
@@ -116,16 +121,18 @@ class TestPoolIdentity:
             assert _forms(pool) == expected, m
 
     def test_resume_grows_one_level(self, private_memo, monkeypatch):
-        below = enumerate_graphs(EnumerationTask(6, 6, connected=True))
+        # (6, 7) comes from the structural route; (6, 8) is grown by edges
+        # from the (6, 7) level it left in the memo.
+        below = enumerate_graphs(EnumerationTask(6, 7, connected=True))
         calls = []
         monkeypatch.setattr(enumeration, "canonical_form",
                             lambda g: calls.append(g) or canonical_form(g))
-        enumerate_graphs(EnumerationTask(6, 7, connected=True))
-        # one child per non-edge of each (6, 6) class up to twin swaps,
+        enumerate_graphs(EnumerationTask(6, 8, connected=True))
+        # one child per non-edge of each (6, 7) class up to twin swaps,
         # nothing deeper
         children = sum(1 for _ in enumeration._add_edge(below, None))
-        assert len(calls) == children == 88
-        assert children < len(below) * (15 - 6)
+        assert len(calls) == children == 110
+        assert children < len(below) * (15 - 7)
 
     @pytest.mark.parametrize("connected", [False, True])
     def test_degree_capped_growth_matches_filter(self, connected):
@@ -137,6 +144,64 @@ class TestPoolIdentity:
             assert enumerate_graphs(task) == [g for g in full if g.degree_sequence() == seq]
 
 
+class TestStructuralRoute:
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_forms_equal_edge_route(self, n, private_memo):
+        task = EnumerationTask(n, n + 1, connected=True)
+        structural = enumeration._bicyclic_forms(n)
+        assert structural == enumeration._grow_forms(task)
+        assert len(structural) == POOL_SIZES[n]
+
+    def test_serves_only_plain_bicyclic_tasks(self, private_memo, monkeypatch):
+        calls = []
+        structural = enumeration._bicyclic_forms
+        monkeypatch.setattr(enumeration, "_bicyclic_forms",
+                            lambda n: calls.append(n) or structural(n))
+        enumerate_graphs(EnumerationTask(6, 7, connected=True))
+        enumerate_graphs(EnumerationTask(6, 7))
+        enumerate_graphs(EnumerationTask(6, 8, connected=True))
+        enumerate_graphs(EnumerationTask(6, 7, connected=True,
+                                         degree_sequence=(3, 3, 2, 2, 2, 2)))
+        assert calls == [6]
+
+    def test_one_canonical_call_per_class(self, private_memo, monkeypatch):
+        calls = []
+        monkeypatch.setattr(enumeration, "canonical_form",
+                            lambda g: calls.append(g) or canonical_form(g))
+        pool = enumerate_graphs(EnumerationTask(9, 10, connected=True))
+        assert len(calls) == len(pool) == 797
+
+    def test_repeated_class_is_refused(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "canonical_form", lambda g: b"same")
+        with pytest.raises(RuntimeError, match="twice"):
+            enumeration._bicyclic_forms(5)
+
+    def test_core_automorphism_groups_match_closed_forms(self):
+        cores = enumeration._bicyclic_cores(12)
+        kinds = {kind for kind, _, _ in cores}
+        assert kinds == {"theta", "dumbbell", "figure-eight"}
+        for kind, params, edges in cores:
+            if kind == "theta":
+                expected = 2
+                for length in set(params):
+                    expected *= math.factorial(params.count(length))
+            else:
+                expected = 8 if params[0] == params[-1] else 4
+            n = len(edges) - 1
+            group = enumeration._automorphisms(n, edges)
+            assert len(group) == expected, (kind, params)
+            assert len(set(group)) == len(group)
+            for sigma in group:
+                assert {tuple(sorted((sigma[i], sigma[j]))) for i, j in edges} \
+                    == {tuple(sorted(e)) for e in edges}
+
+    def test_rooted_tree_counts(self):
+        # rooted trees on 1..9 vertices (OEIS A000081)
+        trees = enumeration._rooted_trees(9)
+        by_size = [sum(1 for t in trees if len(t) + 1 == size) for size in range(1, 10)]
+        assert by_size == [1, 1, 2, 4, 9, 20, 48, 115, 286]
+
+
 class TestDeterminism:
     def test_sorted_canonical_output(self):
         pool = enumerate_graphs(EnumerationTask(5, 5, connected=True))
@@ -146,6 +211,14 @@ class TestDeterminism:
         # returned representatives are already canonically labeled
         for g in pool:
             assert canonical_form(g) == graph6_encode(g)
+
+    def test_repeat_call_returns_a_fresh_list(self, private_memo):
+        # the decoded pool is kept between calls; a caller that edits its
+        # list must not change what the next caller gets
+        task = EnumerationTask(6, 7, connected=True)
+        first = enumerate_graphs(task)
+        first.clear()
+        assert len(enumerate_graphs(task)) == POOL_SIZES[6]
 
 
 class TestVertexGrowthRoute:
@@ -257,6 +330,7 @@ class TestDiskCache:
         fresh = enumerate_graphs(task, cache_dir=tmp_path)
         private_memo.clear()
         monkeypatch.setattr(enumeration, "_grow_forms", None)
+        monkeypatch.setattr(enumeration, "_bicyclic_forms", None)
         assert enumerate_graphs(task, cache_dir=tmp_path) == fresh
 
 

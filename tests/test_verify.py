@@ -133,6 +133,16 @@ def fresh_json(monkeypatch, suite, n):
         monkeypatch.setattr(enumeration, "_memo", memo)
 
 
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Every form the enumeration module decodes, in call order."""
+    calls = []
+    decode = enumeration.graph6_decode
+    monkeypatch.setattr(enumeration, "graph6_decode",
+                        lambda form: calls.append(form) or decode(form))
+    return calls
+
+
 class TestSharedPoolCharpolys:
     def run_pair(self, calls, n):
         """Charpoly calls made by determination then cospectral-structure at
@@ -147,27 +157,34 @@ class TestSharedPoolCharpolys:
             assert report.without_timing().to_json() == fresh_json(
                 monkeypatch, suite, report.parameters["n"])
 
-    def test_pair_computes_each_pool_charpoly_once(self, monkeypatch, charpoly_calls):
+    def test_pair_computes_each_pool_charpoly_once(self, monkeypatch, charpoly_calls,
+                                                   decode_calls):
         made, reports = self.run_pair(charpoly_calls, 8)
         # the pool once, then graph_invariants once per member
         assert made == 236 + 10
+        # and the pool is decoded once
+        assert len(decode_calls) == len(set(decode_calls)) == 236
         self.assert_as_fresh(monkeypatch, reports)
 
-    def test_clearing_the_memo_ends_the_reuse(self, monkeypatch, charpoly_calls):
+    def test_clearing_the_memo_ends_the_reuse(self, monkeypatch, charpoly_calls,
+                                              decode_calls):
         assert self.run_pair(charpoly_calls, 8)[0] == 246
         before = len(charpoly_calls)
         verify_cospectral_structure(8)
         assert len(charpoly_calls) - before == 10
+        assert len(decode_calls) == 236
         enumeration._memo.clear()
         made, reports = self.run_pair(charpoly_calls, 8)
         assert made == 246
+        assert len(decode_calls) == 2 * 236
         self.assert_as_fresh(monkeypatch, reports)
 
-    def test_another_pool_is_not_reused(self, monkeypatch, charpoly_calls):
+    def test_another_pool_is_not_reused(self, monkeypatch, charpoly_calls, decode_calls):
         verify_determination(8)
         before = len(charpoly_calls)
         report = verify_cospectral_structure(9)
         assert charpoly_calls[before:] == [9] * (797 + 13)
+        assert len(decode_calls) == 236 + 797
         self.assert_as_fresh(monkeypatch, [report])
 
 
