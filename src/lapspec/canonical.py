@@ -12,7 +12,8 @@ choice is lexicographically dominated, and it collapses interchangeable
 candidates (mutual twins).  This is exhaustive-with-pruning, not a
 refinement-based canonizer, which is plenty at the vertex counts used here.
 
-The graph is held as int bitmask rows, one per vertex.  Every unplaced
+The search reads the graph's int bitmask rows (``Graph.rows``), one per
+vertex, and its neighbor sets for the refinement.  Every unplaced
 vertex carries its field against the placed prefix as an int, and placing x
 shifts in one bit per vertex: ``(s << 1) | (rows[x] >> v & 1)``.  The twin
 test is ``rows[v] & ~(1 << w) == rows[w] & ~(1 << v)``.  Positions with a
@@ -51,15 +52,8 @@ def refined_colors(n: int, adj: Sequence[Collection[int]]) -> list[int]:
 def _search(g: Graph) -> tuple[list[int], list[int]]:
     """The maximal field sequence and the first placement order (position ->
     original vertex) that reaches it."""
-    n = g.n
-    rows = [0] * n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in g.edges:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-        adj[i].append(j)
-        adj[j].append(i)
-    colors = refined_colors(n, adj)
+    n, rows = g.n, g.rows
+    colors = refined_colors(n, g.adjacency())
 
     # Colors are ranks 0..k-1.  Small cells first, ties by color (the sort is
     # stable): the first positions then branch as little as possible, and

@@ -14,6 +14,9 @@ generated only to be thrown away:
   comes from the level below and every child is connected.
 - With an exact degree sequence, a degree cap prunes children (degrees only
   grow) and the last level is filtered by the sequence.
+- A child is built from its parent by ``Graph._child``: the parent's
+  bitmask rows and sorted edges plus the new edge, with no re-validation.
+  Only a seed, a 2-core or a decoded graph goes through ``Graph(n, edges)``.
 - Children are pruned by twin swaps.  Twins v, w have N(v) - {w} =
   N(w) - {v}; any permutation inside a twin class is an automorphism, so a
   leaf goes only on the first vertex of each class, and an edge (i, j) is
@@ -44,8 +47,8 @@ forms equal the edge route's byte for byte, which stays callable as the
 reference.  Every other task takes the edge route.
 
 A second, independent enumerator grows by vertex instead of by edge and is
-used to cross-check census totals; the routes share nothing but the
-canonical form.
+used to cross-check census totals; the routes share nothing but ``Graph``
+and the canonical form.
 
 Results are deterministic: canonical graph6 forms, sorted.  They can be
 cached on disk, one file per task: a header line
@@ -78,7 +81,7 @@ from typing import Iterable, Iterator, Optional
 
 from .canonical import canonical_form
 from .graph6 import graph6_decode
-from .graphs import Graph, _dumbbell_edges, _theta_edges
+from .graphs import Graph, dumbbell_graph, theta_graph
 
 DEFAULT_CAP = 10
 CACHE_ENV_VAR = "LAPSPEC_CACHE_DIR"
@@ -143,16 +146,7 @@ def _resolve_cache_dir(cache_dir: Optional[str | Path]) -> Optional[Path]:
     return Path(env) if env else None
 
 
-def _rows(g: Graph) -> list[int]:
-    """Adjacency bitmask of every vertex."""
-    rows = [0] * g.n
-    for i, j in g.edges:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return rows
-
-
-def _twin_classes(rows: list[int]) -> list[list[int]]:
+def _twin_classes(rows: tuple[int, ...]) -> list[list[int]]:
     """Twin classes, each in vertex order, ordered by first vertex.  Twins
     have N(v) - {w} = N(w) - {v}; this is an equivalence, and any permutation
     inside a class is an automorphism."""
@@ -168,7 +162,7 @@ def _twin_classes(rows: list[int]) -> list[list[int]]:
     return classes
 
 
-def _below_cap(rows: list[int], max_degree: Optional[int]) -> int:
+def _below_cap(rows: tuple[int, ...], max_degree: Optional[int]) -> int:
     """Bitmask of the vertices whose degree is below max_degree."""
     if max_degree is None:
         return (1 << len(rows)) - 1
@@ -181,7 +175,7 @@ def _add_edge(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Gra
     first in their twin class, or are the first two vertices of one class.
     Twins have equal degrees, so the cap treats them alike."""
     for g in level:
-        rows = _rows(g)
+        rows = g.rows
         classes = _twin_classes(rows)
         open_ = _below_cap(rows, max_degree)
         firsts = sum(1 << cls[0] for cls in classes)
@@ -193,7 +187,7 @@ def _add_edge(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Gra
             ends &= open_ & ~rows[i] & -(2 << i)  # open non-neighbors above i
             for j in range(i + 1, g.n):
                 if ends >> j & 1:
-                    yield Graph(g.n, g.edges + ((i, j),))
+                    yield g._child(g.n, ((i, j),))
 
 
 def _add_leaf(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Graph]:
@@ -201,11 +195,18 @@ def _add_leaf(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Gra
     max_degree, up to twin swaps: only the first vertex of each twin class
     gets the leaf."""
     for g in level:
-        rows = _rows(g)
-        hosts = _below_cap(rows, max_degree)
-        for cls in _twin_classes(rows):
+        hosts = _below_cap(g.rows, max_degree)
+        for cls in _twin_classes(g.rows):
             if hosts >> cls[0] & 1:
-                yield Graph(g.n + 1, g.edges + ((cls[0], g.n),))
+                yield g._child(g.n + 1, ((cls[0], g.n),))
+
+
+def _add_vertex(level: Iterable[Graph]) -> Iterator[Graph]:
+    """Every graph of level plus one new vertex, joined to each subset of
+    the old vertices in turn."""
+    for g in level:
+        for subset in range(1 << g.n):
+            yield g._child(g.n + 1, [(i, g.n) for i in range(g.n) if subset >> i & 1])
 
 
 def _dedup(children: Iterable[Graph]) -> dict[bytes, Graph]:
@@ -256,33 +257,30 @@ def _figure_eight_edges(p: int, q: int) -> list[tuple[int, int]]:
     return [(i, (i + 1) % p) for i in range(p)] + list(zip(second, second[1:]))
 
 
-def _bicyclic_cores(n: int) -> list[tuple[str, tuple[int, ...], list[tuple[int, int]]]]:
-    """(kind, parameters, edges) of every 2-core with cyclomatic number 2 on
+def _bicyclic_cores(n: int) -> list[tuple[str, tuple[int, ...], Graph]]:
+    """(kind, parameters, graph) of every 2-core with cyclomatic number 2 on
     at most n vertices: thetas r >= s >= t >= 0 with s >= 1, dumbbells
-    p >= q >= 3 with k >= 0, and figure-eights p >= q >= 3.  A core with
-    edges E has len(E) - 1 vertices."""
-    cores = [("theta", (r, s, t), _theta_edges(r, s, t))
+    p >= q >= 3 with k >= 0, and figure-eights p >= q >= 3."""
+    cores = [("theta", (r, s, t), theta_graph(r, s, t))
              for r in range(1, n - 2) for s in range(1, r + 1) for t in range(s + 1)
              if r + s + t + 2 <= n]
     for p in range(3, n):
         for q in range(3, min(p, n - p + 1) + 1):
-            cores += [("dumbbell", (p, k, q), _dumbbell_edges(p, k, q))
+            cores += [("dumbbell", (p, k, q), dumbbell_graph(p, k, q))
                       for k in range(n - p - q + 1)]
-            cores.append(("figure-eight", (p, q), _figure_eight_edges(p, q)))
+            cores.append(("figure-eight", (p, q),
+                          Graph(p + q - 1, _figure_eight_edges(p, q))))
     return cores
 
 
-def _automorphisms(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Every automorphism of a connected graph, as the tuple of vertex
     images.  Vertices are mapped in breadth-first order from vertex 0, each
     to an unused vertex of its degree whose adjacency to the images of the
     vertices mapped so far matches its own.  Every vertex after the first
     has a mapped neighbor, so its candidates are neighbors of that
     neighbor's image."""
-    rows = [0] * n
-    for i, j in edges:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
+    n, rows = g.n, g.rows
     order, seen = [0], 1
     for v in order:
         for w in range(n):
@@ -343,8 +341,8 @@ def _bicyclic_forms(n: int) -> list[bytes]:
         by_size[len(tree) + 1].append(i)
     forms = []
     for _, _, core in _bicyclic_cores(n):
-        c = len(core) - 1
-        group = _automorphisms(c, core)
+        c = core.n
+        group = _automorphisms(core)
         # An attachment (a tree per core vertex) is kept when it is minimal
         # in its orbit, ordered by tree sizes and then by tree index.
         for cuts in combinations(range(1, n), c - 1):
@@ -357,13 +355,13 @@ def _bicyclic_forms(n: int) -> list[bytes]:
                 if any(tuple(attachment[v] for v in sigma) < attachment
                        for sigma in stabilizer):
                     continue
-                edges = list(core)
+                edges = []
                 base = c - 1  # tree vertex j >= 1 becomes base + j
                 for v, tree in enumerate(attachment):
                     edges += [(v if p == 0 else base + p, base + j)
                               for j, p in enumerate(trees[tree], 1)]
                     base += len(trees[tree])
-                forms.append(canonical_form(Graph(n, edges)))
+                forms.append(canonical_form(core._child(n, edges)))
     forms.sort()
     if any(a == b for a, b in zip(forms, forms[1:])):
         raise RuntimeError(f"the structural route built a class twice on n={n}")
@@ -456,18 +454,13 @@ def enumerate_by_vertex_growth(n: int, cap: int = DEFAULT_CAP) -> list[Graph]:
         raise ValueError("n must be >= 0")
     if n > cap:
         raise EnumerationCapError(n, cap)
-    level: list[Graph] = [Graph(0)]
-    for k in range(1, n + 1):
+    level = [Graph(0)]
+    for _ in range(n):
         nxt: dict[bytes, Graph] = {}
-        for g in level:
-            for subset in range(1 << (k - 1)):
-                edges = g.edges + tuple(
-                    (i, k - 1) for i in range(k - 1) if subset >> i & 1
-                )
-                child = Graph(k, edges)
-                form = canonical_form(child)
-                if form not in nxt:
-                    nxt[form] = child
+        for child in _add_vertex(level):
+            form = canonical_form(child)
+            if form not in nxt:
+                nxt[form] = child
         level = [nxt[form] for form in sorted(nxt)]
     return level
 

@@ -11,11 +11,18 @@ Vertex numbering is fixed so constructions are reproducible:
   dumbbell: first cycle 0..p-1 (hub 0), bridge interior p..p+k-1,
             second cycle p+k..p+k+q-1 (hub p+k)
   theta:    hubs 0 and 1, then the three chains in order.
+
+A Graph keeps its edges sorted and, from first use on, its int bitmask
+rows (``Graph.rows``); nowhere else are rows built from edges.
+``Graph(n, edges)`` checks every edge.  Enumeration grows each child from
+a valid parent with the private ``Graph._child``, which extends the
+parent's rows and edges without checking them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 
@@ -66,6 +73,7 @@ FamilyParams = Union[DumbbellParams, ThetaParams]
 class Graph:
     """Immutable simple graph; edges stored as a sorted tuple of (i, j), i < j.
 
+    ``rows`` is derived from the edges and never takes part in equality.
     ``family`` carries the construction parameters when the graph was built
     by one of the family constructors; it never takes part in equality.
     """
@@ -95,6 +103,29 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "family", family)
+
+    def _child(self, n: int, added: Iterable[tuple[int, int]]) -> Graph:
+        """This graph on n >= self.n vertices plus the new edges (i, j),
+        i < j < n, added to its rows and edges without any check."""
+        rows = list(self.rows) + [0] * (n - self.n)
+        edges = list(self.edges)
+        for i, j in added:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            edges.append((i, j))
+        child = object.__new__(Graph)
+        vars(child).update(n=n, edges=tuple(sorted(edges)), family=None, rows=tuple(rows))
+        return child
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """Adjacency bitmask of every vertex: bit j of rows[i] is set iff
+        {i, j} is an edge.  Computed on first use and kept."""
+        rows = [0] * self.n
+        for i, j in self.edges:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        return tuple(rows)
 
     @property
     def m(self) -> int:

@@ -16,13 +16,11 @@ an executable check of the vertex deletion expansion of phi(L(G)).
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .graphs import Graph
 from .polynomials import IntPoly, X
-from .reports import VerificationReport
 
 IntMatrix = list[list[int]]
 
@@ -228,38 +226,20 @@ def cycles_through(g: Graph, u: int) -> list[tuple[int, ...]]:
     return cycles
 
 
-def verify_deletion_formula(g: Graph, u: int) -> VerificationReport:
-    """Check the vertex deletion expansion of the Laplacian charpoly at u:
+def verify_deletion_formula(g: Graph, u: int) -> bool:
+    """Whether the vertex deletion expansion of the Laplacian charpoly holds
+    at u:
 
         phi(L) = (x - deg(u)) * phi(L_u) - sum over neighbors v of phi(L_uv)
                  - 2 * sum over cycles Z through u of (-1)^|Z| * phi(L_Z)
 
     where each L_S deletes the rows/columns of S but keeps g's degrees."""
-    start = time.perf_counter()
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} out of range")
     adj = g.adjacency()
-    lhs = charpoly(laplacian(g))
     rhs = (X - len(adj[u])) * submatrix_charpoly(g, {u})
     for v in sorted(adj[u]):
         rhs -= submatrix_charpoly(g, {u, v})
-    cycles = cycles_through(g, u)
-    for cyc in cycles:
+    for cyc in cycles_through(g, u):
         rhs -= 2 * (-1) ** len(cyc) * submatrix_charpoly(g, cyc)
-    passed = lhs == rhs
-    counterexamples = []
-    if not passed:
-        counterexamples.append({
-            "vertex": u,
-            "lhs": str(lhs),
-            "rhs": str(rhs),
-        })
-    return VerificationReport(
-        suite="deletion-formula",
-        scope=f"single-vertex deletion expansion at u={u} on n={g.n}, m={g.m}",
-        parameters={"n": g.n, "m": g.m, "u": u},
-        passed=passed,
-        counts={"neighbors": len(adj[u]), "cycles_through": len(cycles)},
-        counterexamples=counterexamples,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return charpoly(laplacian(g)) == rhs

@@ -168,8 +168,10 @@ def _g6(g: Graph) -> str:
 _pool_charpolys: tuple[list[bytes] | None, list[IntPoly]] = (None, [])
 
 
-def _bicyclic_pool(n: int, cap: int, cache_dir) -> tuple[list[Graph], list[IntPoly]]:
-    """All connected (n, n+1) graphs and their Laplacian charpolys.
+def _bicyclic_pool(n: int, cap: int,
+                   cache_dir) -> tuple[list[Graph], list[bytes], list[IntPoly]]:
+    """All connected (n, n+1) graphs, their canonical forms and their
+    Laplacian charpolys, in pool order.
 
     The pool is always enumerated, and ``enumerate_graphs`` decodes it only
     when it is not the pool it decoded last.  The charpolys are reused only
@@ -184,7 +186,7 @@ def _bicyclic_pool(n: int, cap: int, cache_dir) -> tuple[list[Graph], list[IntPo
     if forms is not kept:
         phis = [charpoly(laplacian(g)) for g in pool]
         _pool_charpolys = (forms, phis)
-    return pool, phis
+    return pool, forms, phis
 
 
 @_suite("recurrences")
@@ -330,16 +332,14 @@ def verify_deletion_suite(family_n_max: int = 12, samples: int = 100,
             members += 1
             for u in range(g.n):
                 checks += 1
-                sub = verify_deletion_formula(g, u)
-                if not sub.passed:
+                if not verify_deletion_formula(g, u):
                     counterexamples.append({**_params_dict(g.family), "vertex": u})
     rng = Random(seed)
     for _ in range(samples):
         g = random_connected_graph(rng, rng.randint(2, sample_n_max), rng.randint(0, 4))
         for u in range(g.n):
             checks += 1
-            sub = verify_deletion_formula(g, u)
-            if not sub.passed:
+            if not verify_deletion_formula(g, u):
                 counterexamples.append({"graph6": _g6(g), "vertex": u})
     return (f"all vertices of family members n <= {family_n_max} plus "
             f"{samples} random connected graphs n <= {sample_n_max}",
@@ -412,23 +412,20 @@ def verify_determination(n: int, cap: int = DEFAULT_CAP,
     if n < 4:
         raise ValueError("need n >= 4 for the family to be nonempty")
     members = family_members(n)
-    pool, pool_phis = _bicyclic_pool(n, cap, cache_dir)
-    by_charpoly: defaultdict[IntPoly, list[Graph]] = defaultdict(list)
-    for g, phi in zip(pool, pool_phis):
-        by_charpoly[phi].append(g)
+    pool, forms, pool_phis = _bicyclic_pool(n, cap, cache_dir)
+    by_charpoly: defaultdict[IntPoly, list[str]] = defaultdict(list)
+    for form, phi in zip(forms, pool_phis):
+        by_charpoly[phi].append(form.decode("ascii"))
     counterexamples = []
     for g in members:
         phi = member_charpoly(g)
         mates = by_charpoly.get(phi, [])
         params = _params_dict(g.family)
         if len(mates) != 1:
-            counterexamples.append({**params, "failure": "match count",
-                                    "mates": [graph6_encode(m).decode("ascii")
-                                              for m in mates]})
-        elif canonical_form(mates[0]) != canonical_form(g):
+            counterexamples.append({**params, "failure": "match count", "mates": mates})
+        elif mates[0] != _g6(g):
             counterexamples.append({**params, "failure": "non-isomorphic mate",
-                                    "mate": graph6_encode(mates[0]).decode("ascii"),
-                                    "charpoly": str(phi)})
+                                    "mate": mates[0], "charpoly": str(phi)})
     return (f"members on n={n} against all connected ({n},{n + 1}) graphs; "
             f"certified for this n only",
             {"members": len(members), "pool": len(pool),
@@ -450,21 +447,21 @@ def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
     profile = (3, 3) + (2,) * (n - 2)
     members = family_members(n)
     member_phis = {member_charpoly(g).coeffs for g in members}
-    pool, pool_phis = _bicyclic_pool(n, cap, cache_dir)
+    pool, forms, pool_phis = _bicyclic_pool(n, cap, cache_dir)
     counterexamples = []
     profiled = 0
     cospectral_hits = 0
-    for g, phi in zip(pool, pool_phis):
+    for g, form, phi in zip(pool, forms, pool_phis):
         has_profile = g.degree_sequence() == profile
         if has_profile:
             profiled += 1
             if classify_bicyclic(g) is None:
-                counterexamples.append({"graph6": graph6_encode(g).decode("ascii"),
+                counterexamples.append({"graph6": form.decode("ascii"),
                                         "failure": "profile graph not classified"})
         if phi.coeffs in member_phis:
             cospectral_hits += 1
             if not has_profile:
-                counterexamples.append({"graph6": graph6_encode(g).decode("ascii"),
+                counterexamples.append({"graph6": form.decode("ascii"),
                                         "failure": "cospectral mate without profile"})
     if profiled != len(members):
         counterexamples.append({"failure": "profile census mismatch",

@@ -10,7 +10,7 @@ from lapspec.enumeration import (DEFAULT_CAP, EnumerationCapError,
                                  EnumerationTask, enumerate_by_vertex_growth,
                                  enumerate_graphs, random_connected_graph)
 from lapspec.graph6 import graph6_encode
-from lapspec.graphs import is_connected
+from lapspec.graphs import Graph, is_connected
 from lapspec.verify import family_members, verify_determination
 
 # SHA-256 of b"\n".join(sorted forms) of the connected (n, n+1) pools,
@@ -39,6 +39,36 @@ def private_memo(monkeypatch):
 
 def _forms(graphs):
     return [canonical_form(g) for g in graphs]
+
+
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """The argument of every canonical_form call the enumeration module
+    makes.  Each must be a Graph: the benchmark counts these calls and
+    buckets them by ``g.n``."""
+    calls = []
+
+    def counted(g):
+        assert isinstance(g, Graph)
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(enumeration, "canonical_form", counted)
+    return calls
+
+
+@pytest.fixture
+def init_calls(monkeypatch):
+    """A counter of Graph.__init__ calls, the validating constructor."""
+    calls = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    return calls
 
 
 class TestTaskValidation:
@@ -120,18 +150,16 @@ class TestPoolIdentity:
             pool = enumerate_graphs(EnumerationTask(n, m, connected=True))
             assert _forms(pool) == expected, m
 
-    def test_resume_grows_one_level(self, private_memo, monkeypatch):
+    def test_resume_grows_one_level(self, private_memo, canonical_calls):
         # (6, 7) comes from the structural route; (6, 8) is grown by edges
         # from the (6, 7) level it left in the memo.
         below = enumerate_graphs(EnumerationTask(6, 7, connected=True))
-        calls = []
-        monkeypatch.setattr(enumeration, "canonical_form",
-                            lambda g: calls.append(g) or canonical_form(g))
+        canonical_calls.clear()
         enumerate_graphs(EnumerationTask(6, 8, connected=True))
         # one child per non-edge of each (6, 7) class up to twin swaps,
         # nothing deeper
         children = sum(1 for _ in enumeration._add_edge(below, None))
-        assert len(calls) == children == 110
+        assert len(canonical_calls) == children == 110
         assert children < len(below) * (15 - 7)
 
     @pytest.mark.parametrize("connected", [False, True])
@@ -164,12 +192,9 @@ class TestStructuralRoute:
                                          degree_sequence=(3, 3, 2, 2, 2, 2)))
         assert calls == [6]
 
-    def test_one_canonical_call_per_class(self, private_memo, monkeypatch):
-        calls = []
-        monkeypatch.setattr(enumeration, "canonical_form",
-                            lambda g: calls.append(g) or canonical_form(g))
+    def test_one_canonical_call_per_class(self, private_memo, canonical_calls):
         pool = enumerate_graphs(EnumerationTask(9, 10, connected=True))
-        assert len(calls) == len(pool) == 797
+        assert len(canonical_calls) == len(pool) == 797
 
     def test_repeated_class_is_refused(self, monkeypatch):
         monkeypatch.setattr(enumeration, "canonical_form", lambda g: b"same")
@@ -180,26 +205,43 @@ class TestStructuralRoute:
         cores = enumeration._bicyclic_cores(12)
         kinds = {kind for kind, _, _ in cores}
         assert kinds == {"theta", "dumbbell", "figure-eight"}
-        for kind, params, edges in cores:
+        for kind, params, core in cores:
             if kind == "theta":
                 expected = 2
                 for length in set(params):
                     expected *= math.factorial(params.count(length))
             else:
                 expected = 8 if params[0] == params[-1] else 4
-            n = len(edges) - 1
-            group = enumeration._automorphisms(n, edges)
+            assert core.m == core.n + 1
+            group = enumeration._automorphisms(core)
             assert len(group) == expected, (kind, params)
             assert len(set(group)) == len(group)
             for sigma in group:
-                assert {tuple(sorted((sigma[i], sigma[j]))) for i, j in edges} \
-                    == {tuple(sorted(e)) for e in edges}
+                assert {tuple(sorted((sigma[i], sigma[j]))) for i, j in core.edges} \
+                    == set(core.edges)
 
     def test_rooted_tree_counts(self):
         # rooted trees on 1..9 vertices (OEIS A000081)
         trees = enumeration._rooted_trees(9)
         by_size = [sum(1 for t in trees if len(t) + 1 == size) for size in range(1, 10)]
         assert by_size == [1, 1, 2, 4, 9, 20, 48, 115, 286]
+
+
+class TestValidatingConstructorCalls:
+    """Children are built from their parents without re-validating edges:
+    only a seed, a core or a decoded graph goes through Graph.__init__."""
+
+    def test_edge_growth_builds_only_the_seed(self, private_memo, init_calls):
+        enumeration._grow_forms(EnumerationTask(7, 10))
+        assert len(init_calls) == 1
+
+    def test_structural_route_builds_only_the_cores(self, private_memo, init_calls):
+        enumeration._bicyclic_forms(8)
+        assert len(init_calls) <= len(enumeration._bicyclic_cores(8)) == 29
+
+    def test_vertex_growth_builds_only_the_seed(self, init_calls):
+        enumerate_by_vertex_growth(6)
+        assert len(init_calls) == 1
 
 
 class TestDeterminism:
@@ -226,6 +268,14 @@ class TestVertexGrowthRoute:
                                          (4, 11), (5, 34)])
     def test_census_totals(self, n, total):
         assert len(enumerate_by_vertex_growth(n)) == total
+
+    def test_canonical_calls_take_graphs(self, canonical_calls):
+        assert len(enumerate_by_vertex_growth(5)) == 34
+        # one call per child: a new vertex joined to each subset of the old
+        # ones, for every class of the level below
+        assert len(canonical_calls) == sum(
+            total << n for n, total in enumerate((1, 1, 2, 4, 11)))
+        assert [g.n for g in canonical_calls[:3]] == [1, 2, 2]
 
     def test_classes_match_edge_route(self):
         by_growth = {canonical_form(g) for g in enumerate_by_vertex_growth(5)}

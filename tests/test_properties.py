@@ -1,6 +1,7 @@
-"""Property tests: the graph6 decoder, canonical forms, twin-pruned
-children, the ring laws of IntPoly and LaurentPoly, and the Berkowitz
-charpoly against the interpolation route on random inputs."""
+"""Property tests: the graph6 decoder, canonical forms, bitmask rows,
+twin-pruned children, children built without validation, the ring laws of
+IntPoly and LaurentPoly, and the Berkowitz charpoly against the
+interpolation route on random inputs."""
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,26 @@ def test_twin_pruned_children_cover_every_class(g, max_degree):
                          (enumeration._add_leaf, _leaf_children)):
         kept = [canonical_form(c) for c in pruned([g], max_degree)]
         assert set(kept) == {canonical_form(c) for c in full(g, max_degree)}
+
+
+@PROPERTY
+@given(graphs())
+def test_rows_agree_with_edges(g):
+    assert len(g.rows) == g.n
+    assert {(i, j) for i in range(g.n) for j in range(g.n)
+            if g.rows[i] >> j & 1} == {e for i, j in g.edges for e in ((i, j), (j, i))}
+
+
+@PROPERTY
+@given(graphs(max_n=7))
+def test_trusted_children_equal_validated_graphs(g):
+    children = [*enumeration._add_edge([g], None), *enumeration._add_leaf([g], None),
+                *enumeration._add_vertex([g])]
+    assert len(children) >= 2 ** g.n
+    for child in children:
+        built = Graph(child.n, child.edges)
+        assert child == built and hash(child) == hash(built)
+        assert child.edges == built.edges and child.rows == built.rows
 
 
 COEFFS = st.integers(-50, 50)

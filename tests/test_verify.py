@@ -1,6 +1,7 @@
 import pytest
 
 from lapspec import enumeration, invariants, verify
+from lapspec.canonical import canonical_form
 from lapspec.enumeration import DEFAULT_CAP
 from lapspec.graphs import DumbbellParams, ThetaParams
 from lapspec.laplacian import charpoly
@@ -93,6 +94,16 @@ class TestPoolSuites:
         assert report.counts["members"] == 4
         assert report.counts["pool"] == len(bicyclic_pool(6))
         assert {"family": "dumbbell", "p": 3, "k": 0, "q": 3} in report.details["members"]
+
+    def test_mates_are_compared_by_pool_form(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_memo", {})
+        verify_determination(8)
+        calls = []
+        monkeypatch.setattr(verify, "canonical_form",
+                            lambda g: calls.append(g) or canonical_form(g))
+        assert verify_determination(8).passed
+        # one call per member; the mates' forms come from the pool
+        assert len(calls) == 10
 
     def test_structure_small(self):
         report = verify_cospectral_structure(6)
