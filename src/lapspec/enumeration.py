@@ -65,7 +65,8 @@ directory has no valid one.
 
 ``enumerate_graphs`` decodes the forms into graphs and keeps the last
 decoded pool while the memo holds its very forms list, so asking for the
-same pool twice decodes it once.
+same pool twice decodes it once, and growth that resumes from that level,
+as (7, m + 1) does right after (7, m), reuses its graphs.
 """
 
 from __future__ import annotations
@@ -137,6 +138,12 @@ class EnumerationTask:
 
 
 _memo: dict[EnumerationTask, list[bytes]] = {}
+
+# The forms list decoded last and its graphs.  The pool suites ask for the
+# same pool twice in a row, and growth resumes from the level a caller was
+# just handed; the identity check against the memo's list makes a cleared
+# memo decode afresh.
+_decoded: tuple[Optional[list[bytes]], list[Graph]] = (None, [])
 
 
 def _resolve_cache_dir(cache_dir: Optional[str | Path]) -> Optional[Path]:
@@ -237,7 +244,10 @@ def _grow_forms(task: EnumerationTask) -> list[bytes]:
     done = [i for i, (stage, _) in enumerate(stages) if max_degree is None and stage in _memo]
     if done:
         start = done[-1]
-        level = {form: graph6_decode(form) for form in _memo[stages[start][0]]}
+        forms = _memo[stages[start][0]]
+        graphs = (_decoded[1] if _decoded[0] is forms
+                  else [graph6_decode(form) for form in forms])
+        level = dict(zip(forms, graphs))
     else:
         start, seed = 0, Graph(stages[0][0].n)
         level = {canonical_form(seed): seed}
@@ -425,12 +435,6 @@ def _pool_forms(task: EnumerationTask, cap: int,
         _write_atomic(cache_file, _encode_pool(task, forms))
     _memo[task] = forms
     return forms
-
-
-# The forms list decoded last and its graphs.  The pool suites ask for the
-# same pool twice in a row; the identity check against the memo's list makes
-# a cleared memo decode afresh.
-_decoded: tuple[Optional[list[bytes]], list[Graph]] = (None, [])
 
 
 def enumerate_graphs(task: EnumerationTask, cap: int = DEFAULT_CAP,

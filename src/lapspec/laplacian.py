@@ -5,8 +5,14 @@ which is division-free: every intermediate quantity is an integer, so the
 result is exact by construction.  A second, independent route evaluates
 det(xI - L) at x = 0..n with fraction-free (Bareiss) elimination and
 recovers the coefficients by exact Lagrange interpolation; it exists only to
-cross-check the first and is never used as the reference.  Both refuse a
-matrix that is not square.
+cross-check the first and is never used as the reference.  Both, and the
+Bareiss determinant, refuse a matrix that is not square.
+
+The value det(xI - M) at one integer x (``_charpoly_at``, one Bareiss
+elimination) is the interpolation route's evaluation step.  The pool suites
+in ``verify`` use it to find the few pool graphs whose charpoly can equal a
+member's before running Berkowitz on them; Bareiss skips the products of
+rows that are zero in the pivot column, so sparse Laplacians cost less.
 
 Also here: principal submatrix characteristic polynomials (vertex-deleted
 Laplacians keep the degrees of the original graph), the tridiagonal matrix
@@ -112,8 +118,9 @@ def charpoly(mat: IntMatrix) -> IntPoly:
 
 
 def det_bareiss(mat: IntMatrix) -> int:
-    """Exact integer determinant by fraction-free Gaussian elimination."""
-    n = len(mat)
+    """Exact integer determinant by fraction-free Gaussian elimination.
+    Raises ValueError unless M is square."""
+    n = _require_square(mat)
     if n == 0:
         return 1
     a = [row[:] for row in mat]
@@ -128,12 +135,27 @@ def det_bareiss(mat: IntMatrix) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+        pivot = a[k]
+        akk = pivot[k]
+        rest = range(k + 1, n)
+        for i in rest:
+            row = a[i]
+            aik = row[k]
+            if aik:
+                for j in rest:
+                    row[j] = (row[j] * akk - aik * pivot[j]) // prev
+            else:  # a sparse row is only rescaled
+                for j in rest:
+                    row[j] = row[j] * akk // prev
+            row[k] = 0
+        prev = akk
     return sign * a[n - 1][n - 1]
+
+
+def _charpoly_at(mat: IntMatrix, x: int) -> int:
+    """det(xI - M) at an integer x, exactly, by Bareiss elimination."""
+    return det_bareiss([[(x if i == j else 0) - v for j, v in enumerate(row)]
+                        for i, row in enumerate(mat)])
 
 
 def charpoly_interpolated(mat: IntMatrix) -> IntPoly:
@@ -143,10 +165,7 @@ def charpoly_interpolated(mat: IntMatrix) -> IntPoly:
     Raises ValueError unless M is square."""
     n = _require_square(mat)
     points = list(range(n + 1))
-    values = []
-    for x0 in points:
-        shifted = [[(x0 if i == j else 0) - mat[i][j] for j in range(n)] for i in range(n)]
-        values.append(det_bareiss(shifted))
+    values = [_charpoly_at(mat, x0) for x0 in points]
     # Lagrange interpolation over exact rationals.
     coeffs = [Fraction(0)] * (n + 1)
     for x0, y0 in zip(points, values):

@@ -13,11 +13,20 @@ times the call and sets ``passed`` from the counterexamples.  ``SUITES``
 maps each suite name to its function; the CLI derives its flags from
 their signatures.
 
-The determination and cospectral-structure suites share the decoded
-graphs and the Laplacian charpolys of their pool: both are kept for the
-last pool and reused only while the enumeration memo still holds that very
-list of forms, so clearing the memo ends the reuse and the next suite
-decodes the pool and computes its charpolys afresh.
+The determination and cospectral-structure suites compare each family
+member with every connected (n, n+1) graph of their pool.  A pool graph is
+a candidate mate of a member only when det(x0 I - L) equals the member's
+recurrence charpoly at x0 = -3, an exact integer; only candidates get a
+Berkowitz charpoly, and a mate is a candidate whose charpoly equals the
+member's.  Equal charpolys have equal values, so the filter never drops a
+mate, and every reported match is still an exact matrix-vs-recurrence
+match.  For x0 < 0 the matrix x0 I - L is negative definite, so no value
+is 0 and Bareiss elimination never pivots; at x0 = -3 the only candidates
+for n = 6..12 are the members' own copies.  The two suites share the
+decoded graphs and the values of their pool: both are kept for the last
+pool and reused only while the enumeration memo still holds that very list
+of forms, so clearing the memo ends the reuse and the next suite decodes
+the pool and computes its values afresh.
 
 The certified statements are the finite ones actually executed here (the
 report's scope says which); nothing unbounded is claimed.
@@ -43,8 +52,8 @@ from .graphs import (DumbbellParams, FamilyParams, Graph, ThetaParams,
                      make_dumbbell, make_path, make_theta, theta_graph)
 from .invariants import (degree_constraint_solver, graph_invariants,
                          invariants_from_charpoly)
-from .laplacian import (charpoly, laplacian, spanning_tree_count, u_matrix_charpoly,
-                        verify_deletion_formula)
+from .laplacian import (_charpoly_at, charpoly, laplacian, spanning_tree_count,
+                        u_matrix_charpoly, verify_deletion_formula)
 from .polynomials import IntPoly
 from .recurrences import (dumbbell_charpoly_rec, dumbbell_value_at4,
                           path_charpoly_rec, path_value_at4, theta_charpoly_rec,
@@ -162,31 +171,55 @@ def _g6(g: Graph) -> str:
     return canonical_form(g).decode("ascii")
 
 
-# The forms list of the last pool whose charpolys were computed, and those
-# charpolys in pool order.  One slot: it keeps no graphs, and a reference to
-# the forms list only so that an identity check against the memo is sound.
-_pool_charpolys: tuple[list[bytes] | None, list[IntPoly]] = (None, [])
+# The point at which pool graphs and members are compared before any
+# Berkowitz run; see the module docstring for why it is negative.
+_X0 = -3
+
+# The forms list of the last pool whose values at _X0 were computed, and
+# those values in pool order.  One slot: it keeps no graphs, and a reference
+# to the forms list only so that an identity check against the memo is sound.
+_pool_values: tuple[list[bytes] | None, list[int]] = (None, [])
 
 
 def _bicyclic_pool(n: int, cap: int,
-                   cache_dir) -> tuple[list[Graph], list[bytes], list[IntPoly]]:
+                   cache_dir) -> tuple[list[Graph], list[bytes], list[int]]:
     """All connected (n, n+1) graphs, their canonical forms and their
-    Laplacian charpolys, in pool order.
+    values det(_X0 I - L), in pool order.
 
     The pool is always enumerated, and ``enumerate_graphs`` decodes it only
-    when it is not the pool it decoded last.  The charpolys are reused only
+    when it is not the pool it decoded last.  The values are reused only
     while ``enumeration._memo`` still holds the very forms list they were
     computed for; any other pool, or the same pool after the memo was
     cleared, has them computed again."""
-    global _pool_charpolys
+    global _pool_values
     task = EnumerationTask(n, n + 1, connected=True)
     pool = enumerate_graphs(task, cap=cap, cache_dir=cache_dir)
     forms = enumeration._memo[task]
-    kept, phis = _pool_charpolys
+    kept, values = _pool_values
     if forms is not kept:
-        phis = [charpoly(laplacian(g)) for g in pool]
-        _pool_charpolys = (forms, phis)
-    return pool, forms, phis
+        values = [_charpoly_at(laplacian(g), _X0) for g in pool]
+        _pool_values = (forms, values)
+    return pool, forms, values
+
+
+def _pool_mates(pool: list[Graph], values: list[int],
+                phis: list[IntPoly]) -> list[list[int]]:
+    """For each charpoly in phis, the indices of the pool graphs whose
+    Berkowitz charpoly equals it, in pool order.  Only pool graphs whose
+    value matches phi at _X0 are candidates, and each candidate's charpoly
+    is computed once."""
+    by_value: defaultdict[int, list[int]] = defaultdict(list)
+    for i, value in enumerate(values):
+        by_value[value].append(i)
+    confirmed: dict[int, IntPoly] = {}
+    mates = []
+    for phi in phis:
+        candidates = by_value.get(phi.eval(_X0), [])
+        for i in candidates:
+            if i not in confirmed:
+                confirmed[i] = charpoly(laplacian(pool[i]))
+        mates.append([i for i in candidates if confirmed[i] == phi])
+    return mates
 
 
 @_suite("recurrences")
@@ -407,19 +440,19 @@ def verify_determination(n: int, cap: int = DEFAULT_CAP,
     among all connected graphs with n vertices and n+1 edges.  Member
     charpolys come from the recurrences, pool charpolys from the matrix
     route, so a match also cross-checks the two.  Certifies exactly this n.
-    Pool graphs are keyed by charpoly, so one lookup per member decides its
-    pairs with the whole pool; ``comparisons`` counts those pairs."""
+    Pool graphs are keyed by their exact value det(-3I - L), so one lookup
+    per member decides its pairs with the whole pool: a pool graph with
+    another value has another charpoly, and a candidate is a mate only if
+    its Berkowitz charpoly equals the member's.  ``comparisons`` counts
+    those pairs."""
     if n < 4:
         raise ValueError("need n >= 4 for the family to be nonempty")
     members = family_members(n)
-    pool, forms, pool_phis = _bicyclic_pool(n, cap, cache_dir)
-    by_charpoly: defaultdict[IntPoly, list[str]] = defaultdict(list)
-    for form, phi in zip(forms, pool_phis):
-        by_charpoly[phi].append(form.decode("ascii"))
+    pool, forms, values = _bicyclic_pool(n, cap, cache_dir)
+    phis = [member_charpoly(g) for g in members]
     counterexamples = []
-    for g in members:
-        phi = member_charpoly(g)
-        mates = by_charpoly.get(phi, [])
+    for g, phi, indices in zip(members, phis, _pool_mates(pool, values, phis)):
+        mates = [forms[i].decode("ascii") for i in indices]
         params = _params_dict(g.family)
         if len(mates) != 1:
             counterexamples.append({**params, "failure": "match count", "mates": mates})
@@ -441,24 +474,28 @@ def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
     with degree profile (3,3,2,...,2) is a dumbbell or theta and their count
     equals the family census; the degree constraint solver pins that profile
     from charpoly invariants alone for every member; any pool graph
-    cospectral with a member has the profile."""
+    cospectral with a member has the profile.  A pool graph is cospectral
+    with a member when its value det(-3I - L) is among the members' values
+    and its Berkowitz charpoly is among the members' recurrence charpolys;
+    the value only spares Berkowitz runs on graphs that cannot match."""
     if n < 4:
         raise ValueError("need n >= 4 for the family to be nonempty")
     profile = (3, 3) + (2,) * (n - 2)
     members = family_members(n)
-    member_phis = {member_charpoly(g).coeffs for g in members}
-    pool, forms, pool_phis = _bicyclic_pool(n, cap, cache_dir)
+    pool, forms, values = _bicyclic_pool(n, cap, cache_dir)
+    phis = [member_charpoly(g) for g in members]
+    cospectral = {i for indices in _pool_mates(pool, values, phis) for i in indices}
     counterexamples = []
     profiled = 0
     cospectral_hits = 0
-    for g, form, phi in zip(pool, forms, pool_phis):
+    for i, (g, form) in enumerate(zip(pool, forms)):
         has_profile = g.degree_sequence() == profile
         if has_profile:
             profiled += 1
             if classify_bicyclic(g) is None:
                 counterexamples.append({"graph6": form.decode("ascii"),
                                         "failure": "profile graph not classified"})
-        if phi.coeffs in member_phis:
+        if i in cospectral:
             cospectral_hits += 1
             if not has_profile:
                 counterexamples.append({"graph6": form.decode("ascii"),

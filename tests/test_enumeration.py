@@ -162,6 +162,17 @@ class TestPoolIdentity:
         assert len(canonical_calls) == children == 110
         assert children < len(below) * (15 - 7)
 
+    def test_resume_reuses_the_decoded_level(self, private_memo, monkeypatch):
+        # (7, 8) resumes from the (7, 7) level its caller was just handed
+        monkeypatch.setattr(enumeration, "_decoded", (None, []))
+        decoded = []
+        decode = enumeration.graph6_decode
+        monkeypatch.setattr(enumeration, "graph6_decode",
+                            lambda form: decoded.append(form) or decode(form))
+        enumerate_graphs(EnumerationTask(7, 7))
+        enumerate_graphs(EnumerationTask(7, 8))
+        assert decoded == private_memo[EnumerationTask(7, 7)] + private_memo[EnumerationTask(7, 8)]
+
     @pytest.mark.parametrize("connected", [False, True])
     def test_degree_capped_growth_matches_filter(self, connected):
         full = enumerate_graphs(EnumerationTask(6, 7, connected=connected))

@@ -6,10 +6,10 @@ import pytest
 from lapspec.enumeration import random_connected_graph
 from lapspec.graphs import (Graph, make_cycle, make_dumbbell, make_path,
                             make_theta)
-from lapspec.laplacian import (charpoly, charpoly_interpolated, cycles_through,
-                               det_bareiss, laplacian, spanning_tree_count,
-                               submatrix_charpoly, u_matrix, u_matrix_charpoly,
-                               verify_deletion_formula)
+from lapspec.laplacian import (_charpoly_at, charpoly, charpoly_interpolated,
+                               cycles_through, det_bareiss, laplacian,
+                               spanning_tree_count, submatrix_charpoly, u_matrix,
+                               u_matrix_charpoly, verify_deletion_formula)
 from lapspec.polynomials import IntPoly, X
 
 
@@ -23,6 +23,16 @@ def naive_det(mat):
             minor = [row[:j] + row[j + 1:] for row in mat[1:]]
             total += (-1) ** j * mat[0][j] * naive_det(minor)
     return total
+
+
+NON_SQUARE = pytest.mark.parametrize("mat", [
+    [[1, 2]],
+    [[1, 2, 3], [4, 5, 6]],
+    [[1], [2]],
+    [[1, 2], [3]],
+    [[1, 2], [3, 4, 5]],
+    [[]],
+], ids=["1x2", "2x3", "2x1", "ragged-short", "ragged-long", "empty-row"])
 
 
 class TestLaplacian:
@@ -82,14 +92,7 @@ class TestCharpoly:
             charpoly_interpolated([[Fraction(1, 2)]])
 
     @pytest.mark.parametrize("route", [charpoly, charpoly_interpolated])
-    @pytest.mark.parametrize("mat", [
-        [[1, 2]],
-        [[1, 2, 3], [4, 5, 6]],
-        [[1], [2]],
-        [[1, 2], [3]],
-        [[1, 2], [3, 4, 5]],
-        [[]],
-    ], ids=["1x2", "2x3", "2x1", "ragged-short", "ragged-long", "empty-row"])
+    @NON_SQUARE
     def test_non_square_is_refused(self, route, mat):
         with pytest.raises(ValueError, match="not square"):
             route(mat)
@@ -111,6 +114,23 @@ class TestBareiss:
             n = rng.randint(1, 5)
             mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
             assert det_bareiss([row[:] for row in mat]) == naive_det(mat)
+
+    @NON_SQUARE
+    def test_non_square_is_refused(self, mat):
+        with pytest.raises(ValueError, match="not square"):
+            det_bareiss(mat)
+
+    def test_value_at_a_point_is_the_charpoly_there(self):
+        rng = Random(11)
+        for _ in range(40):
+            n = rng.randint(0, 6)
+            # mostly zeros, so rows skip elimination and pivots are swapped
+            mat = [[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(n)]
+                   for _ in range(n)]
+            for x in range(-3, 4):
+                shifted = [[(x if i == j else 0) - mat[i][j] for j in range(n)]
+                           for i in range(n)]
+                assert _charpoly_at(mat, x) == charpoly(mat).eval(x) == naive_det(shifted)
 
 
 class TestUMatrix:

@@ -3,8 +3,10 @@ import pytest
 from lapspec import enumeration, invariants, verify
 from lapspec.canonical import canonical_form
 from lapspec.enumeration import DEFAULT_CAP
+from lapspec.graph6 import graph6_decode
 from lapspec.graphs import DumbbellParams, ThetaParams
-from lapspec.laplacian import charpoly
+from lapspec.laplacian import charpoly, laplacian
+from lapspec.polynomials import IntPoly
 from lapspec.reports import VerificationReport
 from lapspec.verify import (dumbbell_parameter_grid, family_members,
                             member_charpoly, theta_parameter_grid,
@@ -145,6 +147,21 @@ def fresh_json(monkeypatch, suite, n):
 
 
 @pytest.fixture
+def value_calls(monkeypatch):
+    """The size of every matrix the pool suites evaluate at x0, in call
+    order."""
+    calls = []
+    value = verify._charpoly_at
+
+    def counted(mat, x):
+        calls.append(len(mat))
+        return value(mat, x)
+
+    monkeypatch.setattr(verify, "_charpoly_at", counted)
+    return calls
+
+
+@pytest.fixture
 def decode_calls(monkeypatch):
     """Every form the enumeration module decodes, in call order."""
     calls = []
@@ -155,12 +172,12 @@ def decode_calls(monkeypatch):
 
 
 class TestSharedPoolCharpolys:
-    def run_pair(self, calls, n):
-        """Charpoly calls made by determination then cospectral-structure at
-        n, and the two reports."""
-        before = len(calls)
+    def run_pair(self, value_calls, charpoly_calls, n):
+        """Values at x0 and charpolys computed by determination then
+        cospectral-structure at n, and the two reports."""
+        values, charpolys = len(value_calls), len(charpoly_calls)
         reports = verify_determination(n), verify_cospectral_structure(n)
-        return len(calls) - before, reports
+        return (len(value_calls) - values, len(charpoly_calls) - charpolys), reports
 
     def assert_as_fresh(self, monkeypatch, reports):
         for report in reports:
@@ -168,35 +185,73 @@ class TestSharedPoolCharpolys:
             assert report.without_timing().to_json() == fresh_json(
                 monkeypatch, suite, report.parameters["n"])
 
-    def test_pair_computes_each_pool_charpoly_once(self, monkeypatch, charpoly_calls,
-                                                   decode_calls):
-        made, reports = self.run_pair(charpoly_calls, 8)
-        # the pool once, then graph_invariants once per member
-        assert made == 236 + 10
+    def test_pair_computes_each_pool_value_once(self, monkeypatch, value_calls,
+                                                charpoly_calls, decode_calls):
+        made, reports = self.run_pair(value_calls, charpoly_calls, 8)
+        # the pool's values once; Berkowitz on each member's own copy in
+        # each suite, then graph_invariants once per member
+        assert made == (236, 10 + 10 + 10)
         # and the pool is decoded once
         assert len(decode_calls) == len(set(decode_calls)) == 236
         self.assert_as_fresh(monkeypatch, reports)
 
-    def test_clearing_the_memo_ends_the_reuse(self, monkeypatch, charpoly_calls,
-                                              decode_calls):
-        assert self.run_pair(charpoly_calls, 8)[0] == 246
-        before = len(charpoly_calls)
+    def test_clearing_the_memo_ends_the_reuse(self, monkeypatch, value_calls,
+                                              charpoly_calls, decode_calls):
+        assert self.run_pair(value_calls, charpoly_calls, 8)[0] == (236, 30)
+        values, charpolys = len(value_calls), len(charpoly_calls)
         verify_cospectral_structure(8)
-        assert len(charpoly_calls) - before == 10
+        assert len(value_calls) - values == 0
+        assert len(charpoly_calls) - charpolys == 10 + 10
         assert len(decode_calls) == 236
         enumeration._memo.clear()
-        made, reports = self.run_pair(charpoly_calls, 8)
-        assert made == 246
+        made, reports = self.run_pair(value_calls, charpoly_calls, 8)
+        assert made == (236, 30)
         assert len(decode_calls) == 2 * 236
         self.assert_as_fresh(monkeypatch, reports)
 
-    def test_another_pool_is_not_reused(self, monkeypatch, charpoly_calls, decode_calls):
+    def test_another_pool_is_not_reused(self, monkeypatch, value_calls, charpoly_calls,
+                                        decode_calls):
         verify_determination(8)
-        before = len(charpoly_calls)
+        values, charpolys = len(value_calls), len(charpoly_calls)
         report = verify_cospectral_structure(9)
-        assert charpoly_calls[before:] == [9] * (797 + 13)
+        assert value_calls[values:] == [9] * 797
+        assert charpoly_calls[charpolys:] == [9] * (13 + 13)
         assert len(decode_calls) == 236 + 797
         self.assert_as_fresh(monkeypatch, [report])
+
+
+class TestValueFilter:
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_pool_values_are_the_charpoly_at_x0(self, n):
+        pool, _, values = verify._bicyclic_pool(n, DEFAULT_CAP, None)
+        assert values == [charpoly(laplacian(g)).eval(-3) for g in pool]
+        assert verify._X0 == -3 and 0 not in values
+
+    @pytest.mark.parametrize("suite", [verify_determination, verify_cospectral_structure])
+    def test_berkowitz_alone_decides(self, monkeypatch, charpoly_calls, suite):
+        # With every value equal, every pool graph is a candidate of every
+        # member: the reports come out the same, from one charpoly per
+        # pool graph.
+        expected = fresh_json(monkeypatch, suite, 8)
+        monkeypatch.setattr(verify, "_charpoly_at", lambda mat, x: 0)
+        monkeypatch.setattr(IntPoly, "eval", lambda self, x: 0)
+        before = len(charpoly_calls)
+        report = suite(8)
+        invariants_calls = 10 if suite is verify_cospectral_structure else 0
+        assert len(charpoly_calls) - before == 236 + invariants_calls
+        assert report.without_timing().to_json() == expected
+
+    def test_a_missed_copy_fails_determination(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_memo", {})
+        member = family_members(8)[0]
+        copy = laplacian(graph6_decode(canonical_form(member)))
+        value = verify._charpoly_at
+        monkeypatch.setattr(verify, "_charpoly_at",
+                            lambda mat, x: value(mat, x) + (mat == copy))
+        report = verify_determination(8)
+        assert not report.passed
+        assert report.counterexamples == [{**verify._params_dict(member.family),
+                                           "failure": "match count", "mates": []}]
 
 
 class TestReportHygiene:
