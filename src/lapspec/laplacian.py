@@ -10,15 +10,18 @@ Bareiss determinant, refuse a matrix that is not square.
 
 The value det(xI - M) at one integer x (``_charpoly_at``, one Bareiss
 elimination) is the interpolation route's evaluation step.  The pool suites
-in ``verify`` use it to find the few pool graphs whose charpoly can equal a
-member's before running Berkowitz on them; Bareiss skips the products of
-rows that are zero in the pivot column, so sparse Laplacians cost less.
+in ``verify`` take the same value for a graph's Laplacian from
+``_shifted_laplacian``, which builds x I - L straight from the edges, to
+find the few pool graphs whose charpoly can equal a member's before running
+Berkowitz on them; Bareiss skips the products of rows that are zero in the
+pivot column, so sparse Laplacians cost less.
 
 Also here: principal submatrix characteristic polynomials (vertex-deleted
 Laplacians keep the degrees of the original graph), the tridiagonal matrix
 family behind the path recurrences, the matrix-tree spanning tree count, and
-an executable check of the vertex deletion expansion of phi(L(G)).
-"""
+an executable check of the vertex deletion expansion of phi(L(G)) at every
+vertex of a graph at once, which computes phi(L) and each phi(L_S) once per
+graph."""
 
 from __future__ import annotations
 
@@ -38,6 +41,19 @@ def laplacian(g: Graph) -> IntMatrix:
         mat[i][j] = mat[j][i] = -1
         mat[i][i] += 1
         mat[j][j] += 1
+    return mat
+
+
+def _shifted_laplacian(g: Graph, x: int) -> IntMatrix:
+    """x I - L as a dense integer matrix, built from g's edges; its
+    determinant is the Laplacian charpoly of g at x."""
+    mat = [[0] * g.n for _ in range(g.n)]
+    for i, row in enumerate(mat):
+        row[i] = x
+    for i, j in g.edges:
+        mat[i][j] = mat[j][i] = 1
+        mat[i][i] -= 1
+        mat[j][j] -= 1
     return mat
 
 
@@ -245,20 +261,36 @@ def cycles_through(g: Graph, u: int) -> list[tuple[int, ...]]:
     return cycles
 
 
-def verify_deletion_formula(g: Graph, u: int) -> bool:
-    """Whether the vertex deletion expansion of the Laplacian charpoly holds
-    at u:
+def verify_deletion_formula(g: Graph) -> tuple[bool, ...]:
+    """For each vertex u of g, whether the vertex deletion expansion of the
+    Laplacian charpoly holds at u:
 
         phi(L) = (x - deg(u)) * phi(L_u) - sum over neighbors v of phi(L_uv)
                  - 2 * sum over cycles Z through u of (-1)^|Z| * phi(L_Z)
 
-    where each L_S deletes the rows/columns of S but keeps g's degrees."""
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} out of range")
+    where each L_S deletes the rows/columns of S but keeps g's degrees.
+
+    L and phi(L) are computed once, and each phi(L_S) once per deleted
+    vertex set S, shared by every vertex whose expansion uses it.  Distinct
+    cycles on the same vertex set share that charpoly but each still
+    contributes its own term."""
+    mat = laplacian(g)
+    phi = charpoly(mat)
+    minors: dict[frozenset[int], IntPoly] = {}
+
+    def minor(delete: Iterable[int]) -> IntPoly:
+        key = frozenset(delete)
+        if key not in minors:
+            minors[key] = charpoly(submatrix_deleting(mat, key))
+        return minors[key]
+
     adj = g.adjacency()
-    rhs = (X - len(adj[u])) * submatrix_charpoly(g, {u})
-    for v in sorted(adj[u]):
-        rhs -= submatrix_charpoly(g, {u, v})
-    for cyc in cycles_through(g, u):
-        rhs -= 2 * (-1) ** len(cyc) * submatrix_charpoly(g, cyc)
-    return charpoly(laplacian(g)) == rhs
+    holds = []
+    for u in range(g.n):
+        rhs = (X - len(adj[u])) * minor((u,))
+        for v in sorted(adj[u]):
+            rhs -= minor((u, v))
+        for cyc in cycles_through(g, u):
+            rhs -= 2 * (-1) ** len(cyc) * minor(cyc)
+        holds.append(phi == rhs)
+    return tuple(holds)

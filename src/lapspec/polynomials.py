@@ -265,9 +265,18 @@ def substitute_y(p: IntPoly) -> LaurentPoly:
     """Evaluate p at x = y + 2 + 1/y, exactly, by Horner's rule.
 
     The result of substituting into a degree-n polynomial has exponents
-    in [-n, n] and is symmetric under y -> 1/y, since x is.
+    in [-n, n] and is symmetric under y -> 1/y, since x is.  Horner runs
+    on a dense coefficient list over exponents -h..h; multiplying it by
+    y + 2 + 1/y is the stencil new[i] = a[i-1] + 2*a[i] + a[i+1], and one
+    LaurentPoly is built at the end.
     """
-    acc = LaurentPoly()
-    for c in reversed(p.coeffs):
-        acc = acc * Y_SUBSTITUTION + c
-    return acc
+    coeffs = p.coeffs
+    if not coeffs:
+        return LaurentPoly()
+    acc = [coeffs[-1]]  # exponents -h..h, h = len(acc) // 2
+    for c in reversed(coeffs[:-1]):
+        pad = [0, 0, *acc, 0, 0]
+        acc = [a + 2 * b + d for a, b, d in zip(pad, pad[1:], pad[2:])]
+        acc[len(acc) // 2] += c
+    h = len(acc) // 2
+    return LaurentPoly({i - h: c for i, c in enumerate(acc) if c})

@@ -52,8 +52,9 @@ from .graphs import (DumbbellParams, FamilyParams, Graph, ThetaParams,
                      make_dumbbell, make_path, make_theta, theta_graph)
 from .invariants import (degree_constraint_solver, graph_invariants,
                          invariants_from_charpoly)
-from .laplacian import (_charpoly_at, charpoly, laplacian, spanning_tree_count,
-                        u_matrix_charpoly, verify_deletion_formula)
+from .laplacian import (_shifted_laplacian, charpoly, det_bareiss, laplacian,
+                        spanning_tree_count, u_matrix_charpoly,
+                        verify_deletion_formula)
 from .polynomials import IntPoly
 from .recurrences import (dumbbell_charpoly_rec, dumbbell_value_at4,
                           path_charpoly_rec, path_value_at4, theta_charpoly_rec,
@@ -197,7 +198,7 @@ def _bicyclic_pool(n: int, cap: int,
     forms = enumeration._memo[task]
     kept, values = _pool_values
     if forms is not kept:
-        values = [_charpoly_at(laplacian(g), _X0) for g in pool]
+        values = [det_bareiss(_shifted_laplacian(g, _X0)) for g in pool]
         _pool_values = (forms, values)
     return pool, forms, values
 
@@ -363,17 +364,17 @@ def verify_deletion_suite(family_n_max: int = 12, samples: int = 100,
     for n in range(4, family_n_max + 1):
         for g in family_members(n):
             members += 1
-            for u in range(g.n):
-                checks += 1
-                if not verify_deletion_formula(g, u):
-                    counterexamples.append({**_params_dict(g.family), "vertex": u})
+            checks += g.n
+            counterexamples += [{**_params_dict(g.family), "vertex": u}
+                                for u, holds in enumerate(verify_deletion_formula(g))
+                                if not holds]
     rng = Random(seed)
     for _ in range(samples):
         g = random_connected_graph(rng, rng.randint(2, sample_n_max), rng.randint(0, 4))
-        for u in range(g.n):
-            checks += 1
-            if not verify_deletion_formula(g, u):
-                counterexamples.append({"graph6": _g6(g), "vertex": u})
+        checks += g.n
+        counterexamples += [{"graph6": _g6(g), "vertex": u}
+                            for u, holds in enumerate(verify_deletion_formula(g))
+                            if not holds]
     return (f"all vertices of family members n <= {family_n_max} plus "
             f"{samples} random connected graphs n <= {sample_n_max}",
             {"family_members": members, "vertex_checks": checks}, counterexamples)
@@ -474,7 +475,8 @@ def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
     with degree profile (3,3,2,...,2) is a dumbbell or theta and their count
     equals the family census; the degree constraint solver pins that profile
     from charpoly invariants alone for every member; any pool graph
-    cospectral with a member has the profile.  A pool graph is cospectral
+    cospectral with a member has the profile; every member has a cospectral
+    pool graph, since its own copy is in the pool.  A pool graph is cospectral
     with a member when its value det(-3I - L) is among the members' values
     and its Berkowitz charpoly is among the members' recurrence charpolys;
     the value only spares Berkowitz runs on graphs that cannot match."""
@@ -484,7 +486,8 @@ def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
     members = family_members(n)
     pool, forms, values = _bicyclic_pool(n, cap, cache_dir)
     phis = [member_charpoly(g) for g in members]
-    cospectral = {i for indices in _pool_mates(pool, values, phis) for i in indices}
+    mates = _pool_mates(pool, values, phis)
+    cospectral = {i for indices in mates for i in indices}
     counterexamples = []
     profiled = 0
     cospectral_hits = 0
@@ -500,6 +503,9 @@ def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
             if not has_profile:
                 counterexamples.append({"graph6": form.decode("ascii"),
                                         "failure": "cospectral mate without profile"})
+    counterexamples += [{**_params_dict(g.family),
+                         "failure": "member has no cospectral pool graph"}
+                        for g, indices in zip(members, mates) if not indices]
     if profiled != len(members):
         counterexamples.append({"failure": "profile census mismatch",
                                 "profiled": profiled, "members": len(members)})

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from random import Random
 
@@ -6,11 +7,15 @@ import pytest
 from lapspec.enumeration import random_connected_graph
 from lapspec.graphs import (Graph, make_cycle, make_dumbbell, make_path,
                             make_theta)
-from lapspec.laplacian import (_charpoly_at, charpoly, charpoly_interpolated,
-                               cycles_through, det_bareiss, laplacian,
+from lapspec.laplacian import (_charpoly_at, _shifted_laplacian, charpoly,
+                               charpoly_interpolated, cycles_through, det_bareiss,
+                               laplacian, submatrix_deleting,
                                spanning_tree_count, submatrix_charpoly, u_matrix,
                                u_matrix_charpoly, verify_deletion_formula)
 from lapspec.polynomials import IntPoly, X
+
+# the package re-exports the function laplacian under the module's name
+laplacian_module = importlib.import_module("lapspec.laplacian")
 
 
 def naive_det(mat):
@@ -132,6 +137,16 @@ class TestBareiss:
                            for i in range(n)]
                 assert _charpoly_at(mat, x) == charpoly(mat).eval(x) == naive_det(shifted)
 
+    def test_shifted_laplacian_is_x_minus_l(self):
+        rng = Random(5)
+        for _ in range(20):
+            g = random_connected_graph(rng, rng.randint(1, 8), rng.randint(0, 3))
+            mat = laplacian(g)
+            for x in (-3, 0, 2):
+                assert _shifted_laplacian(g, x) == [
+                    [(x if i == j else 0) - v for j, v in enumerate(row)]
+                    for i, row in enumerate(mat)]
+
 
 class TestUMatrix:
     def test_shape(self):
@@ -197,11 +212,44 @@ class TestCyclesThrough:
 
 class TestDeletionFormula:
     def test_families_and_k4(self):
+        # K4's three 4-cycles share one vertex set; each keeps its own term
         k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         for g in [make_dumbbell(3, 1, 3), make_theta(2, 1, 0), k4]:
-            for u in range(g.n):
-                assert verify_deletion_formula(g, u) is True, u
+            assert verify_deletion_formula(g) == (True,) * g.n
 
-    def test_vertex_range_check(self):
-        with pytest.raises(ValueError):
-            verify_deletion_formula(make_path(3), 3)
+    def test_one_entry_per_vertex(self):
+        rng = Random(3)
+        for g in [make_path(1), make_path(3), make_cycle(5)] + [
+                random_connected_graph(rng, rng.randint(2, 7), rng.randint(0, 3))
+                for _ in range(10)]:
+            assert len(verify_deletion_formula(g)) == g.n
+
+    def test_one_charpoly_per_deleted_set(self, monkeypatch):
+        g = make_theta(2, 2, 1)
+        calls = []
+
+        def counted(mat):
+            calls.append(len(mat))
+            return charpoly(mat)
+
+        monkeypatch.setattr(laplacian_module, "charpoly", counted)
+        assert verify_deletion_formula(g) == (True,) * g.n
+        deleted = {frozenset({u}) for u in range(g.n)}
+        deleted |= {frozenset(e) for e in g.edges}
+        deleted |= {frozenset(c) for u in range(g.n) for c in cycles_through(g, u)}
+        assert len(calls) == 1 + len(deleted)
+        assert calls[0] == g.n
+
+    @pytest.mark.parametrize("g", [make_theta(2, 2, 1), make_dumbbell(4, 1, 3)],
+                             ids=["theta(2,2,1)", "dumbbell(4,1,3)"])
+    def test_a_wrong_edge_minor_fails_exactly_its_endpoints(self, monkeypatch, g):
+        for u, v in g.edges:
+            def corrupted(mat, delete, edge={u, v}):
+                sub = submatrix_deleting(mat, delete)
+                if set(delete) == edge:
+                    sub[0][0] += 1
+                return sub
+
+            monkeypatch.setattr(laplacian_module, "submatrix_deleting", corrupted)
+            assert verify_deletion_formula(g) == tuple(w not in (u, v)
+                                                       for w in range(g.n))

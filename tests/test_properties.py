@@ -1,7 +1,8 @@
 """Property tests: the graph6 decoder, canonical forms, bitmask rows,
 twin-pruned children, children built without validation, the ring laws of
-IntPoly and LaurentPoly, and the Berkowitz charpoly against the
-interpolation route on random inputs."""
+IntPoly and LaurentPoly, the substitution x = y + 2 + 1/y against Horner's
+rule on plain dicts, and the Berkowitz charpoly against the interpolation
+route on random inputs."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from lapspec.canonical import canonical_form
 from lapspec.graph6 import Graph6Error, graph6_decode
 from lapspec.graphs import Graph, make_path, relabel
 from lapspec.laplacian import charpoly, charpoly_interpolated, laplacian, u_matrix
-from lapspec.polynomials import IntPoly, LaurentPoly
+from lapspec.polynomials import IntPoly, LaurentPoly, substitute_y
 from lapspec.recurrences import path_charpoly_rec, u_poly_rec
 
 # Bounded so the suite stays quick on a slow machine.
@@ -125,6 +126,27 @@ def test_ring_laws(ring):
         assert a - b == a + (-b)
 
     laws()
+
+
+def horner_on_dicts(p: IntPoly) -> dict[int, int]:
+    """p at x = y + 2 + 1/y by Horner's rule on exponent -> coefficient
+    dicts, without zero coefficients."""
+    acc: dict[int, int] = {}
+    for c in reversed(p.coeffs):
+        out = {0: c}
+        for e, a in acc.items():
+            for shift, weight in ((1, 1), (0, 2), (-1, 1)):
+                out[e + shift] = out.get(e + shift, 0) + weight * a
+        acc = {e: a for e, a in out.items() if a}
+    return acc
+
+
+@PROPERTY
+@given(st.one_of(st.integers().map(IntPoly.const),
+                 st.lists(COEFFS, max_size=12).map(IntPoly),
+                 st.lists(st.integers(), max_size=40).map(IntPoly)))
+def test_substitute_y_matches_horner_on_dicts(p):
+    assert dict(substitute_y(p).items()) == horner_on_dicts(p)
 
 
 @st.composite

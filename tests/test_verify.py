@@ -5,7 +5,7 @@ from lapspec.canonical import canonical_form
 from lapspec.enumeration import DEFAULT_CAP
 from lapspec.graph6 import graph6_decode
 from lapspec.graphs import DumbbellParams, ThetaParams
-from lapspec.laplacian import charpoly, laplacian
+from lapspec.laplacian import _shifted_laplacian, charpoly, laplacian
 from lapspec.polynomials import IntPoly
 from lapspec.reports import VerificationReport
 from lapspec.verify import (dumbbell_parameter_grid, family_members,
@@ -151,13 +151,13 @@ def value_calls(monkeypatch):
     """The size of every matrix the pool suites evaluate at x0, in call
     order."""
     calls = []
-    value = verify._charpoly_at
+    value = verify.det_bareiss
 
-    def counted(mat, x):
+    def counted(mat):
         calls.append(len(mat))
-        return value(mat, x)
+        return value(mat)
 
-    monkeypatch.setattr(verify, "_charpoly_at", counted)
+    monkeypatch.setattr(verify, "det_bareiss", counted)
     return calls
 
 
@@ -233,7 +233,7 @@ class TestValueFilter:
         # member: the reports come out the same, from one charpoly per
         # pool graph.
         expected = fresh_json(monkeypatch, suite, 8)
-        monkeypatch.setattr(verify, "_charpoly_at", lambda mat, x: 0)
+        monkeypatch.setattr(verify, "det_bareiss", lambda mat: 0)
         monkeypatch.setattr(IntPoly, "eval", lambda self, x: 0)
         before = len(charpoly_calls)
         report = suite(8)
@@ -241,17 +241,32 @@ class TestValueFilter:
         assert len(charpoly_calls) - before == 236 + invariants_calls
         assert report.without_timing().to_json() == expected
 
-    def test_a_missed_copy_fails_determination(self, monkeypatch):
+    def miss_copy(self, monkeypatch):
+        """Raise the value of the (3, 2, 3) dumbbell's own copy in the n = 8
+        pool by 1, so no pool graph is a candidate for it; the dumbbell."""
         monkeypatch.setattr(enumeration, "_memo", {})
         member = family_members(8)[0]
-        copy = laplacian(graph6_decode(canonical_form(member)))
-        value = verify._charpoly_at
-        monkeypatch.setattr(verify, "_charpoly_at",
-                            lambda mat, x: value(mat, x) + (mat == copy))
+        assert member.family == DumbbellParams(3, 2, 3)
+        copy = _shifted_laplacian(graph6_decode(canonical_form(member)), verify._X0)
+        value = verify.det_bareiss
+        monkeypatch.setattr(verify, "det_bareiss",
+                            lambda mat: value(mat) + (mat == copy))
+        return member
+
+    def test_a_missed_copy_fails_determination(self, monkeypatch):
+        member = self.miss_copy(monkeypatch)
         report = verify_determination(8)
         assert not report.passed
         assert report.counterexamples == [{**verify._params_dict(member.family),
                                            "failure": "match count", "mates": []}]
+
+    def test_a_missed_copy_fails_cospectral_structure(self, monkeypatch):
+        member = self.miss_copy(monkeypatch)
+        report = verify_cospectral_structure(8)
+        assert not report.passed
+        assert report.counts["cospectral_hits"] == report.counts["members"] - 1
+        assert report.counterexamples == [{**verify._params_dict(member.family),
+                                           "failure": "member has no cospectral pool graph"}]
 
 
 class TestReportHygiene:
