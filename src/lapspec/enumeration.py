@@ -5,13 +5,22 @@ isomorphism class at every level (dedup by canonical form; simple rather
 than clever, since the vertex counts here are desk scale).  No child is
 generated only to be thrown away:
 
-- Unconnected tasks grow from the empty graph one edge at a time.  Every
-  graph with m + 1 edges is a graph with m edges plus one edge.
+- Unconnected tasks grow from the empty graph one edge at a time, and a
+  child is kept only when its new edge is a top edge: its (larger,
+  smaller) endpoint-degree pair is the largest among the child's edges,
+  ties allowed.  Every class is still reached: deleting a top edge e from
+  a graph G with m + 1 edges leaves a graph with m edges, and an
+  isomorphism onto that graph's representative carries e to a non-edge
+  whose child is isomorphic to G, with the new edge again a top edge,
+  since degree pairs are invariant.  The test reads the parent's degrees
+  before the child is built.
 - Connected tasks start from the trees, grown by leaf addition (every tree
   on k + 1 vertices is a tree on k vertices plus a leaf), and then add
   edges.  Every connected graph is a spanning tree plus edges, and deleting
   a cycle edge keeps a graph connected, so each level of connected graphs
-  comes from the level below and every child is connected.
+  comes from the level below and every child is connected.  The top-edge
+  rule does not apply here: a top edge may be a bridge, and deleting it
+  leaves the connected level.
 - With an exact degree sequence, a degree cap prunes children (degrees only
   grow) and the last level is filtered by the sequence.
 - A child is built from its parent by ``Graph._child``: the parent's
@@ -23,6 +32,9 @@ generated only to be thrown away:
   added only when i and j are each first in their class or are the first
   two vertices of one class.  Twins have equal degrees, so the degree cap
   treats them alike, and the pruned children still reach every class.
+  A twin swap is an automorphism of the parent and maps a top edge to a
+  top edge, so twin pruning and the top-edge rule combine; deleting a top
+  edge keeps a capped graph capped, so the rule holds under a degree cap.
 
 Every complete level grown for a task without a degree sequence is kept in
 the in-process memo, and such tasks resume from the deepest level already
@@ -48,7 +60,10 @@ reference.  Every other task takes the edge route.
 
 A second, independent enumerator grows by vertex instead of by edge and is
 used to cross-check census totals; the routes share nothing but ``Graph``
-and the canonical form.
+and the canonical form.  The new vertex is joined only to neighbor sets
+that leave it of minimum degree in the child: deleting a vertex of minimum
+degree from any graph on n + 1 vertices leaves a graph on n, so every
+class is reached.  The rule uses degrees only, not twins.
 
 Results are deterministic: canonical graph6 forms, sorted.  They can be
 cached on disk, one file per task: a header line
@@ -176,25 +191,58 @@ def _below_cap(rows: tuple[int, ...], max_degree: Optional[int]) -> int:
     return sum(1 << v for v, row in enumerate(rows) if row.bit_count() < max_degree)
 
 
-def _add_edge(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Graph]:
-    """Every graph of level plus one new edge whose ends are below max_degree,
-    up to twin swaps: the edge (i, j) is added only when i and j are each
+def _edge_ends(g: Graph, max_degree: Optional[int]) -> Iterator[tuple[int, int]]:
+    """The ends (i, j), i < j, of every non-edge of g whose ends are below
+    max_degree, up to twin swaps: (i, j) is kept only when i and j are each
     first in their twin class, or are the first two vertices of one class.
     Twins have equal degrees, so the cap treats them alike."""
+    rows = g.rows
+    classes = _twin_classes(rows)
+    open_ = _below_cap(rows, max_degree)
+    firsts = sum(1 << cls[0] for cls in classes)
+    for cls in classes:
+        i = cls[0]
+        if not open_ >> i & 1:
+            continue
+        ends = firsts | (1 << cls[1] if len(cls) > 1 else 0)
+        ends &= open_ & ~rows[i] & -(2 << i)  # open non-neighbors above i
+        for j in range(i + 1, g.n):
+            if ends >> j & 1:
+                yield i, j
+
+
+def _add_edge(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Graph]:
+    """Every graph of level plus one new edge whose ends are below
+    max_degree, up to twin swaps."""
+    for g in level:
+        for i, j in _edge_ends(g, max_degree):
+            yield g._child(g.n, ((i, j),))
+
+
+def _is_top_edge(rows: tuple[int, ...], degrees: list[int], i: int, j: int) -> bool:
+    """Whether the new edge (i, j) has the largest (larger, smaller)
+    endpoint-degree pair among the edges of the child, ties allowed, read
+    from the parent's rows and degrees.  With (high, low) the pair of the
+    new edge in the child, that is: no vertex has degree above high, and no
+    vertex of degree high has a neighbor of degree above low."""
+    child = list(degrees)
+    child[i] += 1
+    child[j] += 1
+    high, low = max(child[i], child[j]), min(child[i], child[j])
+    above_low = sum(1 << v for v, d in enumerate(child) if d > low)
+    return all(d < high or (d == high and not rows[v] & above_low)
+               for v, d in enumerate(child))
+
+
+def _add_top_edge(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Graph]:
+    """The children of ``_add_edge`` whose new edge is a top edge
+    (``_is_top_edge``); the test runs before the child is built."""
     for g in level:
         rows = g.rows
-        classes = _twin_classes(rows)
-        open_ = _below_cap(rows, max_degree)
-        firsts = sum(1 << cls[0] for cls in classes)
-        for cls in classes:
-            i = cls[0]
-            if not open_ >> i & 1:
-                continue
-            ends = firsts | (1 << cls[1] if len(cls) > 1 else 0)
-            ends &= open_ & ~rows[i] & -(2 << i)  # open non-neighbors above i
-            for j in range(i + 1, g.n):
-                if ends >> j & 1:
-                    yield g._child(g.n, ((i, j),))
+        degrees = [row.bit_count() for row in rows]
+        for i, j in _edge_ends(g, max_degree):
+            if _is_top_edge(rows, degrees, i, j):
+                yield g._child(g.n, ((i, j),))
 
 
 def _add_leaf(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Graph]:
@@ -209,11 +257,19 @@ def _add_leaf(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Gra
 
 
 def _add_vertex(level: Iterable[Graph]) -> Iterator[Graph]:
-    """Every graph of level plus one new vertex, joined to each subset of
-    the old vertices in turn."""
+    """Every graph of level plus one new vertex of minimum degree in the
+    child: joined to each subset S of the old vertices with
+    |S| <= deg(u) + [u in S] for every old vertex u.  With d the parent's
+    minimum degree, S qualifies when |S| <= d, or when |S| = d + 1 and S
+    holds every vertex of degree d."""
     for g in level:
+        degrees = [row.bit_count() for row in g.rows]
+        low = min(degrees, default=0)
+        minimal = sum(1 << u for u, d in enumerate(degrees) if d == low)
         for subset in range(1 << g.n):
-            yield g._child(g.n + 1, [(i, g.n) for i in range(g.n) if subset >> i & 1])
+            size = subset.bit_count()
+            if size <= low or size == low + 1 and not minimal & ~subset:
+                yield g._child(g.n + 1, [(i, g.n) for i in range(g.n) if subset >> i & 1])
 
 
 def _dedup(children: Iterable[Graph]) -> dict[bytes, Graph]:
@@ -236,7 +292,8 @@ def _grow_forms(task: EnumerationTask) -> list[bytes]:
         stages = [(EnumerationTask(k, k - 1, True), _add_leaf) for k in range(1, n + 1)]
         stages += [(EnumerationTask(n, e, True), _add_edge) for e in range(n, m + 1)]
     else:
-        stages = [(EnumerationTask(n, e, task.connected), _add_edge) for e in range(m + 1)]
+        stages = [(EnumerationTask(n, e, task.connected), _add_top_edge)
+                  for e in range(m + 1)]
 
     # Capped levels are incomplete, so only uncapped growth reads and writes
     # the memo.
@@ -451,9 +508,10 @@ def enumerate_graphs(task: EnumerationTask, cap: int = DEFAULT_CAP,
 
 def enumerate_by_vertex_growth(n: int, cap: int = DEFAULT_CAP) -> list[Graph]:
     """All graphs on exactly n vertices, grown one vertex at a time: every
-    graph arises from deleting its last vertex, so attaching a new vertex
-    with every neighbor subset and deduplicating is complete.  Independent
-    of the edge-addition route; used to cross-check census totals."""
+    graph on k + 1 vertices minus a vertex of minimum degree is a graph on
+    k, so attaching a new vertex to every neighbor set that leaves it of
+    minimum degree, and deduplicating, is complete.  Independent of the
+    edge-addition route; used to cross-check census totals."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > cap:

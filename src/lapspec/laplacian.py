@@ -237,10 +237,10 @@ def spanning_tree_count(g: Graph) -> int:
     return det_bareiss(submatrix_deleting(laplacian(g), {0}))
 
 
-def cycles_through(g: Graph, u: int) -> list[tuple[int, ...]]:
-    """All simple cycles containing u, each listed once as a vertex tuple
-    starting at u; orientation is fixed by second vertex < last vertex."""
-    adj = g.adjacency()
+def _cycles_from(adj: list[set[int]], u: int, lowest: int) -> list[tuple[int, ...]]:
+    """Simple cycles through u on vertices >= lowest, each listed once as a
+    vertex tuple starting at u; orientation is fixed by second vertex < last
+    vertex."""
     cycles: list[tuple[int, ...]] = []
     path = [u]
     on_path = {u}
@@ -250,7 +250,7 @@ def cycles_through(g: Graph, u: int) -> list[tuple[int, ...]]:
             if w == u:
                 if len(path) >= 3 and path[1] < path[-1]:
                     cycles.append(tuple(path))
-            elif w not in on_path:
+            elif w >= lowest and w not in on_path:
                 path.append(w)
                 on_path.add(w)
                 dfs(w)
@@ -259,6 +259,12 @@ def cycles_through(g: Graph, u: int) -> list[tuple[int, ...]]:
 
     dfs(u)
     return cycles
+
+
+def cycles_through(g: Graph, u: int) -> list[tuple[int, ...]]:
+    """All simple cycles containing u, each listed once as a vertex tuple
+    starting at u; orientation is fixed by second vertex < last vertex."""
+    return _cycles_from(g.adjacency(), u, 0)
 
 
 def verify_deletion_formula(g: Graph) -> tuple[bool, ...]:
@@ -285,12 +291,18 @@ def verify_deletion_formula(g: Graph) -> tuple[bool, ...]:
         return minors[key]
 
     adj = g.adjacency()
+    # Every cycle once, from its smallest vertex, then indexed by vertex.
+    through: list[list[tuple[int, ...]]] = [[] for _ in range(g.n)]
+    for u in range(g.n):
+        for cyc in _cycles_from(adj, u, u):
+            for v in cyc:
+                through[v].append(cyc)
     holds = []
     for u in range(g.n):
         rhs = (X - len(adj[u])) * minor((u,))
         for v in sorted(adj[u]):
             rhs -= minor((u, v))
-        for cyc in cycles_through(g, u):
+        for cyc in through[u]:
             rhs -= 2 * (-1) ** len(cyc) * minor(cyc)
         holds.append(phi == rhs)
     return tuple(holds)

@@ -103,10 +103,14 @@ class IntPoly:
             other = IntPoly.const(other)
         if not isinstance(other, IntPoly):
             return NotImplemented
-        return self + (-other)
+        a, b = self._coeffs, other._coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return IntPoly(out)
 
     def __rsub__(self, other: int) -> "IntPoly":
-        return IntPoly.const(other) + (-self)
+        return IntPoly.const(other) - self
 
     def __mul__(self, other: Union["IntPoly", int]) -> "IntPoly":
         if isinstance(other, int):
@@ -207,10 +211,17 @@ class LaurentPoly:
             other = LaurentPoly.monomial(0, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            v = out.get(e, 0) - c
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+        return LaurentPoly(out)
 
     def __rsub__(self, other: int) -> "LaurentPoly":
-        return LaurentPoly.monomial(0, other) + (-self)
+        return LaurentPoly.monomial(0, other) - self
 
     def __mul__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         if isinstance(other, int):

@@ -536,16 +536,16 @@ def verify_census(n_max: int = 7, cap: int = DEFAULT_CAP,
         for m in range(n * (n - 1) // 2 + 1):
             by_edges.extend(enumerate_graphs(EnumerationTask(n, m),
                                              cap=cap, cache_dir=cache_dir))
-        by_growth = enumerate_by_vertex_growth(n, cap=cap)
-        forms_a = sorted(canonical_form(g) for g in by_edges)
-        forms_b = sorted(canonical_form(g) for g in by_growth)
+        # enumerate_graphs returns canonically labeled graphs, so each
+        # encoding is a canonical form; a relabeled graph fails the match.
+        forms_a = [graph6_encode(g) for g in by_edges]
+        forms_b = sorted(canonical_form(g) for g in enumerate_by_vertex_growth(n, cap=cap))
         totals[n] = len(forms_a)
-        if forms_a != forms_b:
+        if sorted(forms_a) != forms_b:
             counterexamples.append({"n": n, "edge_route": len(forms_a),
                                     "vertex_route": len(forms_b)})
-        for g in by_edges:
+        for g, encoded in zip(by_edges, forms_a):
             round_trips += 1
-            encoded = graph6_encode(g)
             back = graph6_decode(encoded)
             if back != g or graph6_encode(back) != encoded:
                 counterexamples.append({"n": n, "failure": "round trip",

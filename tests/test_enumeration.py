@@ -1,5 +1,6 @@
 import hashlib
 import math
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -9,7 +10,7 @@ from lapspec.canonical import canonical_form
 from lapspec.enumeration import (DEFAULT_CAP, EnumerationCapError,
                                  EnumerationTask, enumerate_by_vertex_growth,
                                  enumerate_graphs, random_connected_graph)
-from lapspec.graph6 import graph6_encode
+from lapspec.graph6 import graph6_decode, graph6_encode
 from lapspec.graphs import Graph, is_connected
 from lapspec.verify import family_members, verify_determination
 
@@ -39,6 +40,14 @@ def private_memo(monkeypatch):
 
 def _forms(graphs):
     return [canonical_form(g) for g in graphs]
+
+
+def _min_degree_subsets(g: Graph) -> list[tuple[int, ...]]:
+    """The neighbor sets S of a new vertex that has minimum degree in the
+    child: |S| <= deg(u) + [u in S] for every vertex u of g."""
+    degrees = [len(neighbors) for neighbors in g.adjacency()]
+    return [subset for k in range(g.n + 1) for subset in combinations(range(g.n), k)
+            if all(k <= d + (u in subset) for u, d in enumerate(degrees))]
 
 
 @pytest.fixture
@@ -183,6 +192,29 @@ class TestPoolIdentity:
             assert enumerate_graphs(task) == [g for g in full if g.degree_sequence() == seq]
 
 
+class TestTopEdgeRule:
+    @pytest.mark.parametrize("max_degree", [None, 3])
+    def test_equals_twin_only_growth(self, max_degree):
+        # every unconnected level on n <= 7 vertices, grown with and
+        # without the top-edge rule from the same seed
+        for n in range(8):
+            full = pruned = {canonical_form(Graph(n)): Graph(n)}
+            for m in range(1, n * (n - 1) // 2 + 1):
+                full = enumeration._dedup(enumeration._add_edge(full.values(), max_degree))
+                pruned = enumeration._dedup(
+                    enumeration._add_top_edge(pruned.values(), max_degree))
+                assert sorted(pruned) == sorted(full), (n, m)
+
+    def test_prunes_children(self, private_memo, canonical_calls):
+        # unconnected (7, 10) from (7, 9): fewer children than twin pruning
+        # alone builds
+        below = enumerate_graphs(EnumerationTask(7, 9))
+        canonical_calls.clear()
+        enumerate_graphs(EnumerationTask(7, 10))
+        assert len(canonical_calls) == sum(1 for _ in enumeration._add_top_edge(below, None))
+        assert len(canonical_calls) < sum(1 for _ in enumeration._add_edge(below, None)) / 2
+
+
 class TestStructuralRoute:
     @pytest.mark.parametrize("n", range(4, 11))
     def test_forms_equal_edge_route(self, n, private_memo):
@@ -281,12 +313,25 @@ class TestVertexGrowthRoute:
         assert len(enumerate_by_vertex_growth(n)) == total
 
     def test_canonical_calls_take_graphs(self, canonical_calls):
-        assert len(enumerate_by_vertex_growth(5)) == 34
         # one call per child: a new vertex joined to each subset of the old
-        # ones, for every class of the level below
-        assert len(canonical_calls) == sum(
-            total << n for n, total in enumerate((1, 1, 2, 4, 11)))
+        # ones that leaves it of minimum degree, for every class of the
+        # level below
+        admissible = sum(len(_min_degree_subsets(g))
+                         for n in range(5) for g in enumerate_by_vertex_growth(n))
+        canonical_calls.clear()
+        assert len(enumerate_by_vertex_growth(5)) == 34
+        assert len(canonical_calls) == admissible == 94
         assert [g.n for g in canonical_calls[:3]] == [1, 2, 2]
+
+    def test_equals_all_subsets_growth(self):
+        # the reference attaches the new vertex to every subset
+        level = {canonical_form(Graph(0))}
+        for n in range(1, 8):
+            children = (Graph(n, g.edges + tuple((i, n - 1) for i in subset))
+                        for g in map(graph6_decode, level)
+                        for k in range(n) for subset in combinations(range(n - 1), k))
+            level = {canonical_form(child) for child in children}
+            assert sorted(level) == _forms(enumerate_by_vertex_growth(n)), n
 
     def test_classes_match_edge_route(self):
         by_growth = {canonical_form(g) for g in enumerate_by_vertex_growth(5)}

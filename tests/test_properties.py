@@ -1,6 +1,7 @@
 """Property tests: the graph6 decoder, canonical forms, bitmask rows,
-twin-pruned children, children built without validation, the ring laws of
-IntPoly and LaurentPoly, the substitution x = y + 2 + 1/y against Horner's
+twin-pruned children, children built without validation, the top-edge
+test against the child's own degree pairs, the ring laws of IntPoly and
+LaurentPoly, the substitution x = y + 2 + 1/y against Horner's
 rule on plain dicts, and the Berkowitz charpoly against the interpolation
 route on random inputs."""
 
@@ -91,13 +92,37 @@ def test_rows_agree_with_edges(g):
 @PROPERTY
 @given(graphs(max_n=7))
 def test_trusted_children_equal_validated_graphs(g):
-    children = [*enumeration._add_edge([g], None), *enumeration._add_leaf([g], None),
-                *enumeration._add_vertex([g])]
-    assert len(children) >= 2 ** g.n
+    vertex_children = list(enumeration._add_vertex([g]))
+    children = [*enumeration._add_edge([g], None), *enumeration._add_top_edge([g], None),
+                *enumeration._add_leaf([g], None), *vertex_children]
+    # one vertex child per neighbor set S leaving the new vertex of minimum
+    # degree: |S| <= deg(u) + [u in S] for every old vertex u
+    degrees = [row.bit_count() for row in g.rows]
+    admissible = sum(1 for subset in range(1 << g.n)
+                     if all(subset.bit_count() <= d + (subset >> u & 1)
+                            for u, d in enumerate(degrees)))
+    assert len(vertex_children) == admissible >= 1
     for child in children:
         built = Graph(child.n, child.edges)
         assert child == built and hash(child) == hash(built)
         assert child.edges == built.edges and child.rows == built.rows
+
+
+@PROPERTY
+@given(graphs(max_n=8))
+def test_top_edge_has_the_largest_degree_pair(g):
+    # the (larger, smaller) endpoint-degree pair of every edge of the child,
+    # read off the child itself
+    degrees = [row.bit_count() for row in g.rows]
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if g.rows[i] >> j & 1:
+                continue
+            child = Graph(g.n, g.edges + ((i, j),))
+            deg = [row.bit_count() for row in child.rows]
+            pairs = [(max(deg[a], deg[b]), min(deg[a], deg[b])) for a, b in child.edges]
+            top = max(pairs) == (max(deg[i], deg[j]), min(deg[i], deg[j]))
+            assert enumeration._is_top_edge(g.rows, degrees, i, j) == top
 
 
 COEFFS = st.integers(-50, 50)
@@ -124,6 +149,7 @@ def test_ring_laws(ring):
         assert a + zero == a == zero + a
         assert a + (-a) == zero
         assert a - b == a + (-b)
+        assert 3 - a == -a + 3 and a - 3 == a + (-3)
 
     laws()
 

@@ -3,8 +3,8 @@ import pytest
 from lapspec import enumeration, invariants, verify
 from lapspec.canonical import canonical_form
 from lapspec.enumeration import DEFAULT_CAP
-from lapspec.graph6 import graph6_decode
-from lapspec.graphs import DumbbellParams, ThetaParams
+from lapspec.graph6 import graph6_decode, graph6_encode
+from lapspec.graphs import DumbbellParams, ThetaParams, relabel
 from lapspec.laplacian import _shifted_laplacian, charpoly, laplacian
 from lapspec.polynomials import IntPoly
 from lapspec.reports import VerificationReport
@@ -118,6 +118,23 @@ class TestPoolSuites:
         assert report.passed
         assert report.details["totals"] == {"0": 1, "1": 1, "2": 2, "3": 4,
                                             "4": 11, "5": 34}
+
+    def test_census_refuses_relabeled_edge_route(self, monkeypatch):
+        # Same classes, but one graph not canonically labeled: its encoding
+        # is no canonical form, so the routes no longer agree.
+        enumerate_graphs = verify.enumerate_graphs
+
+        def relabeled(task, **kwargs):
+            pool = enumerate_graphs(task, **kwargs)
+            if (task.n, task.m) == (4, 3):
+                pool[0] = relabel(pool[0], [3, 2, 1, 0])
+                assert graph6_encode(pool[0]) != canonical_form(pool[0])
+            return pool
+
+        monkeypatch.setattr(verify, "enumerate_graphs", relabeled)
+        report = verify_census(n_max=4)
+        assert not report.passed
+        assert report.counterexamples == [{"n": 4, "edge_route": 11, "vertex_route": 11}]
 
 
 @pytest.fixture
