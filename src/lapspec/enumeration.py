@@ -21,8 +21,6 @@ generated only to be thrown away:
   comes from the level below and every child is connected.  The top-edge
   rule does not apply here: a top edge may be a bridge, and deleting it
   leaves the connected level.
-- With an exact degree sequence, a degree cap prunes children (degrees only
-  grow) and the last level is filtered by the sequence.
 - A child is built from its parent by ``Graph._child``: the parent's
   bitmask rows and sorted edges plus the new edge, with no re-validation.
   Only a seed, a 2-core or a decoded graph goes through ``Graph(n, edges)``.
@@ -30,33 +28,29 @@ generated only to be thrown away:
   N(w) - {v}; any permutation inside a twin class is an automorphism, so a
   leaf goes only on the first vertex of each class, and an edge (i, j) is
   added only when i and j are each first in their class or are the first
-  two vertices of one class.  Twins have equal degrees, so the degree cap
-  treats them alike, and the pruned children still reach every class.
-  A twin swap is an automorphism of the parent and maps a top edge to a
-  top edge, so twin pruning and the top-edge rule combine; deleting a top
-  edge keeps a capped graph capped, so the rule holds under a degree cap.
+  two vertices of one class, and the pruned children still reach every
+  class.  A twin swap is an automorphism of the parent and maps a top edge
+  to a top edge, so twin pruning and the top-edge rule combine.
 
-Every complete level grown for a task without a degree sequence is kept in
-the in-process memo, and such tasks resume from the deepest level already
-there: (7, m) grows one level from (7, m - 1), and the trees on n vertices
-grow from the trees on n - 1.
+Every level grown is kept in the in-process memo, and a task resumes from
+the deepest level already there: (7, m) grows one level from (7, m - 1),
+and the trees on n vertices grow from the trees on n - 1.
 
 The connected graphs with n >= 4 vertices and n + 1 edges, the pool of the
-determination suites, come from a structural route instead, when the task
-has no degree sequence.  Such a graph has cyclomatic number 2, so its 2-core
-(what is left after deleting leaves until none remain) is a subdivided
-theta, a dumbbell, or two cycles sharing one vertex (a figure-eight), and
-the graph is that core with one rooted tree hung on each core vertex.  An
-isomorphism maps 2-core onto 2-core and hung trees onto hung trees, so two
-such graphs are isomorphic exactly when they have the same core and their
-tree tuples differ by an automorphism of the core.  The route walks every
-core on at most n vertices, finds its automorphism group by a small
-backtracking search, and keeps each tuple of rooted trees (one per core
-vertex, n vertices in all) only when it is minimal in its orbit under that
-group.  Every class comes out exactly once, so each costs one canonical
-call and nothing is deduplicated; a repeated form raises instead.  The
-forms equal the edge route's byte for byte, which stays callable as the
-reference.  Every other task takes the edge route.
+determination suites, come from a structural route instead.  Such a graph
+has cyclomatic number 2, so its 2-core (what is left after deleting leaves
+until none remain) is a subdivided theta, a dumbbell, or two cycles sharing
+one vertex (a figure-eight), and the graph is that core with one rooted
+tree hung on each core vertex.  An isomorphism maps 2-core onto 2-core and
+hung trees onto hung trees, so two such graphs are isomorphic exactly when
+they have the same core and their tree tuples differ by an automorphism of
+the core.  The route walks every core on at most n vertices, finds its
+automorphism group by a small backtracking search, and keeps each tuple of
+rooted trees (one per core vertex, n vertices in all) only when it is
+minimal in its orbit under that group.  Every class comes out exactly once,
+so each costs one canonical call and nothing is deduplicated; a repeated
+form raises instead.  The forms equal the edge route's byte for byte, which
+stays callable as the reference.  Every other task takes the edge route.
 
 A second, independent enumerator grows by vertex instead of by edge and is
 used to cross-check census totals; the routes share nothing but ``Graph``
@@ -100,7 +94,6 @@ from .graph6 import graph6_decode
 from .graphs import Graph, dumbbell_graph, theta_graph
 
 DEFAULT_CAP = 10
-CACHE_ENV_VAR = "LAPSPEC_CACHE_DIR"
 CACHE_MAGIC = "#lapspec-pool"
 # Bump when the file layout or the canonical form changes: files written
 # before then no longer validate and are regrown.
@@ -122,33 +115,23 @@ class EnumerationCapError(ValueError):
 
 @dataclass(frozen=True)
 class EnumerationTask:
-    """Graphs on exactly n vertices with exactly m edges, optionally filtered
-    to connected graphs and/or an exact degree sequence (sorted descending)."""
+    """Graphs on exactly n vertices with exactly m edges, optionally only the
+    connected ones."""
 
     n: int
     m: int
     connected: bool = False
-    degree_sequence: Optional[tuple[int, ...]] = None
 
     def validate(self) -> None:
         if self.n < 0:
             raise ValueError("n must be >= 0")
         if not 0 <= self.m <= self.n * (self.n - 1) // 2:
             raise ValueError(f"m={self.m} impossible on n={self.n} vertices")
-        if self.degree_sequence is not None:
-            if len(self.degree_sequence) != self.n:
-                raise ValueError("degree sequence length must equal n")
-            if tuple(sorted(self.degree_sequence, reverse=True)) != self.degree_sequence:
-                raise ValueError("degree sequence must be sorted descending")
-            if sum(self.degree_sequence) != 2 * self.m:
-                raise ValueError("degree sequence sum must equal 2m")
 
     def cache_name(self) -> str:
         name = f"n{self.n}_m{self.m}"
         if self.connected:
             name += "_conn"
-        if self.degree_sequence is not None:
-            name += "_d" + "-".join(map(str, self.degree_sequence))
         return name + ".g6"
 
 
@@ -159,13 +142,6 @@ _memo: dict[EnumerationTask, list[bytes]] = {}
 # just handed; the identity check against the memo's list makes a cleared
 # memo decode afresh.
 _decoded: tuple[Optional[list[bytes]], list[Graph]] = (None, [])
-
-
-def _resolve_cache_dir(cache_dir: Optional[str | Path]) -> Optional[Path]:
-    if cache_dir is not None:
-        return Path(cache_dir)
-    env = os.environ.get(CACHE_ENV_VAR)
-    return Path(env) if env else None
 
 
 def _twin_classes(rows: tuple[int, ...]) -> list[list[int]]:
@@ -184,38 +160,26 @@ def _twin_classes(rows: tuple[int, ...]) -> list[list[int]]:
     return classes
 
 
-def _below_cap(rows: tuple[int, ...], max_degree: Optional[int]) -> int:
-    """Bitmask of the vertices whose degree is below max_degree."""
-    if max_degree is None:
-        return (1 << len(rows)) - 1
-    return sum(1 << v for v, row in enumerate(rows) if row.bit_count() < max_degree)
-
-
-def _edge_ends(g: Graph, max_degree: Optional[int]) -> Iterator[tuple[int, int]]:
-    """The ends (i, j), i < j, of every non-edge of g whose ends are below
-    max_degree, up to twin swaps: (i, j) is kept only when i and j are each
-    first in their twin class, or are the first two vertices of one class.
-    Twins have equal degrees, so the cap treats them alike."""
+def _edge_ends(g: Graph) -> Iterator[tuple[int, int]]:
+    """The ends (i, j), i < j, of every non-edge of g, up to twin swaps:
+    (i, j) is kept only when i and j are each first in their twin class, or
+    are the first two vertices of one class."""
     rows = g.rows
     classes = _twin_classes(rows)
-    open_ = _below_cap(rows, max_degree)
     firsts = sum(1 << cls[0] for cls in classes)
     for cls in classes:
         i = cls[0]
-        if not open_ >> i & 1:
-            continue
         ends = firsts | (1 << cls[1] if len(cls) > 1 else 0)
-        ends &= open_ & ~rows[i] & -(2 << i)  # open non-neighbors above i
+        ends &= ~rows[i] & -(2 << i)  # non-neighbors above i
         for j in range(i + 1, g.n):
             if ends >> j & 1:
                 yield i, j
 
 
-def _add_edge(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Graph]:
-    """Every graph of level plus one new edge whose ends are below
-    max_degree, up to twin swaps."""
+def _add_edge(level: Iterable[Graph]) -> Iterator[Graph]:
+    """Every graph of level plus one new edge, up to twin swaps."""
     for g in level:
-        for i, j in _edge_ends(g, max_degree):
+        for i, j in _edge_ends(g):
             yield g._child(g.n, ((i, j),))
 
 
@@ -234,26 +198,23 @@ def _is_top_edge(rows: tuple[int, ...], degrees: list[int], i: int, j: int) -> b
                for v, d in enumerate(child))
 
 
-def _add_top_edge(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Graph]:
+def _add_top_edge(level: Iterable[Graph]) -> Iterator[Graph]:
     """The children of ``_add_edge`` whose new edge is a top edge
     (``_is_top_edge``); the test runs before the child is built."""
     for g in level:
         rows = g.rows
         degrees = [row.bit_count() for row in rows]
-        for i, j in _edge_ends(g, max_degree):
+        for i, j in _edge_ends(g):
             if _is_top_edge(rows, degrees, i, j):
                 yield g._child(g.n, ((i, j),))
 
 
-def _add_leaf(level: Iterable[Graph], max_degree: Optional[int]) -> Iterator[Graph]:
-    """Every tree of level plus one new vertex hung off a vertex below
-    max_degree, up to twin swaps: only the first vertex of each twin class
-    gets the leaf."""
+def _add_leaf(level: Iterable[Graph]) -> Iterator[Graph]:
+    """Every tree of level plus one new leaf, up to twin swaps: only the
+    first vertex of each twin class gets the leaf."""
     for g in level:
-        hosts = _below_cap(g.rows, max_degree)
         for cls in _twin_classes(g.rows):
-            if hosts >> cls[0] & 1:
-                yield g._child(g.n + 1, ((cls[0], g.n),))
+            yield g._child(g.n + 1, ((cls[0], g.n),))
 
 
 def _add_vertex(level: Iterable[Graph]) -> Iterator[Graph]:
@@ -283,7 +244,7 @@ def _dedup(children: Iterable[Graph]) -> dict[bytes, Graph]:
 
 
 def _grow_forms(task: EnumerationTask) -> list[bytes]:
-    n, m, degree_sequence = task.n, task.m, task.degree_sequence
+    n, m = task.n, task.m
     # Levels from the seed (a graph without edges) to the task, each with the
     # step that grows it from the one before.
     if task.connected and n > 0:
@@ -295,10 +256,7 @@ def _grow_forms(task: EnumerationTask) -> list[bytes]:
         stages = [(EnumerationTask(n, e, task.connected), _add_top_edge)
                   for e in range(m + 1)]
 
-    # Capped levels are incomplete, so only uncapped growth reads and writes
-    # the memo.
-    max_degree = None if degree_sequence is None else max(degree_sequence, default=0)
-    done = [i for i, (stage, _) in enumerate(stages) if max_degree is None and stage in _memo]
+    done = [i for i, (stage, _) in enumerate(stages) if stage in _memo]
     if done:
         start = done[-1]
         forms = _memo[stages[start][0]]
@@ -309,13 +267,9 @@ def _grow_forms(task: EnumerationTask) -> list[bytes]:
         start, seed = 0, Graph(stages[0][0].n)
         level = {canonical_form(seed): seed}
     for stage, step in stages[start + 1:]:
-        level = _dedup(step(level.values(), max_degree))
-        if max_degree is None:
-            _memo[stage] = sorted(level)
-
-    if degree_sequence is None:
-        return sorted(level)
-    return sorted(form for form, g in level.items() if g.degree_sequence() == degree_sequence)
+        level = _dedup(step(level.values()))
+        _memo[stage] = sorted(level)
+    return sorted(level)
 
 
 def _figure_eight_edges(p: int, q: int) -> list[tuple[int, int]]:
@@ -471,21 +425,19 @@ def _pool_forms(task: EnumerationTask, cap: int,
     """The sorted canonical forms of the task, from the memo, a valid cache
     file or fresh growth.  Fills the memo, and a cache directory that lacks
     a valid file; the list returned is the one the memo holds."""
-    task = EnumerationTask(task.n, task.m, task.connected, task.degree_sequence)
+    task = EnumerationTask(task.n, task.m, task.connected)
     task.validate()
     if task.n > cap:
         raise EnumerationCapError(task.n, cap)
 
-    directory = _resolve_cache_dir(cache_dir)
-    cache_file = directory / task.cache_name() if directory else None
+    cache_file = Path(cache_dir) / task.cache_name() if cache_dir is not None else None
     stored = None
     if cache_file is not None and cache_file.exists():
         stored = _decode_pool(task, cache_file.read_bytes())
     forms = _memo.get(task, stored)
     if forms is None:
         # m = n + 1 is possible only for n >= 4, which validate() checked.
-        bicyclic = (task.connected and task.m == task.n + 1
-                    and task.degree_sequence is None)
+        bicyclic = task.connected and task.m == task.n + 1
         forms = _bicyclic_forms(task.n) if bicyclic else _grow_forms(task)
     # A memo hit still fills a cache directory that lacks a valid file.
     if cache_file is not None and stored != forms:

@@ -14,7 +14,8 @@ Vertex numbering is fixed so constructions are reproducible:
 
 A Graph keeps its edges sorted and, from first use on, its int bitmask
 rows (``Graph.rows``); nowhere else are rows built from edges.
-``Graph(n, edges)`` checks every edge.  Enumeration grows each child from
+``Graph(n, edges)`` checks n and every edge, and refuses a non-integer
+vertex count or endpoint with TypeError.  Enumeration grows each child from
 a valid parent with the private ``Graph._child``, which extends the
 parent's rows and edges without checking them again.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index
 from typing import Iterable, Optional, Union
 
 
@@ -84,11 +86,13 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = (),
                  family: Optional[FamilyParams] = None):
+        n = index(n)
         if n < 0:
             raise ValueError("vertex count must be >= 0")
         norm = []
         for pair in edges:
             i, j = pair
+            i, j = index(i), index(j)  # TypeError unless both are integers
             if i == j:
                 raise ValueError(f"loop at vertex {i} not allowed")
             if i > j:

@@ -89,23 +89,12 @@ class TestTaskValidation:
         with pytest.raises(ValueError):
             EnumerationTask(-1, 0).validate()
 
-    def test_degree_sequence_constraints(self):
-        with pytest.raises(ValueError):
-            EnumerationTask(3, 2, degree_sequence=(2, 1)).validate()
-        with pytest.raises(ValueError):
-            EnumerationTask(3, 2, degree_sequence=(1, 2, 1)).validate()
-        with pytest.raises(ValueError):
-            EnumerationTask(3, 2, degree_sequence=(2, 2, 2)).validate()
-        EnumerationTask(3, 2, degree_sequence=(2, 1, 1)).validate()
-
     def test_cache_name_is_distinct(self):
         names = {
             EnumerationTask(5, 4).cache_name(),
             EnumerationTask(5, 4, connected=True).cache_name(),
-            EnumerationTask(5, 4, connected=True,
-                            degree_sequence=(2, 2, 2, 1, 1)).cache_name(),
         }
-        assert len(names) == 3
+        assert len(names) == 2
 
 
 class TestCounts:
@@ -122,8 +111,8 @@ class TestCounts:
             assert len(pool) == count, n
 
     def test_cubic_graphs_on_six_vertices(self):
-        pool = enumerate_graphs(EnumerationTask(6, 9, connected=True,
-                                                degree_sequence=(3,) * 6))
+        pool = [g for g in enumerate_graphs(EnumerationTask(6, 9, connected=True))
+                if g.degree_sequence() == (3,) * 6]
         assert len(pool) == 2  # the prism and the complete bipartite 3x3
 
     def test_connected_filter_agrees_with_post_filter(self):
@@ -167,7 +156,7 @@ class TestPoolIdentity:
         enumerate_graphs(EnumerationTask(6, 8, connected=True))
         # one child per non-edge of each (6, 7) class up to twin swaps,
         # nothing deeper
-        children = sum(1 for _ in enumeration._add_edge(below, None))
+        children = sum(1 for _ in enumeration._add_edge(below))
         assert len(canonical_calls) == children == 110
         assert children < len(below) * (15 - 7)
 
@@ -182,27 +171,16 @@ class TestPoolIdentity:
         enumerate_graphs(EnumerationTask(7, 8))
         assert decoded == private_memo[EnumerationTask(7, 7)] + private_memo[EnumerationTask(7, 8)]
 
-    @pytest.mark.parametrize("connected", [False, True])
-    def test_degree_capped_growth_matches_filter(self, connected):
-        full = enumerate_graphs(EnumerationTask(6, 7, connected=connected))
-        sequences = sorted({g.degree_sequence() for g in full})
-        assert len(sequences) > 5
-        for seq in sequences:
-            task = EnumerationTask(6, 7, connected=connected, degree_sequence=seq)
-            assert enumerate_graphs(task) == [g for g in full if g.degree_sequence() == seq]
-
 
 class TestTopEdgeRule:
-    @pytest.mark.parametrize("max_degree", [None, 3])
-    def test_equals_twin_only_growth(self, max_degree):
+    def test_equals_twin_only_growth(self):
         # every unconnected level on n <= 7 vertices, grown with and
         # without the top-edge rule from the same seed
         for n in range(8):
             full = pruned = {canonical_form(Graph(n)): Graph(n)}
             for m in range(1, n * (n - 1) // 2 + 1):
-                full = enumeration._dedup(enumeration._add_edge(full.values(), max_degree))
-                pruned = enumeration._dedup(
-                    enumeration._add_top_edge(pruned.values(), max_degree))
+                full = enumeration._dedup(enumeration._add_edge(full.values()))
+                pruned = enumeration._dedup(enumeration._add_top_edge(pruned.values()))
                 assert sorted(pruned) == sorted(full), (n, m)
 
     def test_prunes_children(self, private_memo, canonical_calls):
@@ -211,8 +189,8 @@ class TestTopEdgeRule:
         below = enumerate_graphs(EnumerationTask(7, 9))
         canonical_calls.clear()
         enumerate_graphs(EnumerationTask(7, 10))
-        assert len(canonical_calls) == sum(1 for _ in enumeration._add_top_edge(below, None))
-        assert len(canonical_calls) < sum(1 for _ in enumeration._add_edge(below, None)) / 2
+        assert len(canonical_calls) == sum(1 for _ in enumeration._add_top_edge(below))
+        assert len(canonical_calls) < sum(1 for _ in enumeration._add_edge(below)) / 2
 
 
 class TestStructuralRoute:
@@ -231,8 +209,6 @@ class TestStructuralRoute:
         enumerate_graphs(EnumerationTask(6, 7, connected=True))
         enumerate_graphs(EnumerationTask(6, 7))
         enumerate_graphs(EnumerationTask(6, 8, connected=True))
-        enumerate_graphs(EnumerationTask(6, 7, connected=True,
-                                         degree_sequence=(3, 3, 2, 2, 2, 2)))
         assert calls == [6]
 
     def test_one_canonical_call_per_class(self, private_memo, canonical_calls):
@@ -380,14 +356,13 @@ class TestDiskCache:
         assert cache_file.exists()
         assert enumeration._decode_pool(task, cache_file.read_bytes()) == _forms(pool)
 
-    def test_env_var_selects_directory(self, tmp_path, monkeypatch):
+    def test_environment_selects_no_directory(self, tmp_path, monkeypatch, private_memo):
+        # only the cache_dir argument names a cache directory, so a user's
+        # environment cannot turn a cold run warm
         monkeypatch.setenv("LAPSPEC_CACHE_DIR", str(tmp_path))
-        task = EnumerationTask(4, 3, connected=True)
-        enumeration._memo.pop(task, None)
-        pool = enumerate_graphs(task)
-        assert (tmp_path / task.cache_name()).exists()
-        assert len(pool) == 2
-
+        pool = enumerate_graphs(EnumerationTask(6, 7, connected=True))
+        assert list(tmp_path.iterdir()) == []
+        assert len(pool) == POOL_SIZES[6] == 19
 
     def test_header_names_format_task_count_and_digest(self, tmp_path, private_memo):
         task = EnumerationTask(5, 6, connected=True)

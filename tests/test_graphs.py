@@ -22,6 +22,13 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(-1)
 
+    @pytest.mark.parametrize("n, edges", [(3.0, [(0, 1)]), (3, [(0, 1.0), (1, 2)]),
+                                          (3, [(0.5, 1)])],
+                             ids=["float n", "float endpoint", "fractional endpoint"])
+    def test_rejects_non_integers(self, n, edges):
+        with pytest.raises(TypeError):
+            Graph(n, edges)
+
     def test_empty_graph(self):
         g = Graph(0)
         assert g.n == 0 and g.m == 0

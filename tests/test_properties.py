@@ -29,29 +29,19 @@ def graphs(draw, max_n: int = 9) -> Graph:
     return Graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
 
 
-def _open(g: Graph, max_degree) -> list[bool]:
-    degs = [0] * g.n
-    for i, j in g.edges:
-        degs[i] += 1
-        degs[j] += 1
-    return [max_degree is None or d < max_degree for d in degs]
-
-
-def _edge_children(g: Graph, max_degree):
-    """One child per non-edge whose ends are below max_degree."""
-    open_ = _open(g, max_degree)
+def _edge_children(g: Graph):
+    """One child per non-edge."""
     present = set(g.edges)
     for i in range(g.n):
         for j in range(i + 1, g.n):
-            if (i, j) not in present and open_[i] and open_[j]:
+            if (i, j) not in present:
                 yield Graph(g.n, g.edges + ((i, j),))
 
 
-def _leaf_children(g: Graph, max_degree):
-    """One child per vertex below max_degree, with a new leaf on it."""
-    for v, is_open in enumerate(_open(g, max_degree)):
-        if is_open:
-            yield Graph(g.n + 1, g.edges + ((v, g.n),))
+def _leaf_children(g: Graph):
+    """One child per vertex, with a new leaf on it."""
+    for v in range(g.n):
+        yield Graph(g.n + 1, g.edges + ((v, g.n),))
 
 
 @PROPERTY
@@ -73,12 +63,12 @@ def test_canonical_form_survives_relabeling(g, rng):
 
 
 @PROPERTY
-@given(graphs(max_n=8), st.sampled_from([None, 1, 2, 3, 4]))
-def test_twin_pruned_children_cover_every_class(g, max_degree):
+@given(graphs(max_n=8))
+def test_twin_pruned_children_cover_every_class(g):
     for pruned, full in ((enumeration._add_edge, _edge_children),
                          (enumeration._add_leaf, _leaf_children)):
-        kept = [canonical_form(c) for c in pruned([g], max_degree)]
-        assert set(kept) == {canonical_form(c) for c in full(g, max_degree)}
+        kept = [canonical_form(c) for c in pruned([g])]
+        assert set(kept) == {canonical_form(c) for c in full(g)}
 
 
 @PROPERTY
@@ -93,8 +83,8 @@ def test_rows_agree_with_edges(g):
 @given(graphs(max_n=7))
 def test_trusted_children_equal_validated_graphs(g):
     vertex_children = list(enumeration._add_vertex([g]))
-    children = [*enumeration._add_edge([g], None), *enumeration._add_top_edge([g], None),
-                *enumeration._add_leaf([g], None), *vertex_children]
+    children = [*enumeration._add_edge([g]), *enumeration._add_top_edge([g]),
+                *enumeration._add_leaf([g]), *vertex_children]
     # one vertex child per neighbor set S leaving the new vertex of minimum
     # degree: |S| <= deg(u) + [u in S] for every old vertex u
     degrees = [row.bit_count() for row in g.rows]
