@@ -23,7 +23,8 @@ generated only to be thrown away:
   leaves the connected level.
 - A child is built from its parent by ``Graph._child``: the parent's
   bitmask rows and sorted edges plus the new edge, with no re-validation.
-  Only a seed, a 2-core or a decoded graph goes through ``Graph(n, edges)``.
+  Only a seed or a 2-core goes through ``Graph(n, edges)``; the graph6
+  decoder builds its graphs unchecked as well.
 - Children are pruned by twin swaps.  Twins v, w have N(v) - {w} =
   N(w) - {v}; any permutation inside a twin class is an automorphism, so a
   leaf goes only on the first vertex of each class, and an edge (i, j) is
@@ -85,6 +86,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import index
 from pathlib import Path
 from random import Random
 from typing import Iterable, Iterator, Optional
@@ -123,6 +125,10 @@ class EnumerationTask:
     connected: bool = False
 
     def validate(self) -> None:
+        """TypeError unless n and m are integers, as in ``Graph``;
+        ValueError unless the task is possible."""
+        index(self.n)
+        index(self.m)
         if self.n < 0:
             raise ValueError("n must be >= 0")
         if not 0 <= self.m <= self.n * (self.n - 1) // 2:

@@ -5,6 +5,14 @@ The format packs the upper triangle of the adjacency matrix in column order
 counts up to 62 use a single leading byte n+63; counts up to 258047 use a
 '~' prefix and three 6-bit digits.  Encodings here are canonical: zero
 padding, shortest size form.
+
+Decoding is strict: every byte must be in range, the size header complete,
+the body exactly as long as n requires and its padding bits zero, and each
+fault raises ``Graph6Error`` with the offending byte offset.  The body is
+then read once, as 6-bit groups into one integer, and the edges are taken
+from the set bits of each column.  Such edges are valid by construction, so
+the graph is built by the unchecked ``Graph._trusted``, not re-validated by
+``Graph(n, edges)``; its bitmask rows are left to be built on first use.
 """
 
 from __future__ import annotations
@@ -56,9 +64,10 @@ def graph6_decode(data: bytes | str) -> Graph:
         raw = bytes(data)
     if not raw:
         raise Graph6Error("empty input", 0)
-    for pos, byte in enumerate(raw):
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"byte 0x{byte:02x} outside graph6 range 63..126", pos)
+    if min(raw) < 63 or max(raw) > 126:
+        for pos, byte in enumerate(raw):
+            if not 63 <= byte <= 126:
+                raise Graph6Error(f"byte 0x{byte:02x} outside graph6 range 63..126", pos)
 
     if raw[0] != 126:
         n = raw[0] - 63
@@ -80,21 +89,23 @@ def graph6_decode(data: bytes | str) -> Graph:
     if len(raw) - body_start > nbytes:
         raise Graph6Error("trailing data after graph body", body_start + nbytes)
 
-    edges = []
-    i, j = 0, 1
-    for idx in range(nbits):
-        byte = raw[body_start + idx // 6] - 63
-        bit = (byte >> (5 - idx % 6)) & 1
-        if bit:
-            edges.append((i, j))
-        i += 1
-        if i == j:
-            i = 0
-            j += 1
+    bits = 0
+    for byte in raw[body_start:]:
+        bits = bits << 6 | (byte - 63)
     # padding bits must be zero for a canonical encoding
-    if nbits % 6:
-        last = raw[body_start + nbytes - 1] - 63
-        mask = (1 << (6 - nbits % 6)) - 1
-        if last & mask:
-            raise Graph6Error("nonzero padding bits", body_start + nbytes - 1)
-    return Graph(n, edges)
+    pad = -nbits % 6
+    if bits & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", body_start + nbytes - 1)
+    bits >>= pad
+    # Columns from the last: column j holds x0j .. x(j-1)j, x0j most
+    # significant, so bit b of it is the edge (j - 1 - b, j).
+    edges = []
+    for j in range(n - 1, 0, -1):
+        col = bits & ((1 << j) - 1)
+        bits >>= j
+        while col:
+            b = col.bit_length() - 1
+            edges.append((j - 1 - b, j))
+            col ^= 1 << b
+    edges.sort()
+    return Graph._trusted(n, tuple(edges))

@@ -17,7 +17,9 @@ rows (``Graph.rows``); nowhere else are rows built from edges.
 ``Graph(n, edges)`` checks n and every edge, and refuses a non-integer
 vertex count or endpoint with TypeError.  Enumeration grows each child from
 a valid parent with the private ``Graph._child``, which extends the
-parent's rows and edges without checking them again.
+parent's rows and edges without checking them again.  It and the graph6
+decoder, whose edges are valid by the format, build through the one
+unchecked path ``Graph._trusted``.
 """
 
 from __future__ import annotations
@@ -108,6 +110,22 @@ class Graph:
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "family", family)
 
+    @staticmethod
+    def _trusted(n: int, edges: tuple[tuple[int, int], ...],
+                 rows: Optional[tuple[int, ...]] = None) -> Graph:
+        """The graph on n vertices with these edges, already sorted pairs
+        (i, j), i < j < n, without duplicates, taken without any check.
+        Given rows are kept; otherwise they are built on first use."""
+        g = object.__new__(Graph)
+        # attribute by attribute, as __init__ does, so the instance dict
+        # shares its keys with every other Graph's
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "family", None)
+        if rows is not None:
+            object.__setattr__(g, "rows", rows)
+        return g
+
     def _child(self, n: int, added: Iterable[tuple[int, int]]) -> Graph:
         """This graph on n >= self.n vertices plus the new edges (i, j),
         i < j < n, added to its rows and edges without any check."""
@@ -117,9 +135,7 @@ class Graph:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
             edges.append((i, j))
-        child = object.__new__(Graph)
-        vars(child).update(n=n, edges=tuple(sorted(edges)), family=None, rows=tuple(rows))
-        return child
+        return Graph._trusted(n, tuple(sorted(edges)), rows=tuple(rows))
 
     @cached_property
     def rows(self) -> tuple[int, ...]:

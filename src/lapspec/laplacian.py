@@ -9,12 +9,15 @@ cross-check the first and is never used as the reference.  Both, and the
 Bareiss determinant, refuse a matrix that is not square.
 
 The value det(xI - M) at one integer x (``_charpoly_at``, one Bareiss
-elimination) is the interpolation route's evaluation step.  The pool suites
-in ``verify`` take the same value for a graph's Laplacian from
-``_shifted_laplacian``, which builds x I - L straight from the edges, to
-find the few pool graphs whose charpoly can equal a member's before running
-Berkowitz on them; Bareiss skips the products of rows that are zero in the
-pivot column, so sparse Laplacians cost less.
+elimination) is the interpolation route's evaluation step.  For a graph's
+Laplacian, ``_charpoly_value`` takes the same value with less work: it peels
+the hung trees leaves first, a Schur complement kept in one integer pair per
+vertex, and runs Bareiss only on the 2-core that is left (for a connected
+(n, n+1) graph a theta, a dumbbell or a figure-eight).  The pool suites in
+``verify`` use it to find the few pool graphs whose charpoly can equal a
+member's before running Berkowitz on them, and ``_charpoly_at`` is its test
+oracle.  Bareiss skips the products of rows that are zero in the pivot
+column, so sparse matrices cost less.
 
 Also here: principal submatrix characteristic polynomials (vertex-deleted
 Laplacians keep the degrees of the original graph), the tridiagonal matrix
@@ -41,19 +44,6 @@ def laplacian(g: Graph) -> IntMatrix:
         mat[i][j] = mat[j][i] = -1
         mat[i][i] += 1
         mat[j][j] += 1
-    return mat
-
-
-def _shifted_laplacian(g: Graph, x: int) -> IntMatrix:
-    """x I - L as a dense integer matrix, built from g's edges; its
-    determinant is the Laplacian charpoly of g at x."""
-    mat = [[0] * g.n for _ in range(g.n)]
-    for i, row in enumerate(mat):
-        row[i] = x
-    for i, j in g.edges:
-        mat[i][j] = mat[j][i] = 1
-        mat[i][i] -= 1
-        mat[j][j] -= 1
     return mat
 
 
@@ -172,6 +162,56 @@ def _charpoly_at(mat: IntMatrix, x: int) -> int:
     """det(xI - M) at an integer x, exactly, by Bareiss elimination."""
     return det_bareiss([[(x if i == j else 0) - v for j, v in enumerate(row)]
                         for i, row in enumerate(mat)])
+
+
+def _charpoly_value(g: Graph, x: int) -> int:
+    """det(xI - L(g)) at an integer x, exactly: hung trees peeled leaves
+    first, then one Bareiss elimination of the 2-core.
+
+    Each vertex v carries a pair (P_v, Q_v), starting at (x - deg v, 1); its
+    row of the matrix still to be eliminated is Q_v times row v of the Schur
+    complement, so P_v sits on the diagonal and Q_v at each neighbour.
+    Absorbing a leaf v into its neighbour u sets (P_u, Q_u) to
+    (P_u P_v - Q_u Q_v, Q_u P_v).  A tree root left with degree 0 gives the
+    factor P_u, and what is left with degree >= 2 is the 2-core, whose matrix
+    has determinant det(xI - L) divided by those factors.  Every step is a
+    ring operation in x, so the value is exact for every x, also where a
+    peeled P_v is 0."""
+    n = g.n
+    deg = [0] * n
+    link = [0] * n  # XOR of the neighbours still attached
+    for i, j in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+        link[i] ^= j
+        link[j] ^= i
+    p = [x - d for d in deg]
+    q = [1] * n
+    value = x ** deg.count(0)
+    leaves = [v for v, d in enumerate(deg) if d == 1]
+    for v in leaves:  # grows as vertices become leaves
+        if deg[v] != 1:  # the last vertex of its tree, already a root
+            continue
+        deg[v] = 0
+        u = link[v]
+        link[u] ^= v
+        p[u], q[u] = p[u] * p[v] - q[u] * q[v], q[u] * p[v]
+        deg[u] -= 1
+        if deg[u] == 1:
+            leaves.append(u)
+        elif deg[u] == 0:
+            value *= p[u]
+    core = [v for v, d in enumerate(deg) if d]
+    at = [0] * n
+    mat = [[0] * len(core) for _ in core]
+    for k, v in enumerate(core):
+        at[v] = k
+        mat[k][k] = p[v]
+    for i, j in g.edges:
+        if deg[i] and deg[j]:
+            mat[at[i]][at[j]] = q[i]
+            mat[at[j]][at[i]] = q[j]
+    return value * det_bareiss(mat)
 
 
 def charpoly_interpolated(mat: IntMatrix) -> IntPoly:

@@ -21,12 +21,17 @@ Berkowitz charpoly, and a mate is a candidate whose charpoly equals the
 member's.  Equal charpolys have equal values, so the filter never drops a
 mate, and every reported match is still an exact matrix-vs-recurrence
 match.  For x0 < 0 the matrix x0 I - L is negative definite, so no value
-is 0 and Bareiss elimination never pivots; at x0 = -3 the only candidates
-for n = 6..12 are the members' own copies.  The two suites share the
-decoded graphs and the values of their pool: both are kept for the last
-pool and reused only while the enumeration memo still holds that very list
-of forms, so clearing the memo ends the reuse and the next suite decodes
-the pool and computes its values afresh.
+is 0; at x0 = -3 the only candidates for n = 6..12 are the members' own
+copies.  A value is ``laplacian._charpoly_value``: hung trees peeled leaves
+first, then Bareiss on the 2-core.  Every Schur complement of a negative
+definite matrix is negative definite, so no peeled P is 0, and the core
+matrix is such a complement with each row scaled by a nonzero Q, so its
+leading minors are nonzero and Bareiss elimination never pivots.
+
+The two suites share the decoded graphs and the values of their pool:
+both are kept for the last pool and reused only while the enumeration memo
+still holds that very list of forms, so clearing the memo ends the reuse
+and the next suite decodes the pool and computes its values afresh.
 
 The certified statements are the finite ones actually executed here (the
 report's scope says which); nothing unbounded is claimed.
@@ -52,7 +57,7 @@ from .graphs import (DumbbellParams, FamilyParams, Graph, ThetaParams,
                      make_dumbbell, make_path, make_theta, theta_graph)
 from .invariants import (degree_constraint_solver, graph_invariants,
                          invariants_from_charpoly)
-from .laplacian import (_shifted_laplacian, charpoly, det_bareiss, laplacian,
+from .laplacian import (_charpoly_value, charpoly, laplacian,
                         spanning_tree_count, u_matrix_charpoly,
                         verify_deletion_formula)
 from .polynomials import IntPoly
@@ -198,7 +203,7 @@ def _bicyclic_pool(n: int, cap: int,
     forms = enumeration._memo[task]
     kept, values = _pool_values
     if forms is not kept:
-        values = [det_bareiss(_shifted_laplacian(g, _X0)) for g in pool]
+        values = [_charpoly_value(g, _X0) for g in pool]
         _pool_values = (forms, values)
     return pool, forms, values
 

@@ -89,6 +89,14 @@ class TestTaskValidation:
         with pytest.raises(ValueError):
             EnumerationTask(-1, 0).validate()
 
+    @pytest.mark.parametrize("task", [EnumerationTask(5, 6.0, connected=True),
+                                      EnumerationTask(5, 3.0), EnumerationTask(5.0, 3)],
+                             ids=["m-float-pool", "m-float", "n-float"])
+    def test_rejects_non_integer_sizes(self, tmp_path, task):
+        with pytest.raises(TypeError):
+            enumerate_graphs(task, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_cache_name_is_distinct(self):
         names = {
             EnumerationTask(5, 4).cache_name(),
@@ -247,8 +255,9 @@ class TestStructuralRoute:
 
 
 class TestValidatingConstructorCalls:
-    """Children are built from their parents without re-validating edges:
-    only a seed, a core or a decoded graph goes through Graph.__init__."""
+    """Children are built from their parents, and decoded graphs from their
+    forms, without re-validating edges: only a seed or a core goes through
+    Graph.__init__."""
 
     def test_edge_growth_builds_only_the_seed(self, private_memo, init_calls):
         enumeration._grow_forms(EnumerationTask(7, 10))
@@ -261,6 +270,13 @@ class TestValidatingConstructorCalls:
     def test_vertex_growth_builds_only_the_seed(self, init_calls):
         enumerate_by_vertex_growth(6)
         assert len(init_calls) == 1
+
+    def test_decoding_builds_none(self, private_memo, init_calls):
+        forms = enumeration._pool_forms(EnumerationTask(7, 8, connected=True),
+                                        DEFAULT_CAP, None)
+        before = len(init_calls)
+        assert len([graph6_decode(form) for form in forms]) == len(forms) == 67
+        assert len(init_calls) == before
 
 
 class TestDeterminism:

@@ -4,10 +4,11 @@ from random import Random
 
 import pytest
 
-from lapspec.enumeration import random_connected_graph
+from lapspec.enumeration import (EnumerationTask, enumerate_graphs,
+                                 random_connected_graph)
 from lapspec.graphs import (Graph, make_cycle, make_dumbbell, make_path,
                             make_theta)
-from lapspec.laplacian import (_charpoly_at, _shifted_laplacian, charpoly,
+from lapspec.laplacian import (_charpoly_at, _charpoly_value, charpoly,
                                charpoly_interpolated, cycles_through, det_bareiss,
                                laplacian, submatrix_deleting,
                                spanning_tree_count, submatrix_charpoly, u_matrix,
@@ -137,15 +138,25 @@ class TestBareiss:
                            for i in range(n)]
                 assert _charpoly_at(mat, x) == charpoly(mat).eval(x) == naive_det(shifted)
 
-    def test_shifted_laplacian_is_x_minus_l(self):
-        rng = Random(5)
-        for _ in range(20):
-            g = random_connected_graph(rng, rng.randint(1, 8), rng.randint(0, 3))
-            mat = laplacian(g)
-            for x in (-3, 0, 2):
-                assert _shifted_laplacian(g, x) == [
-                    [(x if i == j else 0) - v for j, v in enumerate(row)]
-                    for i, row in enumerate(mat)]
+
+class TestCharpolyValue:
+    """The peeled-tree value against one Bareiss elimination of x I - L."""
+
+    @pytest.mark.parametrize("g", [
+        make_path(2), make_path(5),
+        # a triangle with a pendant vertex: at x = 1 the leaf has P = 0, so
+        # its core neighbour's row has Q = 0 off the diagonal
+        Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+        Graph(6, [(0, 1), (2, 3), (3, 4)]),  # isolated vertices and a tree
+    ], ids=["P2", "P5", "triangle-leaf", "forest"])
+    def test_where_a_peeled_p_is_zero(self, g):
+        for x in range(-4, g.n + 2):
+            assert _charpoly_value(g, x) == _charpoly_at(laplacian(g), x)
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_every_pool_graph_at_x0(self, n):
+        for g in enumerate_graphs(EnumerationTask(n, n + 1, connected=True)):
+            assert _charpoly_value(g, -3) == _charpoly_at(laplacian(g), -3)
 
 
 class TestUMatrix:

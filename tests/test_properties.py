@@ -1,4 +1,5 @@
 """Property tests: the graph6 decoder, canonical forms, bitmask rows,
+the peeled-tree charpoly value against one Bareiss elimination,
 twin-pruned children, children built without validation, the top-edge
 test against the child's own degree pairs, the ring laws of IntPoly and
 LaurentPoly, the substitution x = y + 2 + 1/y against Horner's
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from lapspec import enumeration
 from lapspec.canonical import canonical_form
-from lapspec.graph6 import Graph6Error, graph6_decode
+from lapspec.graph6 import Graph6Error, graph6_decode, graph6_encode
 from lapspec.graphs import Graph, make_path, relabel
-from lapspec.laplacian import charpoly, charpoly_interpolated, laplacian, u_matrix
+from lapspec.laplacian import (_charpoly_at, _charpoly_value, charpoly,
+                               charpoly_interpolated, laplacian, u_matrix)
 from lapspec.polynomials import IntPoly, LaurentPoly, substitute_y
 from lapspec.recurrences import path_charpoly_rec, u_poly_rec
 
@@ -27,6 +29,24 @@ def graphs(draw, max_n: int = 9) -> Graph:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@st.composite
+def forests(draw, max_n: int = 9) -> Graph:
+    """Each vertex hangs on an earlier one or starts a new tree."""
+    n = draw(st.integers(0, max_n))
+    parents = [draw(st.one_of(st.none(), st.integers(0, v - 1))) for v in range(1, n)]
+    return Graph(n, [(p, v) for v, p in enumerate(parents, 1) if p is not None])
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 9) -> Graph:
+    """At most n + 2 edges: cores with hung trees, and isolated vertices."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if not pairs:
+        return Graph(n)
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), max_size=n + 2, unique=True)))
 
 
 def _edge_children(g: Graph):
@@ -52,6 +72,24 @@ def test_graph6_decode_raises_only_graph6_error(data):
         graph6_decode(data)
     except Graph6Error:
         pass
+
+
+@PROPERTY
+@given(graphs())
+def test_graph6_decode_inverts_encode(g):
+    back = graph6_decode(graph6_encode(g))
+    assert back == g and back.edges == g.edges and back.family is None
+    assert "rows" not in vars(back)  # built on first use, not by the decoder
+    assert back.rows == Graph(g.n, g.edges).rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs(), forests(), sparse_graphs()))
+def test_peeled_value_matches_bareiss(g):
+    # at x = 1 every leaf has P = 0; other x make a P zero further in
+    mat = laplacian(g)
+    for x in range(-4, g.n + 2):
+        assert _charpoly_value(g, x) == _charpoly_at(mat, x)
 
 
 @PROPERTY

@@ -5,7 +5,7 @@ from lapspec.canonical import canonical_form
 from lapspec.enumeration import DEFAULT_CAP
 from lapspec.graph6 import graph6_decode, graph6_encode
 from lapspec.graphs import DumbbellParams, ThetaParams, relabel
-from lapspec.laplacian import _shifted_laplacian, charpoly, laplacian
+from lapspec.laplacian import charpoly, laplacian
 from lapspec.polynomials import IntPoly
 from lapspec.reports import VerificationReport
 from lapspec.verify import (dumbbell_parameter_grid, family_members,
@@ -165,16 +165,16 @@ def fresh_json(monkeypatch, suite, n):
 
 @pytest.fixture
 def value_calls(monkeypatch):
-    """The size of every matrix the pool suites evaluate at x0, in call
-    order."""
+    """The vertex count of every graph the pool suites evaluate at x0, in
+    call order."""
     calls = []
-    value = verify.det_bareiss
+    value = verify._charpoly_value
 
-    def counted(mat):
-        calls.append(len(mat))
-        return value(mat)
+    def counted(g, x):
+        calls.append(g.n)
+        return value(g, x)
 
-    monkeypatch.setattr(verify, "det_bareiss", counted)
+    monkeypatch.setattr(verify, "_charpoly_value", counted)
     return calls
 
 
@@ -250,7 +250,7 @@ class TestValueFilter:
         # member: the reports come out the same, from one charpoly per
         # pool graph.
         expected = fresh_json(monkeypatch, suite, 8)
-        monkeypatch.setattr(verify, "det_bareiss", lambda mat: 0)
+        monkeypatch.setattr(verify, "_charpoly_value", lambda g, x: 0)
         monkeypatch.setattr(IntPoly, "eval", lambda self, x: 0)
         before = len(charpoly_calls)
         report = suite(8)
@@ -264,10 +264,10 @@ class TestValueFilter:
         monkeypatch.setattr(enumeration, "_memo", {})
         member = family_members(8)[0]
         assert member.family == DumbbellParams(3, 2, 3)
-        copy = _shifted_laplacian(graph6_decode(canonical_form(member)), verify._X0)
-        value = verify.det_bareiss
-        monkeypatch.setattr(verify, "det_bareiss",
-                            lambda mat: value(mat) + (mat == copy))
+        copy = graph6_decode(canonical_form(member))
+        value = verify._charpoly_value
+        monkeypatch.setattr(verify, "_charpoly_value",
+                            lambda g, x: value(g, x) + (g == copy))
         return member
 
     def test_a_missed_copy_fails_determination(self, monkeypatch):
