@@ -23,8 +23,8 @@ from .invariants import (InvalidCharpolyError, SpectralInvariants,
                          invariants_from_charpoly, is_l_cospectral)
 from .laplacian import (charpoly, charpoly_interpolated, cycles_through,
                         det_bareiss, laplacian, spanning_tree_count,
-                        submatrix_charpoly, u_matrix, u_matrix_charpoly,
-                        verify_deletion_formula)
+                        submatrix_charpoly, trailing_charpolys, u_matrix,
+                        u_matrix_charpoly, verify_deletion_formula)
 from .polynomials import IntPoly, LaurentPoly, Y_SUBSTITUTION, substitute_y
 from .recurrences import (dumbbell_charpoly_rec, dumbbell_helper_poly,
                           dumbbell_value_at4, path_charpoly_rec, path_value_at4,

@@ -71,7 +71,10 @@ disagrees with its task or body, or whose lines are not strictly sorted, is
 never trusted: the pool is regrown and the file rewritten.  The check
 guards against truncation and stale formats, not against a forged header.
 A task answered from the memo still writes its file when the cache
-directory has no valid one.
+directory has no valid one.  The bytes of each memo pool's file are kept
+from when they were first written or validated, so a memo hit reads the
+file and compares it with them byte for byte instead of decoding and
+re-encoding it; any other content is rewritten.
 
 ``enumerate_graphs`` decodes the forms into graphs and keeps the last
 decoded pool while the memo holds its very forms list, so asking for the
@@ -142,6 +145,12 @@ class EnumerationTask:
 
 
 _memo: dict[EnumerationTask, list[bytes]] = {}
+
+# For a memo pool written to or validated in a cache directory: that very
+# forms list and its cache file's bytes.  An entry counts only while the
+# memo holds the same list, and entries the memo no longer holds are
+# dropped, so a cleared memo frees its pools.
+_encoded: dict[EnumerationTask, tuple[list[bytes], bytes]] = {}
 
 # The forms list decoded last and its graphs.  The pool suites ask for the
 # same pool twice in a row, and growth resumes from the level a caller was
@@ -436,19 +445,29 @@ def _pool_forms(task: EnumerationTask, cap: int,
     if task.n > cap:
         raise EnumerationCapError(task.n, cap)
 
+    global _encoded
+    _encoded = {t: kept for t, kept in _encoded.items() if _memo.get(t) is kept[0]}
     cache_file = Path(cache_dir) / task.cache_name() if cache_dir is not None else None
-    stored = None
+    data = None
+    forms = _memo.get(task)
     if cache_file is not None and cache_file.exists():
-        stored = _decode_pool(task, cache_file.read_bytes())
-    forms = _memo.get(task, stored)
+        data = cache_file.read_bytes()
+        if forms is None:
+            forms = _decode_pool(task, data)
+            if forms is not None:
+                _encoded[task] = (forms, data)
     if forms is None:
         # m = n + 1 is possible only for n >= 4, which validate() checked.
         bicyclic = task.connected and task.m == task.n + 1
         forms = _bicyclic_forms(task.n) if bicyclic else _grow_forms(task)
-    # A memo hit still fills a cache directory that lacks a valid file.
-    if cache_file is not None and stored != forms:
-        _write_atomic(cache_file, _encode_pool(task, forms))
     _memo[task] = forms
+    # A memo hit still fills a cache directory that lacks a valid file.
+    if cache_file is not None:
+        kept = _encoded.get(task)
+        if kept is None or kept[0] is not forms:
+            kept = _encoded[task] = (forms, _encode_pool(task, forms))
+        if data != kept[1]:
+            _write_atomic(cache_file, kept[1])
     return forms
 
 

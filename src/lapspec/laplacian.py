@@ -2,11 +2,17 @@
 
 The reference characteristic polynomial is computed by the Berkowitz method,
 which is division-free: every intermediate quantity is an integer, so the
-result is exact by construction.  A second, independent route evaluates
-det(xI - L) at x = 0..n with fraction-free (Bareiss) elimination and
-recovers the coefficients by exact Lagrange interpolation; it exists only to
-cross-check the first and is never used as the reference.  Both, and the
-Bareiss determinant, refuse a matrix that is not square.
+result is exact by construction.  The run works up through the trailing
+principal submatrices, and its step k is exactly the run on the trailing
+k x k block, so ``trailing_charpolys`` returns the charpolys of all of
+those blocks from the one run that gives the whole matrix's (the
+recurrences suite takes the charpolys of every interior matrix
+``u_matrix(k)``, k <= n, from the run on ``u_matrix(n)``).  A second,
+independent route evaluates det(xI - L) at x = 0..n with fraction-free
+(Bareiss) elimination and recovers the coefficients by exact Lagrange
+interpolation; it exists only to cross-check the first and is never used as
+the reference.  Both, and the Bareiss determinant, refuse a matrix that is
+not square.
 
 The value det(xI - M) at one integer x (``_charpoly_at``, one Bareiss
 elimination) is the interpolation route's evaluation step.  For a graph's
@@ -29,7 +35,7 @@ graph."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graphs import Graph
 from .polynomials import IntPoly, X
@@ -71,8 +77,12 @@ def _require_square(mat: IntMatrix) -> int:
     return n
 
 
-def charpoly(mat: IntMatrix) -> IntPoly:
-    """det(xI - M) by the Berkowitz method (division-free, exact).
+def _berkowitz(mat: IntMatrix,
+               trail: list[list[int]] | None = None) -> list[int]:
+    """det(xI - M) by the Berkowitz method, as coefficients leading first.
+    Its step k gives det(xI - B) of the trailing principal k x k submatrix B
+    of M; if trail is a list, the result of every step k = 0..n is appended
+    to it.
 
     Works bottom-up over trailing principal submatrices [[a, R], [C, A]] of
     M, i = n-1 down to 0.  Each step multiplies the coefficient vector by the
@@ -88,6 +98,8 @@ def charpoly(mat: IntMatrix) -> IntPoly:
     """
     n = _require_square(mat)
     poly = [1]  # leading coefficient first
+    if trail is not None:
+        trail.append(poly)
     cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i in range(n - 1, -1, -1):
         m = n - i
@@ -120,7 +132,24 @@ def charpoly(mat: IntMatrix) -> IntPoly:
                 for pj in range(m + 1 - ti):
                     new[ti + pj] += tv * poly[pj]
         poly = new
-    return IntPoly(reversed(poly))
+        if trail is not None:
+            trail.append(poly)
+    return poly
+
+
+def charpoly(mat: IntMatrix) -> IntPoly:
+    """det(xI - M) by the Berkowitz method (division-free, exact; see
+    ``_berkowitz``).  Raises ValueError unless M is square."""
+    return IntPoly(reversed(_berkowitz(mat)))
+
+
+def trailing_charpolys(mat: IntMatrix) -> list[IntPoly]:
+    """det(xI - B) for the trailing principal k x k submatrix B of M, for
+    k = 0..n, from one Berkowitz run: its step k is exactly the run on B.
+    Raises ValueError unless M is square."""
+    trail: list[list[int]] = []
+    _berkowitz(mat, trail)
+    return [IntPoly(reversed(poly)) for poly in trail]
 
 
 def det_bareiss(mat: IntMatrix) -> int:

@@ -16,6 +16,31 @@ dangling path" block obtained by deleting the first cycle; the theta formula
 goes through the helper obtained by deleting one hub.  Both come from
 expanding det(xI - L) along the structure of the graph, and both are checked
 against the direct matrix route in the tests rather than trusted.
+
+Each formula is written once, over a ring element x and the values
+u(j) = phi(U_j) in that ring.  With x = X and u = ``u_poly_rec`` it computes
+IntPolys: ``_cycle_block``, ``dumbbell_helper_poly`` and ``theta_helper_poly``
+are those, and they serve as the test oracle.  ``dumbbell_charpoly_rec`` and
+``theta_charpoly_rec`` evaluate the same formulas in the integers at the
+Kronecker point x = z = 2^b, with u(j+1) = (z - 2) u(j) - u(j-1) from
+u(-2) = -1 and u(-1) = 0, and unpack the result into n + 1 balanced base-2^b
+digits in [-2^(b-1), 2^(b-1)).  The map x -> 2^b is a ring homomorphism, so
+the integer is the value at z of the polynomial the formula computes, and
+the unpacking returns that polynomial exactly when every coefficient is
+below 2^(b-1) in magnitude and the degree is at most n (anything left above
+degree n raises ArithmeticError).
+
+The width b comes from a bound on the formulas as written, not from the
+Laplacian spectrum, so a wrong formula cannot alias to the right charpoly.
+In the 1-norm |f| (sum of absolute coefficients), |f g| <= |f| |g| and
+|U_(j+1)| <= 3 |U_j| + |U_(j-1)|, so |U_j| <= 4^max(j, 0) for j >= -2.
+Hence |block(c)| <= 4^c + 2 * 4^(c-2) + 2 <= 2 * 4^c for c >= 3, the
+dumbbell helper has |.| <= 3 * 4^(q + max(k, 0)), and a dumbbell on
+n = p + k + q vertices gives |.| <= 6 * 4^n + 3 * 4^(n-1) < 8 * 4^n.  The theta
+helper has |.| <= 7 * 4^(r+s+t) (negative indices counted as 0), and a theta
+on n = r + s + t + 2 vertices gives |.| <= (28 + 21 + 6) * 4^(n-2) < 8 * 4^n.
+So every coefficient is below 8 * 4^n = 2^(2n+3), and b = 2n + 8 leaves a
+factor of 16 to spare: 2^(b-1) = 2^(2n+7).
 """
 
 from __future__ import annotations
@@ -47,11 +72,84 @@ def path_charpoly_rec(n: int) -> IntPoly:
     return _PATH_CACHE[n]
 
 
+# The family formulas, over a ring element x and u(j) = phi(U_j) in that
+# ring for j >= -2 (see the module docstring).
+
+def _block(x, u, c):
+    """(x - 3) phi(U_{c-1}) - 2 phi(U_{c-2}) - 2 (-1)^c: a c-cycle carrying
+    one degree-3 attachment vertex."""
+    return (x - 3) * u(c - 1) - 2 * u(c - 2) - 2 * (-1) ** c
+
+
+def _dumbbell_helper(x, u, q, k):
+    return _block(x, u, q) * u(k) - u(q - 1) * u(k - 1)
+
+
+def _dumbbell(x, u, p, k, q):
+    return _block(x, u, p) * _dumbbell_helper(x, u, q, k) \
+        - u(p - 1) * _dumbbell_helper(x, u, q, k - 1)
+
+
+def _theta_helper(x, u, r, s, t):
+    ur, us, ut = u(r), u(s), u(t)
+    return (x - 3) * ur * us * ut \
+        - u(r - 1) * us * ut \
+        - ur * u(s - 1) * ut \
+        - ur * us * u(t - 1)
+
+
+def _theta(x, u, r, s, t):
+    return (x - 3) * _theta_helper(x, u, r, s, t) \
+        - _theta_helper(x, u, r - 1, s, t) \
+        - _theta_helper(x, u, r, s - 1, t) \
+        - _theta_helper(x, u, r, s, t - 1) \
+        - 2 * (-1) ** (s + t) * u(r) \
+        - 2 * (-1) ** (r + t) * u(s) \
+        - 2 * (-1) ** (r + s) * u(t)
+
+
+def _kronecker_bits(n: int) -> int:
+    """Digit width b for a formula result of degree n; see the module
+    docstring for why every coefficient is below 2^(b-1) in magnitude."""
+    return 2 * n + 8
+
+
+def _unpack(value: int, b: int, n: int) -> IntPoly:
+    """The polynomial of degree <= n whose value at x = 2^b is value, read
+    as n + 1 balanced base-2^b digits in [-2^(b-1), 2^(b-1)).  Raises
+    ArithmeticError if anything is left above degree n."""
+    half = 1 << (b - 1)
+    mask = (1 << b) - 1
+    coeffs = []
+    for _ in range(n + 1):
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << b
+        coeffs.append(digit)
+        value = (value - digit) >> b
+    if value:
+        raise ArithmeticError(f"value has digits above degree {n} at base 2^{b}")
+    return IntPoly(coeffs)
+
+
+def _at_kronecker_point(n: int, formula, *params: int) -> IntPoly:
+    """formula(x, u, *params) as an IntPoly of degree <= n, computed in the
+    integers at x = z = 2^b with u from u(j+1) = (z - 2) u(j) - u(j-1).
+    The family formulas call u at indices -2..max(params) only."""
+    b = _kronecker_bits(n)
+    z = 1 << b
+    values = {-2: -1, -1: 0}
+    prev, cur = -1, 0
+    for j in range(max(params) + 1):
+        prev, cur = cur, (z - 2) * cur - prev
+        values[j] = cur
+    return _unpack(formula(z, values.__getitem__, *params), b, n)
+
+
 def _cycle_block(length: int) -> IntPoly:
-    """(x - 3) phi(U_{c-1}) - 2 phi(U_{c-2}) - 2 (-1)^c for a cycle of the
-    given length carrying one degree-3 attachment vertex."""
-    return (X - 3) * u_poly_rec(length - 1) - 2 * u_poly_rec(length - 2) \
-        - IntPoly.const(2 * (-1) ** length)
+    """``_block`` as an IntPoly: a cycle of the given length carrying one
+    degree-3 attachment vertex."""
+    return _block(X, u_poly_rec, length)
 
 
 def dumbbell_helper_poly(q: int, k: int) -> IntPoly:
@@ -64,18 +162,18 @@ def dumbbell_helper_poly(q: int, k: int) -> IntPoly:
         raise ValueError("dumbbell_helper_poly needs q >= 3")
     if k < -1:
         raise ValueError("dumbbell_helper_poly needs k >= -1")
-    return _cycle_block(q) * u_poly_rec(k) - u_poly_rec(q - 1) * u_poly_rec(k - 1)
+    return _dumbbell_helper(X, u_poly_rec, q, k)
 
 
 def dumbbell_charpoly_rec(p: int, k: int, q: int) -> IntPoly:
-    """phi(L(D(p, k, q))) by the recurrence route.
+    """phi(L(D(p, k, q))) by the recurrence route, evaluated at a Kronecker
+    point.
 
     Accepts any p, q >= 3 and k >= 0; the formula is symmetric in the two
     cycle roles, so no p >= q normalization is imposed here."""
     if min(p, q) < 3 or k < 0:
         raise ValueError(f"invalid dumbbell parameters (p={p}, k={k}, q={q})")
-    return _cycle_block(p) * dumbbell_helper_poly(q, k) \
-        - u_poly_rec(p - 1) * dumbbell_helper_poly(q, k - 1)
+    return _at_kronecker_point(p + k + q, _dumbbell, p, k, q)
 
 
 def theta_helper_poly(r: int, s: int, t: int) -> IntPoly:
@@ -86,25 +184,15 @@ def theta_helper_poly(r: int, s: int, t: int) -> IntPoly:
     hub-to-hub edge case used by the top-level recurrence."""
     if min(r, s, t) < -1:
         raise ValueError("theta_helper_poly needs r, s, t >= -1")
-    ur, us, ut = u_poly_rec(r), u_poly_rec(s), u_poly_rec(t)
-    return (X - 3) * ur * us * ut \
-        - u_poly_rec(r - 1) * us * ut \
-        - ur * u_poly_rec(s - 1) * ut \
-        - ur * us * u_poly_rec(t - 1)
+    return _theta_helper(X, u_poly_rec, r, s, t)
 
 
 def theta_charpoly_rec(r: int, s: int, t: int) -> IntPoly:
-    """phi(L(T(r, s, t))) by the recurrence route; r >= s >= t >= 0 with
-    (s, t) != (0, 0)."""
+    """phi(L(T(r, s, t))) by the recurrence route, evaluated at a Kronecker
+    point; r >= s >= t >= 0 with (s, t) != (0, 0)."""
     if not (r >= s >= t >= 0) or (s, t) == (0, 0):
         raise ValueError(f"invalid theta parameters (r={r}, s={s}, t={t})")
-    return (X - 3) * theta_helper_poly(r, s, t) \
-        - theta_helper_poly(r - 1, s, t) \
-        - theta_helper_poly(r, s - 1, t) \
-        - theta_helper_poly(r, s, t - 1) \
-        - 2 * (-1) ** (s + t) * u_poly_rec(r) \
-        - 2 * (-1) ** (r + t) * u_poly_rec(s) \
-        - 2 * (-1) ** (r + s) * u_poly_rec(t)
+    return _at_kronecker_point(r + s + t + 2, _theta, r, s, t)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from .graphs import (DumbbellParams, FamilyParams, Graph, ThetaParams,
 from .invariants import (degree_constraint_solver, graph_invariants,
                          invariants_from_charpoly)
 from .laplacian import (_charpoly_value, charpoly, laplacian,
-                        spanning_tree_count, u_matrix_charpoly,
+                        spanning_tree_count, trailing_charpolys, u_matrix,
                         verify_deletion_formula)
 from .polynomials import IntPoly
 from .recurrences import (dumbbell_charpoly_rec, dumbbell_value_at4,
@@ -242,9 +242,11 @@ def verify_recurrences(path_n_max: int = 40, p_max: int = 8, k_max: int = 5,
         counts["paths"] += 1
         if path_charpoly_rec(n) != charpoly(laplacian(make_path(n))):
             counterexamples.append({"case": "path", "n": n})
+    # u_matrix(n) is the trailing n x n block of u_matrix(path_n_max).
+    interior = trailing_charpolys(u_matrix(path_n_max))
     for n in range(path_n_max + 1):
         counts["interior_matrices"] += 1
-        if u_poly_rec(n) != u_matrix_charpoly(n):
+        if u_poly_rec(n) != interior[n]:
             counterexamples.append({"case": "interior", "n": n})
     for p in range(3, p_max + 1):
         for q in range(3, p_max + 1):

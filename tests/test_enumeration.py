@@ -422,6 +422,37 @@ class TestDiskCache:
         assert _forms(enumerate_graphs(task, cache_dir=tmp_path)) == forms
         assert cache_file.read_bytes() == good
 
+    def test_memo_hit_rewrites_a_truncated_file(self, tmp_path, private_memo):
+        task = EnumerationTask(6, 7, connected=True)
+        pool = enumerate_graphs(task, cache_dir=tmp_path)
+        cache_file = tmp_path / task.cache_name()
+        good = cache_file.read_bytes()
+        cache_file.write_bytes(good[:len(good) // 2])
+        assert task in private_memo
+        assert enumerate_graphs(task, cache_dir=tmp_path) == pool
+        assert cache_file.read_bytes() == good
+
+    @pytest.mark.parametrize("first", ["written", "validated"])
+    def test_memo_hit_leaves_a_valid_file_untouched(self, tmp_path, monkeypatch,
+                                                    private_memo, first):
+        task = EnumerationTask(6, 7, connected=True)
+        pool = enumerate_graphs(task, cache_dir=tmp_path)
+        if first == "validated":
+            private_memo.clear()
+            enumerate_graphs(task, cache_dir=tmp_path)
+        cache_file = tmp_path / task.cache_name()
+        before = (cache_file.read_bytes(), cache_file.stat().st_mtime_ns)
+        reads = []
+        read_bytes = type(cache_file).read_bytes
+        monkeypatch.setattr(type(cache_file), "read_bytes",
+                            lambda path: reads.append(path) or read_bytes(path))
+        monkeypatch.setattr(enumeration, "_encode_pool", None)
+        monkeypatch.setattr(enumeration, "_decode_pool", None)
+        assert enumerate_graphs(task, cache_dir=tmp_path) == pool
+        # the file is still read and compared, but not decoded or re-encoded
+        assert reads == [cache_file]
+        assert (cache_file.read_bytes(), cache_file.stat().st_mtime_ns) == before
+
     def test_valid_cache_is_read_without_growing(self, tmp_path, monkeypatch, private_memo):
         task = EnumerationTask(6, 7, connected=True)
         fresh = enumerate_graphs(task, cache_dir=tmp_path)

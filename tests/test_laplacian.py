@@ -11,8 +11,9 @@ from lapspec.graphs import (Graph, make_cycle, make_dumbbell, make_path,
 from lapspec.laplacian import (_charpoly_at, _charpoly_value, charpoly,
                                charpoly_interpolated, cycles_through, det_bareiss,
                                laplacian, submatrix_deleting,
-                               spanning_tree_count, submatrix_charpoly, u_matrix,
-                               u_matrix_charpoly, verify_deletion_formula)
+                               spanning_tree_count, submatrix_charpoly,
+                               trailing_charpolys, u_matrix, u_matrix_charpoly,
+                               verify_deletion_formula)
 from lapspec.polynomials import IntPoly, X
 
 # the package re-exports the function laplacian under the module's name
@@ -264,3 +265,23 @@ class TestDeletionFormula:
             monkeypatch.setattr(laplacian_module, "submatrix_deleting", corrupted)
             assert verify_deletion_formula(g) == tuple(w not in (u, v)
                                                        for w in range(g.n))
+
+
+class TestTrailingCharpolys:
+    def test_interior_matrices_from_one_run(self):
+        # u_matrix(k) is the trailing k x k block of u_matrix(40)
+        assert trailing_charpolys(u_matrix(40)) == [charpoly(u_matrix(k)) for k in range(41)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_trailing_blocks_of_non_symmetric_matrices(self, seed):
+        rng = Random(seed)
+        n = rng.randint(1, 9)
+        mat = [[rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(n)] for _ in range(n)]
+        want = [charpoly([row[n - k:] for row in mat[n - k:]]) for k in range(n + 1)]
+        assert trailing_charpolys(mat) == want
+        assert want[n] == charpoly_interpolated(mat)
+
+    def test_empty_and_non_square(self):
+        assert trailing_charpolys([]) == [IntPoly((1,))]
+        with pytest.raises(ValueError):
+            trailing_charpolys([[1, 2]])

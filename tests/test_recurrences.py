@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lapspec import recurrences
 from lapspec.graphs import dumbbell_graph, make_path, theta_graph
 from lapspec.laplacian import (charpoly, laplacian, submatrix_charpoly,
                                u_matrix_charpoly)
@@ -88,6 +91,8 @@ class TestDumbbells:
         g = dumbbell_graph(p, k, q)
         helper = submatrix_charpoly(g, set(range(p)))
         assert dumbbell_helper_poly(q, k) == helper
+        # and keeping only the first cycle leaves the cycle block
+        assert recurrences._cycle_block(p) == submatrix_charpoly(g, set(range(p, g.n)))
 
     def test_value_at_four(self):
         for p, k, q in [(3, 0, 3), (4, 2, 3), (6, 0, 5), (5, 5, 3)]:
@@ -150,3 +155,91 @@ class TestGeneratingIdentity:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             u_generating_identity_holds(-1)
+
+
+@st.composite
+def dumbbells(draw, n_max: int = 40) -> tuple[int, int, int]:
+    p = draw(st.integers(3, n_max - 3))
+    q = draw(st.integers(3, n_max - p))
+    k = draw(st.integers(0, n_max - p - q))
+    return p, k, q
+
+
+@st.composite
+def thetas(draw, n_max: int = 40) -> tuple[int, int, int]:
+    r = draw(st.integers(1, n_max - 3))
+    s = draw(st.integers(1, min(r, n_max - 2 - r)))
+    t = draw(st.integers(0, min(s, n_max - 2 - r - s)))
+    return r, s, t
+
+
+def _intpoly_dumbbell(p, k, q):
+    return recurrences._dumbbell(X, u_poly_rec, p, k, q)
+
+
+def _intpoly_theta(r, s, t):
+    return recurrences._theta(X, u_poly_rec, r, s, t)
+
+
+def _norm(poly: IntPoly) -> int:
+    return sum(abs(c) for c in poly.coeffs)
+
+
+class TestKroneckerRoute:
+    """The integer evaluation at x = 2^b against the IntPoly evaluation of
+    the same formulas."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(dumbbells())
+    @example((3, 0, 3))
+    @example((3, 4, 9))
+    @example((9, 0, 3))
+    @example((17, 6, 17))
+    @example((3, 34, 3))
+    def test_dumbbells(self, pkq):
+        assert dumbbell_charpoly_rec(*pkq) == _intpoly_dumbbell(*pkq)
+
+    @settings(max_examples=120, deadline=None)
+    @given(thetas())
+    @example((1, 1, 0))
+    @example((37, 1, 0))
+    @example((9, 4, 4))
+    @example((12, 12, 12))
+    @example((20, 18, 0))
+    def test_thetas(self, rst):
+        assert theta_charpoly_rec(*rst) == _intpoly_theta(*rst)
+
+    def test_norms_stay_below_half_the_digit_base(self):
+        # The 1-norm bounds every coefficient; the module docstring derives
+        # 8 * 4^n for both families, and b leaves room above it.
+        cases = []
+        for n in range(6, 41):
+            cases += [(n, _intpoly_dumbbell(p, k, q))
+                      for p, k, q in [(3, n - 6, 3), (n - 3, 0, 3),
+                                      (n // 2, 0, n - n // 2), (4, n - 10, 6)]
+                      if min(p, q) >= 3 and k >= 0]
+            cases += [(n, _intpoly_theta(r, s, t))
+                      for r, s, t in [(n - 3, 1, 0), (n - 4, 1, 1),
+                                      (n - 2 - 2 * ((n - 2) // 3), (n - 2) // 3, (n - 2) // 3)]]
+        for n, poly in cases:
+            assert poly.degree == n
+            assert _norm(poly) < 8 * 4 ** n < 2 ** (recurrences._kronecker_bits(n) - 1)
+
+    def test_unpack_round_trips_extreme_digits(self):
+        n, b = 3, recurrences._kronecker_bits(3)
+        half = 1 << (b - 1)
+        poly = IntPoly((half - 1, -half, 0, -half))
+        assert recurrences._unpack(poly.eval(1 << b), b, n) == poly
+
+    @pytest.mark.parametrize("top", [1, -1, 5])
+    def test_unpack_raises_on_a_digit_above_degree_n(self, top):
+        n, b = 4, recurrences._kronecker_bits(4)
+        value = IntPoly((1, -2, 3, 0, 1, top)).eval(1 << b)
+        with pytest.raises(ArithmeticError):
+            recurrences._unpack(value, b, n)
+
+    def test_unpack_raises_on_a_carry_out_of_degree_n(self):
+        # 2^(b-1) at degree n is not a balanced digit: it carries upward.
+        n, b = 4, recurrences._kronecker_bits(4)
+        with pytest.raises(ArithmeticError):
+            recurrences._unpack(1 << (b - 1) << (b * n), b, n)
