@@ -56,9 +56,16 @@ stays callable as the reference.  Every other task takes the edge route.
 A second, independent enumerator grows by vertex instead of by edge and is
 used to cross-check census totals; the routes share nothing but ``Graph``
 and the canonical form.  The new vertex is joined only to neighbor sets
-that leave it of minimum degree in the child: deleting a vertex of minimum
-degree from any graph on n + 1 vertices leaves a graph on n, so every
-class is reached.  The rule uses degrees only, not twins.
+that leave it a top vertex of the child: of minimum degree, and with the
+largest descending tuple of neighbor degrees among the child's vertices of
+minimum degree, ties allowed.  Every class is still reached, as with the
+top-edge rule: deleting a top vertex w from a graph G on n + 1 vertices
+leaves a graph on n, and an isomorphism onto that graph's representative
+carries N(w) to a neighbor set whose child is isomorphic to G, with the new
+vertex again a top vertex, since the tuples are invariant.  The rule uses
+degrees only, not twins.  ``_vertex_levels`` grows the levels 0..n once,
+each a dict from canonical form to representative, so the census reads
+every level's forms from one growth.
 
 Results are deterministic: canonical graph6 forms, sorted.  They can be
 cached on disk, one file per task: a header line
@@ -232,19 +239,42 @@ def _add_leaf(level: Iterable[Graph]) -> Iterator[Graph]:
             yield g._child(g.n + 1, ((cls[0], g.n),))
 
 
+def _is_top_vertex(rows: tuple[int, ...], degrees: list[int], subset: int) -> bool:
+    """Whether a new vertex joined to subset, already of minimum degree in
+    the child, has the largest descending neighbor-degree tuple among the
+    child's minimum-degree vertices, ties allowed, read from the parent's
+    rows and degrees."""
+    n = len(rows)
+    child = [d + (subset >> u & 1) for u, d in enumerate(degrees)]
+    low = subset.bit_count()
+    own = sorted((child[u] for u in range(n) if subset >> u & 1), reverse=True)
+    for u in range(n):
+        if child[u] == low:
+            theirs = [child[w] for w in range(n) if rows[u] >> w & 1]
+            theirs += [low] * (subset >> u & 1)  # the new vertex, when joined to u
+            if sorted(theirs, reverse=True) > own:
+                return False
+    return True
+
+
 def _add_vertex(level: Iterable[Graph]) -> Iterator[Graph]:
-    """Every graph of level plus one new vertex of minimum degree in the
-    child: joined to each subset S of the old vertices with
-    |S| <= deg(u) + [u in S] for every old vertex u.  With d the parent's
+    """Every graph of level plus one new top vertex: a vertex of minimum
+    degree in the child whose descending neighbor-degree tuple is the
+    largest among the child's minimum-degree vertices (``_is_top_vertex``).
+    The new vertex is joined to each subset S of the old vertices with
+    |S| <= deg(u) + [u in S] for every old vertex u: with d the parent's
     minimum degree, S qualifies when |S| <= d, or when |S| = d + 1 and S
-    holds every vertex of degree d."""
+    holds every vertex of degree d.  The top-vertex test runs before the
+    child is built."""
     for g in level:
-        degrees = [row.bit_count() for row in g.rows]
+        rows = g.rows
+        degrees = [row.bit_count() for row in rows]
         low = min(degrees, default=0)
         minimal = sum(1 << u for u, d in enumerate(degrees) if d == low)
         for subset in range(1 << g.n):
             size = subset.bit_count()
-            if size <= low or size == low + 1 and not minimal & ~subset:
+            if ((size <= low or size == low + 1 and not minimal & ~subset)
+                    and _is_top_vertex(rows, degrees, subset)):
                 yield g._child(g.n + 1, [(i, g.n) for i in range(g.n) if subset >> i & 1])
 
 
@@ -483,25 +513,32 @@ def enumerate_graphs(task: EnumerationTask, cap: int = DEFAULT_CAP,
     return list(_decoded[1])
 
 
-def enumerate_by_vertex_growth(n: int, cap: int = DEFAULT_CAP) -> list[Graph]:
-    """All graphs on exactly n vertices, grown one vertex at a time: every
-    graph on k + 1 vertices minus a vertex of minimum degree is a graph on
-    k, so attaching a new vertex to every neighbor set that leaves it of
-    minimum degree, and deduplicating, is complete.  Independent of the
-    edge-addition route; used to cross-check census totals."""
-    if n < 0:
+def _vertex_levels(n_max: int, cap: int) -> list[dict[bytes, Graph]]:
+    """The graphs on 0..n_max vertices, grown once by ``_add_vertex``: level
+    k is a dict from canonical form to one representative, in form order.
+    Every graph on k + 1 vertices minus a top vertex is a graph on k, so the
+    growth is complete.  Raises EnumerationCapError above cap."""
+    if n_max < 0:
         raise ValueError("n must be >= 0")
-    if n > cap:
-        raise EnumerationCapError(n, cap)
-    level = [Graph(0)]
-    for _ in range(n):
+    if n_max > cap:
+        raise EnumerationCapError(n_max, cap)
+    seed = Graph(0)
+    levels = [{canonical_form(seed): seed}]
+    for _ in range(n_max):
         nxt: dict[bytes, Graph] = {}
-        for child in _add_vertex(level):
+        for child in _add_vertex(levels[-1].values()):
             form = canonical_form(child)
             if form not in nxt:
                 nxt[form] = child
-        level = [nxt[form] for form in sorted(nxt)]
-    return level
+        levels.append(dict(sorted(nxt.items())))
+    return levels
+
+
+def enumerate_by_vertex_growth(n: int, cap: int = DEFAULT_CAP) -> list[Graph]:
+    """All graphs on exactly n vertices, grown one vertex at a time and
+    sorted by canonical form (``_vertex_levels``).  Independent of the
+    edge-addition route; used to cross-check census totals."""
+    return list(_vertex_levels(n, cap)[n].values())
 
 
 def random_connected_graph(rng: Random, n: int, extra_edges: int = 0) -> Graph:

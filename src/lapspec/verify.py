@@ -49,7 +49,7 @@ from typing import Callable
 
 from . import enumeration
 from .canonical import canonical_form
-from .enumeration import (DEFAULT_CAP, EnumerationTask, enumerate_by_vertex_growth,
+from .enumeration import (DEFAULT_CAP, EnumerationCapError, EnumerationTask,
                           enumerate_graphs, random_connected_graph)
 from .graph6 import graph6_decode, graph6_encode
 from .graphs import (DumbbellParams, FamilyParams, Graph, ThetaParams,
@@ -134,16 +134,22 @@ def _theta_grid(r_max: int) -> list[ThetaParams]:
 
 
 def dumbbell_parameter_grid(n: int) -> list[DumbbellParams]:
-    """All normalized dumbbell parameters (p >= q >= 3, k >= 0) on n vertices."""
-    # With p, q >= 3, n vertices allow p <= n - 3 and k <= n - 6.
-    return sorted((d for d in _dumbbell_grid(n - 3, n - 6) if d.vertex_count == n),
-                  key=lambda d: (d.p, d.k, d.q))
+    """All normalized dumbbell parameters (p >= q >= 3, k >= 0) on n
+    vertices, in (p, k, q) order."""
+    # q = n - p - k >= 3 allows p <= n - 3 and k <= n - p - 3.
+    return [DumbbellParams(p, k, n - p - k)
+            for p in range(3, n - 2)
+            for k in range(n - p - 2)
+            if 3 <= n - p - k <= p]
 
 
 def theta_parameter_grid(n: int) -> list[ThetaParams]:
     """All normalized theta parameters (r >= s >= t >= 0, (s,t) != (0,0))
-    on n vertices."""
-    return [h for h in _theta_grid(n - 2) if h.vertex_count == n]
+    on n vertices, in (r, s, t) order."""
+    return [ThetaParams(r, s, n - 2 - r - s)
+            for r in range(n - 1)
+            for s in range(1, r + 1)
+            if 0 <= n - 2 - r - s <= s]
 
 
 def family_members(n: int) -> list[Graph]:
@@ -156,15 +162,20 @@ def family_members(n: int) -> list[Graph]:
     return members
 
 
-def member_charpoly(g: Graph) -> IntPoly:
-    """Laplacian charpoly of a family member via its recurrence, dispatched
-    on the parameters stored in Graph.family."""
-    params = g.family
+def _family_charpoly(params: FamilyParams) -> IntPoly:
+    """Laplacian charpoly of the dumbbell or theta with these parameters,
+    via its recurrence."""
     if isinstance(params, DumbbellParams):
         return dumbbell_charpoly_rec(params.p, params.k, params.q)
     if isinstance(params, ThetaParams):
         return theta_charpoly_rec(params.r, params.s, params.t)
     raise ValueError("graph does not carry dumbbell or theta parameters")
+
+
+def member_charpoly(g: Graph) -> IntPoly:
+    """Laplacian charpoly of a family member via its recurrence, dispatched
+    on the parameters stored in Graph.family."""
+    return _family_charpoly(g.family)
 
 
 def _params_dict(params: FamilyParams) -> dict:
@@ -423,20 +434,20 @@ def verify_within_family(n_max: int = 20) -> VerificationReport:
     pairs = 0
     for n in range(4, n_max + 1):
         by_coeffs: dict[tuple, FamilyParams] = {}
-        members = family_members(n)
+        members = dumbbell_parameter_grid(n) + theta_parameter_grid(n)
         members_total += len(members)
         pairs += len(members) * (len(members) - 1) // 2
-        for g in members:
-            key = member_charpoly(g).coeffs
+        for params in members:
+            key = _family_charpoly(params).coeffs
             other = by_coeffs.get(key)
             if other is not None:
                 counterexamples.append({
                     "n": n,
                     "first": _params_dict(other),
-                    "second": _params_dict(g.family),
+                    "second": _params_dict(params),
                 })
             else:
-                by_coeffs[key] = g.family
+                by_coeffs[key] = params
     return (f"all family members with 4 <= n <= {n_max}",
             {"members": members_total, "pairs": pairs}, counterexamples)
 
@@ -534,7 +545,12 @@ def verify_census(n_max: int = 7, cap: int = DEFAULT_CAP,
                   cache_dir=None) -> VerificationReport:
     """Edge-addition and vertex-growth enumeration agree, class by class, on
     all graphs with n <= n_max vertices, and the graph6 codec round-trips
-    every one of them bit-exactly."""
+    every one of them bit-exactly.  The vertex route grows its levels once,
+    and its forms are the keys the growth computed.  A census above cap is
+    refused before any growth."""
+    if n_max > cap:
+        raise EnumerationCapError(cap + 1, cap)
+    by_vertices = enumeration._vertex_levels(n_max, cap)
     counterexamples = []
     totals = {}
     round_trips = 0
@@ -546,7 +562,7 @@ def verify_census(n_max: int = 7, cap: int = DEFAULT_CAP,
         # enumerate_graphs returns canonically labeled graphs, so each
         # encoding is a canonical form; a relabeled graph fails the match.
         forms_a = [graph6_encode(g) for g in by_edges]
-        forms_b = sorted(canonical_form(g) for g in enumerate_by_vertex_growth(n, cap=cap))
+        forms_b = list(by_vertices[n])
         totals[n] = len(forms_a)
         if sorted(forms_a) != forms_b:
             counterexamples.append({"n": n, "edge_route": len(forms_a),

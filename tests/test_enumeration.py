@@ -5,14 +5,14 @@ from random import Random
 
 import pytest
 
-from lapspec import enumeration
+from lapspec import enumeration, verify
 from lapspec.canonical import canonical_form
 from lapspec.enumeration import (DEFAULT_CAP, EnumerationCapError,
                                  EnumerationTask, enumerate_by_vertex_growth,
                                  enumerate_graphs, random_connected_graph)
 from lapspec.graph6 import graph6_decode, graph6_encode
 from lapspec.graphs import Graph, is_connected
-from lapspec.verify import family_members, verify_determination
+from lapspec.verify import family_members, verify_census, verify_determination
 
 # SHA-256 of b"\n".join(sorted forms) of the connected (n, n+1) pools,
 # computed by growing every graph from the empty graph and keeping the
@@ -42,12 +42,21 @@ def _forms(graphs):
     return [canonical_form(g) for g in graphs]
 
 
-def _min_degree_subsets(g: Graph) -> list[tuple[int, ...]]:
-    """The neighbor sets S of a new vertex that has minimum degree in the
-    child: |S| <= deg(u) + [u in S] for every vertex u of g."""
-    degrees = [len(neighbors) for neighbors in g.adjacency()]
-    return [subset for k in range(g.n + 1) for subset in combinations(range(g.n), k)
-            if all(k <= d + (u in subset) for u, d in enumerate(degrees))]
+def _top_vertex_subsets(g: Graph) -> list[tuple[int, ...]]:
+    """The neighbor sets S of a new vertex that is a top vertex of the
+    child, read off the child: of minimum degree, with the largest
+    descending neighbor-degree tuple among the minimum-degree vertices."""
+    kept = []
+    for k in range(g.n + 1):
+        for subset in combinations(range(g.n), k):
+            child = Graph(g.n + 1, g.edges + tuple((i, g.n) for i in subset))
+            adjacency = child.adjacency()
+            degrees = [len(neighbors) for neighbors in adjacency]
+            tuples = [sorted((degrees[w] for w in adjacency[v]), reverse=True)
+                      for v in range(child.n) if degrees[v] == min(degrees)]
+            if degrees[g.n] == min(degrees) and tuples[-1] == max(tuples):
+                kept.append(subset)
+    return kept
 
 
 @pytest.fixture
@@ -305,15 +314,35 @@ class TestVertexGrowthRoute:
         assert len(enumerate_by_vertex_growth(n)) == total
 
     def test_canonical_calls_take_graphs(self, canonical_calls):
-        # one call per child: a new vertex joined to each subset of the old
-        # ones that leaves it of minimum degree, for every class of the
-        # level below
-        admissible = sum(len(_min_degree_subsets(g))
+        # one call for the seed and one per child: a new vertex joined to
+        # each subset of the old ones that leaves it a top vertex, for
+        # every class of the level below
+        admissible = sum(len(_top_vertex_subsets(g))
                          for n in range(5) for g in enumerate_by_vertex_growth(n))
         canonical_calls.clear()
         assert len(enumerate_by_vertex_growth(5)) == 34
-        assert len(canonical_calls) == admissible == 94
-        assert [g.n for g in canonical_calls[:3]] == [1, 2, 2]
+        assert len(canonical_calls) == 1 + admissible == 89
+        assert [g.n for g in canonical_calls[:3]] == [0, 1, 2]
+
+    def test_census_grows_each_vertex_level_once(self, private_memo, canonical_calls,
+                                                 monkeypatch):
+        # 2,347 calls for the edge route and 2,475 for the vertex route
+        # (the seed and 2,474 top-vertex children); the census reads the
+        # vertex route's forms instead of canonicalizing its classes again
+        add_vertex = enumeration._add_vertex
+        grown = []
+
+        def counted(level):
+            level = list(level)
+            grown.append(sorted(g.n for g in level))
+            return add_vertex(level)
+
+        monkeypatch.setattr(enumeration, "_add_vertex", counted)
+        monkeypatch.setattr(verify, "canonical_form", enumeration.canonical_form)
+        report = verify_census(n_max=7)
+        assert report.passed
+        assert len(canonical_calls) == 4822
+        assert grown == [[n] * total for n, total in enumerate([1, 1, 2, 4, 11, 34, 156])]
 
     def test_equals_all_subsets_growth(self):
         # the reference attaches the new vertex to every subset
@@ -341,6 +370,13 @@ class TestCap:
         assert info.value.cap == DEFAULT_CAP
         with pytest.raises(EnumerationCapError):
             enumerate_by_vertex_growth(DEFAULT_CAP + 1)
+
+    def test_oversized_census_is_refused_before_any_growth(self, private_memo,
+                                                           canonical_calls):
+        with pytest.raises(EnumerationCapError) as info:
+            verify_census(n_max=6, cap=4)
+        assert (info.value.n, info.value.cap) == (5, 4)
+        assert canonical_calls == [] and private_memo == {}
 
     def test_cap_is_adjustable(self):
         with pytest.raises(EnumerationCapError):

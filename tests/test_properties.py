@@ -1,10 +1,11 @@
 """Property tests: the graph6 decoder, canonical forms, bitmask rows,
 the peeled-tree charpoly value against one Bareiss elimination,
 twin-pruned children, children built without validation, the top-edge
-test against the child's own degree pairs, the ring laws of IntPoly and
-LaurentPoly, the substitution x = y + 2 + 1/y against Horner's
-rule on plain dicts, and the Berkowitz charpoly against the interpolation
-route on random inputs."""
+test against the child's own degree pairs, the top-vertex rule against the
+child's own neighbor degrees and against deleting a top vertex, the ring
+laws of IntPoly and LaurentPoly, the substitution x = y + 2 + 1/y against
+Horner's rule on plain dicts, and the Berkowitz charpoly against the
+interpolation route on random inputs."""
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,26 @@ def _edge_children(g: Graph):
         for j in range(i + 1, g.n):
             if (i, j) not in present:
                 yield Graph(g.n, g.edges + ((i, j),))
+
+
+def _top_vertices(g: Graph) -> list[int]:
+    """The vertices of minimum degree whose descending neighbor-degree
+    tuple is the largest among those of minimum degree, read off g."""
+    adjacency = g.adjacency()
+    degrees = [len(neighbors) for neighbors in adjacency]
+    tuples = {v: sorted((degrees[w] for w in adjacency[v]), reverse=True)
+              for v in range(g.n) if degrees[v] == min(degrees)}
+    return [v for v, t in tuples.items() if t == max(tuples.values())]
+
+
+def _vertex_children(g: Graph):
+    """One child per neighbor set of a new vertex that leaves it a top
+    vertex of the child."""
+    for subset in range(1 << g.n):
+        child = Graph(g.n + 1, g.edges + tuple((i, g.n) for i in range(g.n)
+                                               if subset >> i & 1))
+        if g.n in _top_vertices(child):
+            yield child
 
 
 def _leaf_children(g: Graph):
@@ -123,13 +144,9 @@ def test_trusted_children_equal_validated_graphs(g):
     vertex_children = list(enumeration._add_vertex([g]))
     children = [*enumeration._add_edge([g]), *enumeration._add_top_edge([g]),
                 *enumeration._add_leaf([g]), *vertex_children]
-    # one vertex child per neighbor set S leaving the new vertex of minimum
-    # degree: |S| <= deg(u) + [u in S] for every old vertex u
-    degrees = [row.bit_count() for row in g.rows]
-    admissible = sum(1 for subset in range(1 << g.n)
-                     if all(subset.bit_count() <= d + (subset >> u & 1)
-                            for u, d in enumerate(degrees)))
-    assert len(vertex_children) == admissible >= 1
+    # one vertex child per neighbor set S leaving the new vertex a top vertex
+    assert vertex_children == list(_vertex_children(g))
+    assert len(vertex_children) >= 1
     for child in children:
         built = Graph(child.n, child.edges)
         assert child == built and hash(child) == hash(built)
@@ -151,6 +168,21 @@ def test_top_edge_has_the_largest_degree_pair(g):
             pairs = [(max(deg[a], deg[b]), min(deg[a], deg[b])) for a, b in child.edges]
             top = max(pairs) == (max(deg[i], deg[j]), min(deg[i], deg[j]))
             assert enumeration._is_top_edge(g.rows, degrees, i, j) == top
+
+
+@PROPERTY
+@given(graphs(max_n=7))
+def test_top_vertex_deleted_and_readded_is_a_child(g):
+    # G minus a top vertex w, with w re-added as the last vertex, is a child
+    # that the vertex route builds from G - w
+    adjacency = g.adjacency()
+    for w in _top_vertices(g):
+        position = {v: i for i, v in enumerate(v for v in range(g.n) if v != w)}
+        parent = Graph(g.n - 1, [(position[a], position[b]) for a, b in g.edges
+                                 if w not in (a, b)])
+        child = Graph(g.n, parent.edges + tuple((position[v], g.n - 1)
+                                                for v in sorted(adjacency[w])))
+        assert child in list(enumeration._add_vertex([parent]))
 
 
 COEFFS = st.integers(-50, 50)

@@ -4,7 +4,7 @@ from lapspec import enumeration, invariants, verify
 from lapspec.canonical import canonical_form
 from lapspec.enumeration import DEFAULT_CAP
 from lapspec.graph6 import graph6_decode, graph6_encode
-from lapspec.graphs import DumbbellParams, ThetaParams, relabel
+from lapspec.graphs import DumbbellParams, Graph, ThetaParams, relabel
 from lapspec.laplacian import charpoly, laplacian
 from lapspec.polynomials import IntPoly
 from lapspec.reports import VerificationReport
@@ -26,6 +26,14 @@ class TestFamilyEnumeration:
         assert set(theta_parameter_grid(6)) == {ThetaParams(2, 1, 1),
                                                 ThetaParams(2, 2, 0),
                                                 ThetaParams(3, 1, 0)}
+
+    def test_grids_keep_the_members_of_the_full_grids_in_order(self):
+        for n in range(-1, 41):
+            dumbbells = [d for d in verify._dumbbell_grid(n, n) if d.vertex_count == n]
+            thetas = [h for h in verify._theta_grid(n) if h.vertex_count == n]
+            assert dumbbell_parameter_grid(n) == sorted(dumbbells,
+                                                        key=lambda d: (d.p, d.k, d.q))
+            assert theta_parameter_grid(n) == thetas
 
     def test_members_on_six_vertices(self):
         members = family_members(6)
@@ -87,6 +95,18 @@ class TestSuitesPass:
         assert report.passed
         assert report.counts["members"] == sum(
             len(family_members(n)) for n in range(4, 11))
+
+    def test_within_family_builds_no_graphs(self, monkeypatch):
+        built = []
+        init = Graph.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counted)
+        assert verify_within_family(n_max=12).passed
+        assert built == []
 
 
 class TestPoolSuites:
