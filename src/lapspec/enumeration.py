@@ -63,9 +63,10 @@ top-edge rule: deleting a top vertex w from a graph G on n + 1 vertices
 leaves a graph on n, and an isomorphism onto that graph's representative
 carries N(w) to a neighbor set whose child is isomorphic to G, with the new
 vertex again a top vertex, since the tuples are invariant.  The rule uses
-degrees only, not twins.  ``_vertex_levels`` grows the levels 0..n once,
-each a dict from canonical form to representative, so the census reads
-every level's forms from one growth.
+degrees only, not twins.  ``enumerate_by_vertex_growth`` can keep its
+levels in a memo the caller owns, each a dict from canonical form to
+representative, so the census grows every level once and reads its forms
+from that memo.
 
 Results are deterministic: canonical graph6 forms, sorted.  They can be
 cached on disk, one file per task: a header line
@@ -513,32 +514,34 @@ def enumerate_graphs(task: EnumerationTask, cap: int = DEFAULT_CAP,
     return list(_decoded[1])
 
 
-def _vertex_levels(n_max: int, cap: int) -> list[dict[bytes, Graph]]:
-    """The graphs on 0..n_max vertices, grown once by ``_add_vertex``: level
-    k is a dict from canonical form to one representative, in form order.
-    Every graph on k + 1 vertices minus a top vertex is a graph on k, so the
-    growth is complete.  Raises EnumerationCapError above cap."""
-    if n_max < 0:
+def enumerate_by_vertex_growth(n: int, cap: int = DEFAULT_CAP,
+                               levels: Optional[list[dict[bytes, Graph]]] = None
+                               ) -> list[Graph]:
+    """All graphs on exactly n vertices, grown one vertex at a time by
+    ``_add_vertex`` and sorted by canonical form.  Every graph on k + 1
+    vertices minus a top vertex is a graph on k, so the growth is complete.
+    levels, when given, is a resumable memo of the growth: level k is a dict
+    from canonical form to one representative, in form order, and the call
+    grows only the levels up to n that it lacks.  Independent of the
+    edge-addition route; used to cross-check census totals.  Raises
+    EnumerationCapError above cap."""
+    if n < 0:
         raise ValueError("n must be >= 0")
-    if n_max > cap:
-        raise EnumerationCapError(n_max, cap)
-    seed = Graph(0)
-    levels = [{canonical_form(seed): seed}]
-    for _ in range(n_max):
+    if n > cap:
+        raise EnumerationCapError(n, cap)
+    if levels is None:
+        levels = []
+    if not levels:
+        seed = Graph(0)
+        levels.append({canonical_form(seed): seed})
+    while len(levels) <= n:
         nxt: dict[bytes, Graph] = {}
         for child in _add_vertex(levels[-1].values()):
             form = canonical_form(child)
             if form not in nxt:
                 nxt[form] = child
         levels.append(dict(sorted(nxt.items())))
-    return levels
-
-
-def enumerate_by_vertex_growth(n: int, cap: int = DEFAULT_CAP) -> list[Graph]:
-    """All graphs on exactly n vertices, grown one vertex at a time and
-    sorted by canonical form (``_vertex_levels``).  Independent of the
-    edge-addition route; used to cross-check census totals."""
-    return list(_vertex_levels(n, cap)[n].values())
+    return list(levels[n].values())
 
 
 def random_connected_graph(rng: Random, n: int, extra_edges: int = 0) -> Graph:

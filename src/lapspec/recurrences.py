@@ -39,13 +39,8 @@ dumbbell helper has |.| <= 3 * 4^(q + max(k, 0)), and a dumbbell on
 n = p + k + q vertices gives |.| <= 6 * 4^n + 3 * 4^(n-1) < 8 * 4^n.  The theta
 helper has |.| <= 7 * 4^(r+s+t) (negative indices counted as 0), and a theta
 on n = r + s + t + 2 vertices gives |.| <= (28 + 21 + 6) * 4^(n-2) < 8 * 4^n.
-So every coefficient is below 8 * 4^n = 2^(2n+3), and b = 2n + 8 rounded
-up to a multiple of 8 leaves a factor of at least 16 to spare:
-2^(b-1) >= 2^(2n+7).  Whole bytes let ``_unpack`` add 2^(b-1) at all n + 1
-digits at once, which makes them the plain base-2^b digits of a value in
-[0, 2^(b(n+1))), and read them from one ``int.to_bytes``: the cost is linear
-in the size of the value.  A value outside that range has a digit above
-degree n.
+So every coefficient is below 8 * 4^n = 2^(2n+3), and b = 2n + 8 leaves a
+factor of 16 to spare: 2^(b-1) = 2^(2n+7).
 """
 
 from __future__ import annotations
@@ -114,29 +109,27 @@ def _theta(x, u, r, s, t):
 
 
 def _kronecker_bits(n: int) -> int:
-    """Digit width b for a formula result of degree n: 2n + 8 rounded up to
-    whole bytes; see the module docstring for why every coefficient is
-    below 2^(b-1) in magnitude."""
-    return (2 * n + 15) // 8 * 8
+    """Digit width b for a formula result of degree n; see the module
+    docstring for why every coefficient is below 2^(b-1) in magnitude."""
+    return 2 * n + 8
 
 
 def _unpack(value: int, b: int, n: int) -> IntPoly:
     """The polynomial of degree <= n whose value at x = 2^b is value, read
-    as n + 1 balanced base-2^b digits in [-2^(b-1), 2^(b-1)); b is a
-    multiple of 8.  Adding 2^(b-1) at every digit makes each digit d + 2^(b-1)
-    non-negative; flipping the top bit of each digit back turns it into the
-    b-bit two's complement of d, so one ``int.to_bytes`` and a signed read of
-    each digit's bytes give the coefficients.  Raises ArithmeticError if
-    anything is left above degree n."""
-    width = b // 8
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * (n + 1), "little")
-    try:
-        data = ((value + offset) ^ offset).to_bytes(width * (n + 1), "little")
-    except OverflowError:
-        raise ArithmeticError(f"value has digits above degree {n} at base 2^{b}") from None
-    from_bytes = int.from_bytes
-    return IntPoly([from_bytes(data[i:i + width], "little", signed=True)
-                    for i in range(0, len(data), width)])
+    as n + 1 balanced base-2^b digits in [-2^(b-1), 2^(b-1)).  Raises
+    ArithmeticError if anything is left above degree n."""
+    half = 1 << (b - 1)
+    mask = (1 << b) - 1
+    coeffs = []
+    for _ in range(n + 1):
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << b
+        coeffs.append(digit)
+        value = (value - digit) >> b
+    if value:
+        raise ArithmeticError(f"value has digits above degree {n} at base 2^{b}")
+    return IntPoly(coeffs)
 
 
 def _at_kronecker_point(n: int, formula, *params: int) -> IntPoly:

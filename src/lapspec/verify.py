@@ -50,7 +50,8 @@ from typing import Callable
 from . import enumeration
 from .canonical import canonical_form
 from .enumeration import (DEFAULT_CAP, EnumerationCapError, EnumerationTask,
-                          enumerate_graphs, random_connected_graph)
+                          enumerate_by_vertex_growth, enumerate_graphs,
+                          random_connected_graph)
 from .graph6 import graph6_decode, graph6_encode
 from .graphs import (DumbbellParams, FamilyParams, Graph, ThetaParams,
                      classify_bicyclic, connected_components, dumbbell_graph,
@@ -545,12 +546,12 @@ def verify_census(n_max: int = 7, cap: int = DEFAULT_CAP,
                   cache_dir=None) -> VerificationReport:
     """Edge-addition and vertex-growth enumeration agree, class by class, on
     all graphs with n <= n_max vertices, and the graph6 codec round-trips
-    every one of them bit-exactly.  The vertex route grows its levels once,
-    and its forms are the keys the growth computed.  A census above cap is
-    refused before any growth."""
+    every one of them bit-exactly.  The vertex route grows each level once,
+    into one memo, and its forms are the keys the growth computed.  A census
+    above cap is refused before any growth."""
     if n_max > cap:
         raise EnumerationCapError(cap + 1, cap)
-    by_vertices = enumeration._vertex_levels(n_max, cap)
+    by_vertices: list[dict[bytes, Graph]] = []
     counterexamples = []
     totals = {}
     round_trips = 0
@@ -562,6 +563,7 @@ def verify_census(n_max: int = 7, cap: int = DEFAULT_CAP,
         # enumerate_graphs returns canonically labeled graphs, so each
         # encoding is a canonical form; a relabeled graph fails the match.
         forms_a = [graph6_encode(g) for g in by_edges]
+        enumerate_by_vertex_growth(n, cap=cap, levels=by_vertices)
         forms_b = list(by_vertices[n])
         totals[n] = len(forms_a)
         if sorted(forms_a) != forms_b:

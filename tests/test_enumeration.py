@@ -344,6 +344,54 @@ class TestVertexGrowthRoute:
         assert len(canonical_calls) == 4822
         assert grown == [[n] * total for n, total in enumerate([1, 1, 2, 4, 11, 34, 156])]
 
+    def test_census_canonicalizes_only_inside_the_enumerators(self, private_memo,
+                                                              canonical_calls,
+                                                              monkeypatch):
+        # every canonical call falls inside a call of one of the two public
+        # enumerators, so per-route counts can be read off the call stack
+        inside = {"edges": 0, "vertices": 0}
+        open_route = []
+
+        def within(route, fn):
+            def counted(*args, **kwargs):
+                open_route.append(route)
+                before = len(canonical_calls)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    open_route.pop()
+                    inside[route] += len(canonical_calls) - before
+            return counted
+
+        vertex_calls = []
+        grow = within("vertices", enumeration.enumerate_by_vertex_growth)
+        monkeypatch.setattr(verify, "enumerate_graphs",
+                            within("edges", enumeration.enumerate_graphs))
+        monkeypatch.setattr(verify, "enumerate_by_vertex_growth",
+                            lambda n, **kw: vertex_calls.append(n) or grow(n, **kw))
+        monkeypatch.setattr(verify, "canonical_form", enumeration.canonical_form)
+        assert verify_census(n_max=7).passed
+        assert vertex_calls == list(range(8))
+        assert inside == {"edges": 2347, "vertices": 2475}
+        assert len(canonical_calls) == 4822
+
+    def test_resumed_growth_grows_only_the_missing_levels(self, canonical_calls):
+        levels = []
+        assert _forms(enumerate_by_vertex_growth(3, levels=levels)) == \
+            _forms(enumerate_by_vertex_growth(3))
+        canonical_calls.clear()
+        assert _forms(enumerate_by_vertex_growth(5, levels=levels)) == \
+            _forms(enumerate_by_vertex_growth(5))
+        # the fresh n = 5 growth makes 89 calls; the resumed one skips the
+        # seed and the children of levels 0..2
+        resumed = len(canonical_calls) - 89
+        assert resumed == sum(len(_top_vertex_subsets(g))
+                              for n in (3, 4) for g in enumerate_by_vertex_growth(n))
+        assert [list(level) == sorted(level) for level in levels] == [True] * 6
+        canonical_calls.clear()
+        assert len(enumerate_by_vertex_growth(2, levels=levels)) == 2
+        assert canonical_calls == []
+
     def test_equals_all_subsets_growth(self):
         # the reference attaches the new vertex to every subset
         level = {canonical_form(Graph(0))}

@@ -209,11 +209,6 @@ class TestKroneckerRoute:
     def test_thetas(self, rst):
         assert theta_charpoly_rec(*rst) == _intpoly_theta(*rst)
 
-    def test_digit_width_is_whole_bytes_of_at_least_2n_plus_8(self):
-        for n in range(200):
-            b = recurrences._kronecker_bits(n)
-            assert b % 8 == 0 and 2 * n + 8 <= b < 2 * n + 16
-
     def test_norms_stay_below_half_the_digit_base(self):
         # The 1-norm bounds every coefficient; the module docstring derives
         # 8 * 4^n for both families, and b leaves room above it.
