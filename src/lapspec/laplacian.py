@@ -29,8 +29,33 @@ Also here: principal submatrix characteristic polynomials (vertex-deleted
 Laplacians keep the degrees of the original graph), the tridiagonal matrix
 family behind the path recurrences, the matrix-tree spanning tree count, and
 an executable check of the vertex deletion expansion of phi(L(G)) at every
-vertex of a graph at once, which computes phi(L) and each phi(L_S) once per
-graph."""
+vertex of a graph at once.
+
+The deletion check is one exact integer identity per vertex at the
+Kronecker point x = z = 2^b.  With M = zI - L, every phi(L_S)(z) is the
+principal minor det M_S of M with the rows and columns of S deleted.  One
+fraction-free Gauss-Jordan elimination (``_adjugate``) gives det M and
+adj M, so phi(L_u)(z) = adj_uu, and by Jacobi's identity
+phi(L_uv)(z) = (adj_uu adj_vv - adj_uv adj_vu) / det M, an exact division
+(a remainder fails the vertex; it is never floored).  Each distinct cycle
+vertex set Z gets one Bareiss determinant of M_Z.  phi(L) itself is still
+one Berkowitz charpoly, and its value at z must equal det M.
+
+The width b comes from the spectrum.  L is positive semidefinite with
+largest eigenvalue at most 2 Delta (Delta the maximum degree), and every
+principal submatrix L_S has its eigenvalues in [0, 2 Delta] by interlacing.
+So phi(L_S) = prod (x - lambda_i) has 1-norm (sum of absolute
+coefficients) prod (1 + lambda_i) <= (1 + 2 Delta)^(n - |S|).  At a vertex
+u on c_u cycles, phi(L) minus the right-hand side has 1-norm at most
+(1 + 2 Delta)^n + (1 + Delta)(1 + 2 Delta)^(n-1)
++ Delta (1 + 2 Delta)^(n-2) + 2 c_u (1 + 2 Delta)^(n-3), which is below
+(3 + 2c)(1 + 2 Delta)^n for c the largest number of cycles through one
+vertex.  b is chosen with 2^b above that bound.  A nonzero integer
+polynomial f of degree d with 1-norm below z has
+|f(z)| >= z^d - (|f| - 1) z^(d-1) > 0, so the difference is zero exactly
+when its value at z is.  z > 2 Delta also makes M positive definite: its
+leading principal minors, the elimination's pivots, are all positive, so
+no pivot is 0."""
 
 from __future__ import annotations
 
@@ -38,7 +63,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .graphs import Graph
-from .polynomials import IntPoly, X
+from .polynomials import IntPoly
 
 IntMatrix = list[list[int]]
 
@@ -187,10 +212,15 @@ def det_bareiss(mat: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _shifted(mat: IntMatrix, x: int) -> IntMatrix:
+    """xI - M."""
+    return [[(x if i == j else 0) - v for j, v in enumerate(row)]
+            for i, row in enumerate(mat)]
+
+
 def _charpoly_at(mat: IntMatrix, x: int) -> int:
     """det(xI - M) at an integer x, exactly, by Bareiss elimination."""
-    return det_bareiss([[(x if i == j else 0) - v for j, v in enumerate(row)]
-                        for i, row in enumerate(mat)])
+    return det_bareiss(_shifted(mat, x))
 
 
 def _charpoly_value(g: Graph, x: int) -> int:
@@ -336,6 +366,62 @@ def cycles_through(g: Graph, u: int) -> list[tuple[int, ...]]:
     return _cycles_from(g.adjacency(), u, 0)
 
 
+def _adjugate(mat: IntMatrix) -> tuple[int, IntMatrix]:
+    """(det M, adj M) by one fraction-free Gauss-Jordan elimination
+    (Bareiss/Montante) of [M | I], kept in one n x n array: step k turns
+    column k of M into column k of the adjugate, so the array holds the
+    columns of M not yet eliminated and those of adj M already made.
+    Every division is exact.  Raises ArithmeticError on a zero pivot (a
+    leading principal minor of M that is 0) and ValueError unless M is
+    square."""
+    n = _require_square(mat)
+    a = [row[:] for row in mat]
+    prev = 1
+    for k in range(n):
+        pivot = a[k]
+        p = pivot[k]
+        if p == 0:
+            raise ArithmeticError(f"zero pivot at step {k}")
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                if f:
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot)]
+                else:  # a row with nothing to eliminate is only rescaled
+                    a[i] = [p * x // prev for x in a[i]]
+                a[i][k] = -f
+        pivot[k] = prev
+        prev = p
+    return prev, a
+
+
+def _pair_minor(adjugate: IntMatrix, det: int, u: int, v: int) -> int | None:
+    """det M with rows and columns u and v deleted, from det M and adj M by
+    Jacobi's identity; None when the division leaves a remainder."""
+    a = adjugate
+    quotient, remainder = divmod(a[u][u] * a[v][v] - a[u][v] * a[v][u], det)
+    return None if remainder else quotient
+
+
+def _cycles_by_vertex(adj: list[set[int]]) -> list[list[tuple[int, ...]]]:
+    """Every simple cycle once, from its smallest vertex, listed under each
+    of its vertices."""
+    through: list[list[tuple[int, ...]]] = [[] for _ in adj]
+    for u in range(len(adj)):
+        for cyc in _cycles_from(adj, u, u):
+            for v in cyc:
+                through[v].append(cyc)
+    return through
+
+
+def _deletion_bits(adj: list[set[int]], through: list[list[tuple[int, ...]]]) -> int:
+    """The width b of the deletion check: 2^b > (3 + 2c)(1 + 2 Delta)^n,
+    c the most cycles through one vertex (see the module docstring)."""
+    degree = max(map(len, adj), default=0)
+    most = max(map(len, through), default=0)
+    return ((3 + 2 * most) * (1 + 2 * degree) ** len(adj)).bit_length()
+
+
 def verify_deletion_formula(g: Graph) -> tuple[bool, ...]:
     """For each vertex u of g, whether the vertex deletion expansion of the
     Laplacian charpoly holds at u:
@@ -345,33 +431,36 @@ def verify_deletion_formula(g: Graph) -> tuple[bool, ...]:
 
     where each L_S deletes the rows/columns of S but keeps g's degrees.
 
-    L and phi(L) are computed once, and each phi(L_S) once per deleted
-    vertex set S, shared by every vertex whose expansion uses it.  Distinct
-    cycles on the same vertex set share that charpoly but each still
-    contributes its own term."""
-    mat = laplacian(g)
-    phi = charpoly(mat)
-    minors: dict[frozenset[int], IntPoly] = {}
-
-    def minor(delete: Iterable[int]) -> IntPoly:
-        key = frozenset(delete)
-        if key not in minors:
-            minors[key] = charpoly(submatrix_deleting(mat, key))
-        return minors[key]
-
+    The expansion is checked as an exact integer identity at x = 2^b, wide
+    enough that it holds there exactly when it holds as polynomials (see the
+    module docstring).  One elimination of M = 2^b I - L gives det M and
+    adj M; phi(L_u) is read off adj M's diagonal and each phi(L_uv) by
+    Jacobi's identity, and each distinct cycle vertex set gets one
+    determinant, shared by every cycle on it (K4's three 4-cycles), while
+    each cycle keeps its own term.  phi(L) is one Berkowitz charpoly, and
+    every vertex fails unless its value at 2^b is det M."""
+    n = g.n
     adj = g.adjacency()
-    # Every cycle once, from its smallest vertex, then indexed by vertex.
-    through: list[list[tuple[int, ...]]] = [[] for _ in range(g.n)]
-    for u in range(g.n):
-        for cyc in _cycles_from(adj, u, u):
-            for v in cyc:
-                through[v].append(cyc)
+    through = _cycles_by_vertex(adj)
+    z = 1 << _deletion_bits(adj, through)
+    mat = laplacian(g)
+    shifted = _shifted(mat, z)
+    det, adjugate = _adjugate(shifted)
+    if charpoly(mat).eval(z) != det:
+        return (False,) * n
+    pairs = {(u, v): _pair_minor(adjugate, det, u, v) for u, v in g.edges}
+    cycle_minors: dict[frozenset[int], int] = {}
     holds = []
-    for u in range(g.n):
-        rhs = (X - len(adj[u])) * minor((u,))
-        for v in sorted(adj[u]):
-            rhs -= minor((u, v))
+    for u in range(n):
+        edge_minors = [pairs[min(u, v), max(u, v)] for v in adj[u]]
+        if None in edge_minors:
+            holds.append(False)
+            continue
+        rhs = (z - len(adj[u])) * adjugate[u][u] - sum(edge_minors)
         for cyc in through[u]:
-            rhs -= 2 * (-1) ** len(cyc) * minor(cyc)
-        holds.append(phi == rhs)
+            key = frozenset(cyc)
+            if key not in cycle_minors:
+                cycle_minors[key] = det_bareiss(submatrix_deleting(shifted, key))
+            rhs -= 2 * (-1) ** len(cyc) * cycle_minors[key]
+        holds.append(rhs == det)
     return tuple(holds)

@@ -370,6 +370,12 @@ def verify_family_values(p_max: int = 8, k_max: int = 5,
             counterexamples)
 
 
+def _refuse_below_two(name: str, n_max: int, samples: int) -> None:
+    """A sampled graph has 2..n_max vertices, so any samples need n_max >= 2."""
+    if samples and n_max < 2:
+        raise ValueError(f"{name} must be >= 2 when samples > 0, got {n_max}")
+
+
 @_suite("deletion-formula")
 def verify_deletion_suite(family_n_max: int = 12, samples: int = 100,
                           sample_n_max: int = 9,
@@ -377,6 +383,7 @@ def verify_deletion_suite(family_n_max: int = 12, samples: int = 100,
     """Vertex deletion expansion checked at every vertex of every family
     member with n <= family_n_max, then at every vertex of seeded random
     connected graphs with n <= sample_n_max."""
+    _refuse_below_two("sample_n_max", sample_n_max, samples)
     counterexamples = []
     checks = 0
     members = 0
@@ -405,6 +412,7 @@ def verify_invariants_suite(samples: int = 200, n_max: int = 10,
     """Invariants read off the charpoly coefficients match direct counts
     (component search, matrix-tree cofactor, degree squares) on seeded
     random connected graphs."""
+    _refuse_below_two("n_max", n_max, samples)
     counterexamples = []
     rng = Random(seed)
     for _ in range(samples):

@@ -144,6 +144,16 @@ class TestVerify:
         assert captured.out == ""
         assert f"{name} must be >= 0" in captured.err
 
+    @pytest.mark.parametrize("argv,name", [
+        (("deletion-formula", "--sample-n-max", "1"), "sample_n_max"),
+        (("invariants", "--n-max", "1"), "n_max"),
+    ])
+    def test_sample_bound_below_two_is_a_usage_error(self, capsys, argv, name):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name} must be >= 2 when samples > 0, got 1" in captured.err
+
     def test_negative_seed_is_accepted(self, capsys):
         code, _ = run(capsys, "verify", "invariants", "--samples", "3",
                       "--n-max", "5", "--seed", "-1")

@@ -3,14 +3,18 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lapspec import verify
 from lapspec.enumeration import (EnumerationTask, enumerate_graphs,
                                  random_connected_graph)
 from lapspec.graphs import (Graph, make_cycle, make_dumbbell, make_path,
                             make_theta)
-from lapspec.laplacian import (_charpoly_at, _charpoly_value, charpoly,
-                               charpoly_interpolated, cycles_through, det_bareiss,
-                               laplacian, submatrix_deleting,
+from lapspec.laplacian import (_adjugate, _charpoly_at, _charpoly_value,
+                               _cycles_by_vertex, _deletion_bits, _pair_minor,
+                               charpoly, charpoly_interpolated, cycles_through,
+                               det_bareiss, laplacian, submatrix_deleting,
                                spanning_tree_count, submatrix_charpoly,
                                trailing_charpolys, u_matrix, u_matrix_charpoly,
                                verify_deletion_formula)
@@ -222,49 +226,213 @@ class TestCyclesThrough:
             assert cyc[0] == 0 and cyc[1] < cyc[-1]
 
 
+def expansion_terms(g):
+    """For each vertex u, the terms of the deletion expansion at u by the
+    matrix route, one Berkowitz charpoly per deleted vertex set: phi(L),
+    -(x - deg u) phi(L_u), phi(L_uv) for each neighbor v and
+    2 (-1)^|Z| phi(L_Z) for each cycle Z through u.  They sum to zero
+    exactly where the expansion holds."""
+    mat = laplacian(g)
+    minors = {}
+
+    def minor(delete):
+        key = frozenset(delete)
+        if key not in minors:
+            minors[key] = charpoly(submatrix_deleting(mat, key))
+        return minors[key]
+
+    adj = g.adjacency()
+    terms = []
+    for u in range(g.n):
+        at_u = [minor(()), -(X - len(adj[u])) * minor((u,))]
+        at_u += [minor((u, v)) for v in adj[u]]
+        at_u += [2 * (-1) ** len(cyc) * minor(cyc) for cyc in cycles_through(g, u)]
+        terms.append(at_u)
+    return terms
+
+
+def one_norm(p):
+    return sum(abs(c) for c in p.coeffs)
+
+
+def check_against_matrix_route(g):
+    """verify_deletion_formula(g) equals the matrix route's verdict, which is
+    True at every vertex, and 2^b exceeds the summed 1-norm of the terms at
+    every vertex, so a wrong term could not vanish at 2^b."""
+    terms = expansion_terms(g)
+    holds = verify_deletion_formula(g)
+    assert holds == tuple(not sum(at_u, IntPoly()) for at_u in terms) == (True,) * g.n
+    adj = g.adjacency()
+    bits = _deletion_bits(adj, _cycles_by_vertex(adj))
+    assert all(sum(map(one_norm, at_u)) < 1 << bits for at_u in terms)
+
+
+@st.composite
+def connected_graphs(draw, max_n: int = 9, max_extra: int = 12) -> Graph:
+    """A random recursive tree plus up to max_extra more edges."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=max_extra,
+                                   unique=True)))
+    return Graph(n, edges)
+
+
+K4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+
+
 class TestDeletionFormula:
     def test_families_and_k4(self):
         # K4's three 4-cycles share one vertex set; each keeps its own term
-        k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        for g in [make_dumbbell(3, 1, 3), make_theta(2, 1, 0), k4]:
-            assert verify_deletion_formula(g) == (True,) * g.n
+        for g in [make_dumbbell(3, 1, 3), make_theta(2, 1, 0), K4]:
+            check_against_matrix_route(g)
 
     def test_one_entry_per_vertex(self):
         rng = Random(3)
-        for g in [make_path(1), make_path(3), make_cycle(5)] + [
+        for g in [Graph(0), make_path(1), make_path(3), make_cycle(5)] + [
                 random_connected_graph(rng, rng.randint(2, 7), rng.randint(0, 3))
                 for _ in range(10)]:
             assert len(verify_deletion_formula(g)) == g.n
 
-    def test_one_charpoly_per_deleted_set(self, monkeypatch):
-        g = make_theta(2, 2, 1)
-        calls = []
+    @settings(max_examples=100, deadline=None)
+    @given(connected_graphs())
+    def test_agrees_with_one_charpoly_per_deleted_set(self, g):
+        check_against_matrix_route(g)
 
-        def counted(mat):
-            calls.append(len(mat))
-            return charpoly(mat)
+    def test_width_covers_every_graph_of_the_default_suite(self, monkeypatch):
+        seen = []
 
-        monkeypatch.setattr(laplacian_module, "charpoly", counted)
-        assert verify_deletion_formula(g) == (True,) * g.n
-        deleted = {frozenset({u}) for u in range(g.n)}
-        deleted |= {frozenset(e) for e in g.edges}
-        deleted |= {frozenset(c) for u in range(g.n) for c in cycles_through(g, u)}
-        assert len(calls) == 1 + len(deleted)
-        assert calls[0] == g.n
+        def recorded(g):
+            seen.append(g)
+            return verify_deletion_formula(g)
+
+        monkeypatch.setattr(verify, "verify_deletion_formula", recorded)
+        assert verify.verify_deletion_suite().passed
+        assert len(seen) == 206  # 106 family members and 100 samples
+        for g in seen:
+            check_against_matrix_route(g)
+
+    def test_one_charpoly_and_one_elimination_per_graph(self, monkeypatch):
+        calls = {"charpoly": [], "_adjugate": [], "det_bareiss": []}
+        for name in calls:
+            def counted(mat, name=name, original=getattr(laplacian_module, name)):
+                calls[name].append(len(mat))
+                return original(mat)
+
+            monkeypatch.setattr(laplacian_module, name, counted)
+        # theta(2, 2, 1) has three cycles on three vertex sets; K4 has seven
+        # cycles on five: its three 4-cycles share one
+        for g, sets in [(make_theta(2, 2, 1), 3), (K4, 5)]:
+            for made in calls.values():
+                made.clear()
+            assert verify_deletion_formula(g) == (True,) * g.n
+            cycle_sets = {frozenset(c) for u in range(g.n) for c in cycles_through(g, u)}
+            assert len(cycle_sets) == sets
+            assert calls["charpoly"] == calls["_adjugate"] == [g.n]
+            assert sorted(calls["det_bareiss"]) == sorted(g.n - len(z) for z in cycle_sets)
 
     @pytest.mark.parametrize("g", [make_theta(2, 2, 1), make_dumbbell(4, 1, 3)],
                              ids=["theta(2,2,1)", "dumbbell(4,1,3)"])
     def test_a_wrong_edge_minor_fails_exactly_its_endpoints(self, monkeypatch, g):
         for u, v in g.edges:
-            def corrupted(mat, delete, edge={u, v}):
+            for wrong in (lambda minor: minor + 1, lambda minor: None):
+                def corrupted(adj, det, a, b, edge=(u, v), wrong=wrong):
+                    minor = _pair_minor(adj, det, a, b)
+                    return wrong(minor) if (a, b) == edge else minor
+
+                monkeypatch.setattr(laplacian_module, "_pair_minor", corrupted)
+                assert verify_deletion_formula(g) == tuple(w not in (u, v)
+                                                           for w in range(g.n))
+
+    def test_a_wrong_adjugate_entry_fails_exactly_its_edge(self, monkeypatch):
+        g = make_theta(2, 2, 1)
+        adjacency = g.adjacency()
+        for u in range(g.n):
+            for v in range(g.n):
+                def corrupted(mat, entry=(u, v)):
+                    det, adj = _adjugate(mat)
+                    adj[entry[0]][entry[1]] += 1
+                    return det, adj
+
+                monkeypatch.setattr(laplacian_module, "_adjugate", corrupted)
+                if u == v:  # phi(L_u) and every phi(L_uw) are wrong
+                    fails = {u} | adjacency[u]
+                else:  # phi(L_uv) is wrong if uv is an edge
+                    fails = {u, v} if v in adjacency[u] else set()
+                assert verify_deletion_formula(g) == tuple(w not in fails
+                                                           for w in range(g.n))
+
+    @pytest.mark.parametrize("g", [make_theta(2, 2, 1), make_dumbbell(4, 1, 3), K4],
+                             ids=["theta(2,2,1)", "dumbbell(4,1,3)", "K4"])
+    def test_a_wrong_cycle_minor_fails_exactly_its_vertices(self, monkeypatch, g):
+        for z in {frozenset(c) for u in range(g.n) for c in cycles_through(g, u)}:
+            def corrupted(mat, delete, z=z):
                 sub = submatrix_deleting(mat, delete)
-                if set(delete) == edge:
-                    sub[0][0] += 1
+                if set(delete) == z:  # one more diagonal block, so det doubles
+                    sub = [row + [0] for row in sub] + [[0] * len(sub) + [2]]
                 return sub
 
             monkeypatch.setattr(laplacian_module, "submatrix_deleting", corrupted)
-            assert verify_deletion_formula(g) == tuple(w not in (u, v)
-                                                       for w in range(g.n))
+            assert verify_deletion_formula(g) == tuple(w not in z for w in range(g.n))
+
+    def test_a_wrong_charpoly_fails_every_vertex(self, monkeypatch):
+        g = make_theta(2, 1, 0)
+        monkeypatch.setattr(laplacian_module, "charpoly",
+                            lambda mat: charpoly(mat) + 1)
+        assert verify_deletion_formula(g) == (False,) * g.n
+
+
+class TestAdjugate:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_cofactors(self, seed):
+        rng = Random(seed)
+        n = rng.randint(1, 6)
+        # strictly diagonally dominant, so every leading minor is nonzero
+        mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        for i, row in enumerate(mat):
+            row[i] = rng.choice((-1, 1)) * (sum(abs(v) for v in row) + rng.randint(1, 4))
+        before = [row[:] for row in mat]
+        det, adj = _adjugate(mat)
+        assert mat == before
+        assert det == naive_det(mat)
+        for i in range(n):
+            for j in range(n):
+                minor = [row[:i] + row[i + 1:] for k, row in enumerate(mat) if k != j]
+                assert adj[i][j] == (-1) ** (i + j) * naive_det(minor)
+
+    def test_empty_and_one_by_one(self):
+        assert _adjugate([]) == (1, [])
+        assert _adjugate([[5]]) == (5, [[1]])
+        assert _adjugate([[-3]]) == (-3, [[1]])
+
+    @pytest.mark.parametrize("mat", [
+        [[0]],
+        [[0, 1], [1, 0]],
+        [[1, 1, 0], [1, 1, 1], [0, 1, 1]],  # det -1, second leading minor 0
+    ], ids=["1x1", "first", "second"])
+    def test_zero_pivot_is_refused(self, mat):
+        with pytest.raises(ArithmeticError, match="zero pivot"):
+            _adjugate(mat)
+
+    @NON_SQUARE
+    def test_non_square_is_refused(self, mat):
+        with pytest.raises(ValueError, match="not square"):
+            _adjugate(mat)
+
+    def test_pair_minors_by_jacobi(self):
+        for g in [make_theta(2, 2, 1), make_dumbbell(4, 0, 3), K4]:
+            shifted = [[(9 if i == j else 0) - v for j, v in enumerate(row)]
+                       for i, row in enumerate(laplacian(g))]
+            det, adj = _adjugate(shifted)
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    assert _pair_minor(adj, det, u, v) == det_bareiss(
+                        submatrix_deleting(shifted, {u, v}))
+
+    def test_a_remainder_is_not_a_minor(self):
+        # (1 * 1 - 0 * 0) / 2 leaves 1
+        assert _pair_minor([[1, 0], [0, 1]], 2, 0, 1) is None
 
 
 class TestTrailingCharpolys:

@@ -352,3 +352,22 @@ class TestRunner:
 
     def test_negative_seed_is_a_seed(self):
         assert verify_invariants_suite(samples=3, n_max=5, seed=-7).passed
+
+    @pytest.mark.parametrize("suite,kwargs,name", [
+        (verify_deletion_suite, {"samples": 1, "sample_n_max": 1}, "sample_n_max"),
+        (verify_deletion_suite, {"samples": 5, "sample_n_max": 0}, "sample_n_max"),
+        (verify_invariants_suite, {"samples": 1, "n_max": 1}, "n_max"),
+    ])
+    def test_sample_bound_below_two_is_refused_before_any_work(self, monkeypatch,
+                                                               suite, kwargs, name):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the suite did work before refusing its bound")
+
+        for work in ("family_members", "random_connected_graph", "charpoly"):
+            monkeypatch.setattr(verify, work, no_work)
+        with pytest.raises(ValueError, match=f"{name} must be >= 2 when samples > 0"):
+            suite(**kwargs)
+
+    def test_sample_bound_below_two_without_samples_is_accepted(self):
+        assert verify_deletion_suite(family_n_max=5, samples=0, sample_n_max=1).passed
+        assert verify_invariants_suite(samples=0, n_max=0).passed
