@@ -8,8 +8,8 @@ the family's spectral-determination argument on exhaustively enumerated
 small graphs.
 """
 
-from .canonical import (are_isomorphic, canonical_form, canonical_graph,
-                        canonical_permutation, refined_colors)
+from .canonical import (are_isomorphic, canonical_form, canonical_permutation,
+                        refined_colors)
 from .enumeration import (DEFAULT_CAP, EnumerationCapError, EnumerationTask,
                           enumerate_by_vertex_growth, enumerate_graphs,
                           random_connected_graph)

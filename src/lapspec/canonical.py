@@ -12,14 +12,30 @@ choice is lexicographically dominated, and it collapses interchangeable
 candidates (mutual twins).  This is exhaustive-with-pruning, not a
 refinement-based canonizer, which is plenty at the vertex counts used here.
 
+The refinement starts from degrees and only ever splits colors, so all
+vertices of one color have the same degree.  The key of a vertex of color
+c, (c, its neighbors' colors sorted ascending), is therefore compared only
+with keys of the same length once c ties, and it orders exactly like the
+int ``(c + 1) * 2**top - sum(2**(top - w * (c_u + 1)))`` over its
+neighbors u, with ``w = n.bit_length()`` and ``top = w * n``: the sum holds
+the count of each neighbor color in its own w-bit digit, color 0 most
+significant, and a count never exceeds n - 1 < 2**w.  Between two
+equal-length sorted tuples the first difference, at the smaller color,
+gives that color a larger count, hence a larger sum and a smaller key.
+
 The search reads the graph's int bitmask rows (``Graph.rows``), one per
-vertex, and its neighbor sets for the refinement.  Every unplaced
-vertex carries its field against the placed prefix as an int, and placing x
-shifts in one bit per vertex: ``(s << 1) | (rows[x] >> v & 1)``.  The twin
-test is ``rows[v] & ~(1 << w) == rows[w] & ~(1 << v)``.  Positions with a
-single candidate are walked in a loop; only real choices recurse.  The
-field at position j is exactly column j of the relabeled upper triangle, the
-order graph6 packs, so the certificate is packed straight from the winning
+vertex, for the twin test ``rows[v] & ~(1 << w) == rows[w] & ~(1 << v)``,
+and neighbor lists built once from ``Graph.edges`` for the rest.  Every
+unplaced vertex carries a left-aligned score: bit n - 1 - i is set iff it
+is adjacent to ``order[i]``.  Placing x at position pos sets bit
+n - 1 - pos in the scores of x's neighbors only.  At position pos every
+candidate's score is its field shifted up by n - pos bits, the same shift
+for all of them and for the best sequence's field there, so comparing
+scores compares fields.  Positions with a single candidate are walked in a
+loop; only real choices recurse, each branch on its own copy of the
+scores.  The field at position j, the winning score shifted down by n - j
+bits, is exactly column j of the relabeled upper triangle, the order
+graph6 packs, so the certificate is packed straight from the winning
 fields without building the relabeled graph.
 """
 
@@ -28,7 +44,7 @@ from __future__ import annotations
 from typing import Collection, Sequence
 
 from .graph6 import graph6_pack
-from .graphs import Graph, relabel
+from .graphs import Graph
 
 
 def refined_colors(n: int, adj: Sequence[Collection[int]]) -> list[int]:
@@ -37,10 +53,14 @@ def refined_colors(n: int, adj: Sequence[Collection[int]]) -> list[int]:
     structural keys, so they are invariant under relabeling."""
     colors = [len(adj[v]) for v in range(n)]
     distinct = len(set(colors))
+    width = n.bit_length()
+    top = width * n
     while True:
-        get = colors.__getitem__
-        # (color, *sorted neighbor colors) orders like (color, sorted tuple)
-        keys = [(colors[v], *sorted(map(get, adj[v]))) for v in range(n)]
+        # The key of v orders like (color, sorted neighbor colors); see the
+        # module docstring for why one int per vertex is exact.
+        weight = [1 << (top - width * (c + 1)) for c in colors]
+        get = weight.__getitem__
+        keys = [((c + 1) << top) - sum(map(get, adj[v])) for v, c in enumerate(colors)]
         rank = dict(zip(sorted(set(keys)), range(n)))
         new = list(map(rank.__getitem__, keys))
         # With n distinct ranks the next round would return them unchanged.
@@ -50,10 +70,15 @@ def refined_colors(n: int, adj: Sequence[Collection[int]]) -> list[int]:
 
 
 def _search(g: Graph) -> tuple[list[int], list[int]]:
-    """The maximal field sequence and the first placement order (position ->
-    original vertex) that reaches it."""
+    """The maximal field sequence, left-aligned (field j shifted up by
+    n - j bits), and the first placement order (position -> original
+    vertex) that reaches it."""
     n, rows = g.n, g.rows
-    colors = refined_colors(n, g.adjacency())
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in g.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    colors = refined_colors(n, adj)
 
     # Colors are ranks 0..k-1.  Small cells first, ties by color (the sort is
     # stable): the first positions then branch as little as possible, and
@@ -70,15 +95,14 @@ def _search(g: Graph) -> tuple[list[int], list[int]]:
     best_order: list[int] = []
 
     def walk(pos: int, scores: list[int], free: int, ahead: bool) -> bool:
-        """Extend the placement order[:pos]; scores are the fields against
-        order[:pos - 1], and ahead means fields[:pos] already beats best.
-        Returns whether best was replaced."""
+        """Extend the placement order[:pos]; scores are the left-aligned
+        fields against order[:pos], owned by this call, and ahead means
+        fields[:pos] already beats best.  Returns whether best was replaced."""
         nonlocal best, best_order
         while pos < n:
-            if pos:
-                row = rows[order[pos - 1]]
-                scores = [(s << 1) | (row >> v & 1) for v, s in enumerate(scores)]
-            reps = [v for v in cell_at[pos] if free >> v & 1]
+            reps = cell_at[pos]
+            if len(reps) > 1:
+                reps = [v for v in reps if free >> v & 1]
             if len(reps) == 1:
                 top = scores[reps[0]]
             else:
@@ -99,16 +123,22 @@ def _search(g: Graph) -> tuple[list[int], list[int]]:
                     return False
                 ahead = top > best[pos]
             fields[pos] = top
+            bit = 1 << (n - 1 - pos)
             if len(reps) > 1:
                 improved = False
                 for x in reps:
                     order[pos] = x
-                    if walk(pos + 1, scores, free & ~(1 << x), ahead):
+                    branch = scores.copy()
+                    for v in adj[x]:
+                        branch[v] |= bit
+                    if walk(pos + 1, branch, free & ~(1 << x), ahead):
                         # best now runs through fields[:pos + 1]
                         improved, ahead = True, False
                 return improved
             x = order[pos] = reps[0]
             free &= ~(1 << x)
+            for v in adj[x]:
+                scores[v] |= bit
             pos += 1
         if ahead:
             best, best_order = fields.copy(), order.copy()
@@ -123,16 +153,11 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
     return tuple(_search(g)[1])
 
 
-def canonical_graph(g: Graph) -> Graph:
-    perm = canonical_permutation(g)
-    mapping = {v: i for i, v in enumerate(perm)}
-    return relabel(g, mapping)
-
-
 def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant certificate: graph6 bytes of the canonical
     relabeling.  Equal certificates iff isomorphic graphs."""
-    return graph6_pack(g.n, _search(g)[0])
+    n = g.n
+    return graph6_pack(n, [f >> (n - j) for j, f in enumerate(_search(g)[0])])
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:

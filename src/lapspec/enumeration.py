@@ -62,11 +62,19 @@ minimum degree, ties allowed.  Every class is still reached, as with the
 top-edge rule: deleting a top vertex w from a graph G on n + 1 vertices
 leaves a graph on n, and an isomorphism onto that graph's representative
 carries N(w) to a neighbor set whose child is isomorphic to G, with the new
-vertex again a top vertex, since the tuples are invariant.  The rule uses
-degrees only, not twins.  ``enumerate_by_vertex_growth`` can keep its
-levels in a memo the caller owns, each a dict from canonical form to
-representative, so the census grows every level once and reads its forms
-from that memo.
+vertex again a top vertex, since the tuples are invariant.  A neighbor
+set S is also kept only when it meets every twin group of the parent in a
+prefix of that group, in vertex order.  A group is the vertices with one
+open row, or with one closed row (``row | 1 << u``), found by a dict keyed
+on the row.  Swapping two twins is an automorphism of the parent and keeps
+the new vertex a top vertex, so every orbit of neighbor sets under those
+swaps keeps the one member that meets each group in a prefix.  This rule is
+written on its own (``_twin_steps``), not with the edge route's
+``_twin_classes``, so that a pruning fault in either route shows as a
+census disagreement instead of being shared by both.
+``enumerate_by_vertex_growth`` can keep its levels in a memo the caller
+owns, each a dict from canonical form to representative, so the census
+grows every level once and reads its forms from that memo.
 
 Results are deterministic: canonical graph6 forms, sorted.  They can be
 cached on disk, one file per task: a header line
@@ -100,7 +108,7 @@ from itertools import combinations, product
 from operator import index
 from pathlib import Path
 from random import Random
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .canonical import canonical_form
 from .graph6 import graph6_decode
@@ -206,29 +214,52 @@ def _add_edge(level: Iterable[Graph]) -> Iterator[Graph]:
             yield g._child(g.n, ((i, j),))
 
 
-def _is_top_edge(rows: tuple[int, ...], degrees: list[int], i: int, j: int) -> bool:
-    """Whether the new edge (i, j) has the largest (larger, smaller)
-    endpoint-degree pair among the edges of the child, ties allowed, read
-    from the parent's rows and degrees.  With (high, low) the pair of the
-    new edge in the child, that is: no vertex has degree above high, and no
-    vertex of degree high has a neighbor of degree above low."""
-    child = list(degrees)
-    child[i] += 1
-    child[j] += 1
-    high, low = max(child[i], child[j]), min(child[i], child[j])
-    above_low = sum(1 << v for v, d in enumerate(child) if d > low)
-    return all(d < high or (d == high and not rows[v] & above_low)
-               for v, d in enumerate(child))
+def _top_edge_test(rows: tuple[int, ...]) -> Callable[[int, int], bool]:
+    """The test of whether a new edge (i, j) of the parent with these rows
+    has the largest (larger, smaller) endpoint-degree pair among the edges
+    of the child, ties allowed.  With (high, low) the pair of the new edge
+    in the child, that is: no vertex has degree above high, and no vertex of
+    degree high has a neighbor of degree above low.  The parent's degree
+    data is read once; each test is then a few mask operations."""
+    degrees = [row.bit_count() for row in rows]
+    most = max(degrees, default=0)
+    # above[k]: the vertices of degree > k; reach[k]: the neighbors of the
+    # vertices of degree k; both for k <= most + 1.
+    above = [0] * (most + 2)
+    reach = [0] * (most + 2)
+    for v, d in enumerate(degrees):
+        reach[d] |= rows[v]
+        for k in range(d):
+            above[k] |= 1 << v
+
+    def is_top(i: int, j: int) -> bool:
+        di, dj = degrees[i], degrees[j]
+        if di < dj:
+            i, j, di, dj = j, i, dj, di
+        high, low = di + 1, dj + 1
+        if most > high:
+            return False
+        # The child's vertices of degree high are the parent's (never i or
+        # j) plus i, and j on a tie; those above low are the parent's other
+        # than i and j, plus i unless it ties.
+        beyond = above[low] & ~(1 << i | 1 << j)
+        seen = reach[high] | rows[i]
+        if di == dj:
+            seen |= rows[j]
+        else:
+            beyond |= 1 << i
+        return not seen & beyond
+
+    return is_top
 
 
 def _add_top_edge(level: Iterable[Graph]) -> Iterator[Graph]:
     """The children of ``_add_edge`` whose new edge is a top edge
-    (``_is_top_edge``); the test runs before the child is built."""
+    (``_top_edge_test``); the test runs before the child is built."""
     for g in level:
-        rows = g.rows
-        degrees = [row.bit_count() for row in rows]
+        is_top = _top_edge_test(g.rows)
         for i, j in _edge_ends(g):
-            if _is_top_edge(rows, degrees, i, j):
+            if is_top(i, j):
                 yield g._child(g.n, ((i, j),))
 
 
@@ -258,23 +289,39 @@ def _is_top_vertex(rows: tuple[int, ...], degrees: list[int], subset: int) -> bo
     return True
 
 
+def _twin_steps(rows: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(earlier, later) bit pairs of consecutive members of each twin group,
+    a neighbor set S meeting every group in a prefix of it exactly when no
+    pair has later in S and earlier not.  A group is the vertices with one
+    open row, or with one closed row ``row | 1 << u``, in vertex order."""
+    groups: dict[tuple[bool, int], list[int]] = {}
+    for u, row in enumerate(rows):
+        groups.setdefault((False, row), []).append(u)
+        groups.setdefault((True, row | 1 << u), []).append(u)
+    return [(1 << a, 1 << b) for group in groups.values() for a, b in zip(group, group[1:])]
+
+
 def _add_vertex(level: Iterable[Graph]) -> Iterator[Graph]:
-    """Every graph of level plus one new top vertex: a vertex of minimum
-    degree in the child whose descending neighbor-degree tuple is the
-    largest among the child's minimum-degree vertices (``_is_top_vertex``).
-    The new vertex is joined to each subset S of the old vertices with
-    |S| <= deg(u) + [u in S] for every old vertex u: with d the parent's
-    minimum degree, S qualifies when |S| <= d, or when |S| = d + 1 and S
-    holds every vertex of degree d.  The top-vertex test runs before the
-    child is built."""
+    """Every graph of level plus one new top vertex, up to twin swaps.  A
+    top vertex is of minimum degree in the child and has the largest
+    descending neighbor-degree tuple among the child's minimum-degree
+    vertices (``_is_top_vertex``).  The new vertex is joined to each subset
+    S of the old vertices with |S| <= deg(u) + [u in S] for every old
+    vertex u: with d the parent's minimum degree, S qualifies when
+    |S| <= d, or when |S| = d + 1 and S holds every vertex of degree d.  S
+    is kept only when it meets every twin group in a prefix of the group
+    (``_twin_steps``).  Both tests run before the child is built."""
     for g in level:
         rows = g.rows
         degrees = [row.bit_count() for row in rows]
         low = min(degrees, default=0)
         minimal = sum(1 << u for u, d in enumerate(degrees) if d == low)
+        steps = _twin_steps(rows)
         for subset in range(1 << g.n):
             size = subset.bit_count()
             if ((size <= low or size == low + 1 and not minimal & ~subset)
+                    and not any(subset & later and not subset & earlier
+                                for earlier, later in steps)
                     and _is_top_vertex(rows, degrees, subset)):
                 yield g._child(g.n + 1, [(i, g.n) for i in range(g.n) if subset >> i & 1])
 

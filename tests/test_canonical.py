@@ -4,12 +4,15 @@ from functools import lru_cache
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lapspec.canonical import (are_isomorphic, canonical_form, canonical_graph,
+from lapspec import enumeration
+from lapspec.canonical import (are_isomorphic, canonical_form,
                                canonical_permutation, refined_colors)
 from lapspec.enumeration import (EnumerationTask, enumerate_by_vertex_growth,
                                  enumerate_graphs)
-from lapspec.graph6 import graph6_encode
+from lapspec.graph6 import graph6_encode, graph6_pack
 from lapspec.graphs import (Graph, dumbbell_graph, make_cycle, make_dumbbell,
                             make_path, make_theta, relabel, theta_graph)
 
@@ -31,6 +34,101 @@ CENSUS_TOTALS = [1, 1, 2, 4, 11, 34, 156, 1044]  # OEIS A000088
 @lru_cache(maxsize=None)
 def all_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(enumerate_by_vertex_growth(n))
+
+
+def canonical_graph(g: Graph) -> Graph:
+    """g relabeled by its canonical permutation."""
+    perm = canonical_permutation(g)
+    return relabel(g, {v: i for i, v in enumerate(perm)})
+
+
+def oracle_refined_colors(n, adj):
+    """The refinement with a sorted tuple key per vertex, as the kernel had
+    it before the int keys."""
+    colors = [len(adj[v]) for v in range(n)]
+    distinct = len(set(colors))
+    while True:
+        get = colors.__getitem__
+        keys = [(colors[v], *sorted(map(get, adj[v]))) for v in range(n)]
+        rank = dict(zip(sorted(set(keys)), range(n)))
+        new = list(map(rank.__getitem__, keys))
+        if len(rank) in (distinct, n):
+            return new
+        colors, distinct = new, len(rank)
+
+
+def oracle_search(g: Graph):
+    """The search that rebuilds every vertex's right-aligned field against
+    the placed prefix at each position, as the kernel had it before the
+    sparse left-aligned score updates.  Returns (fields, order)."""
+    n, rows = g.n, g.rows
+    colors = oracle_refined_colors(n, g.adjacency())
+    cells = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, color in enumerate(colors):
+        cells[color].append(v)
+    cells.sort(key=len)
+    cell_at = [cell for cell in cells for _ in cell]
+    fields = [0] * n
+    order = [0] * n
+    best, best_order = [], []
+
+    def walk(pos, scores, free, ahead):
+        nonlocal best, best_order
+        while pos < n:
+            if pos:
+                row = rows[order[pos - 1]]
+                scores = [(s << 1) | (row >> v & 1) for v, s in enumerate(scores)]
+            reps = [v for v in cell_at[pos] if free >> v & 1]
+            if len(reps) == 1:
+                top = scores[reps[0]]
+            else:
+                top = max([scores[v] for v in reps])
+                candidates, reps = reps, []
+                for v in candidates:
+                    if scores[v] != top:
+                        continue
+                    row = rows[v]
+                    for w in reps:
+                        if row & ~(1 << w) == rows[w] & ~(1 << v):
+                            break
+                    else:
+                        reps.append(v)
+            if not ahead:
+                if top < best[pos]:
+                    return False
+                ahead = top > best[pos]
+            fields[pos] = top
+            if len(reps) > 1:
+                improved = False
+                for x in reps:
+                    order[pos] = x
+                    if walk(pos + 1, scores, free & ~(1 << x), ahead):
+                        improved, ahead = True, False
+                return improved
+            x = order[pos] = reps[0]
+            free &= ~(1 << x)
+            pos += 1
+        if ahead:
+            best, best_order = fields.copy(), order.copy()
+        return ahead
+
+    walk(0, [0] * n, (1 << n) - 1, True)
+    return best, best_order
+
+
+def assert_matches_oracle(g: Graph) -> None:
+    fields, order = oracle_search(g)
+    assert canonical_form(g) == graph6_pack(g.n, fields), graph6_encode(g)
+    assert canonical_permutation(g) == tuple(order), graph6_encode(g)
+    assert refined_colors(g.n, g.adjacency()) == oracle_refined_colors(g.n, g.adjacency())
+
+
+@st.composite
+def graphs(draw, max_n: int = 14) -> Graph:
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
 
 
 def shuffled(g: Graph, rng: Random) -> Graph:
@@ -132,6 +230,35 @@ class TestAreIsomorphic:
         rng = Random(23)
         assert are_isomorphic(petersen, shuffled(petersen, rng))
         assert not are_isomorphic(petersen, prism)
+
+
+class TestOracle:
+    """The kernel gives the same certificates and permutations, byte for
+    byte, as the search it replaced."""
+
+    def test_every_class_and_vertex_route_child(self):
+        levels = []
+        enumerate_by_vertex_growth(7, levels=levels)
+        for level in levels:
+            for g in level.values():
+                assert_matches_oracle(g)
+        children = 0
+        for level in levels[:7]:
+            for child in enumeration._add_vertex(level.values()):
+                assert_matches_oracle(child)
+                children += 1
+        assert children == 1673
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_every_pool_graph(self, n, bicyclic_pool):
+        for g in bicyclic_pool(n):
+            assert_matches_oracle(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), st.randoms(use_true_random=False))
+    def test_random_graphs_and_relabelings(self, g, rng):
+        assert_matches_oracle(g)
+        assert_matches_oracle(shuffled(g, rng))
 
 
 class TestRefinedColors:

@@ -59,6 +59,27 @@ def _top_vertex_subsets(g: Graph) -> list[tuple[int, ...]]:
     return kept
 
 
+def _meets_twins_in_prefixes(g: Graph, subset: tuple[int, ...]) -> bool:
+    """Whether subset holds, of every twin class of g in vertex order, only
+    a prefix.  Twins v, w have N(v) - {w} = N(w) - {v}, compared pairwise."""
+    adjacency = g.adjacency()
+    for v in range(g.n):
+        for w in range(v + 1, g.n):
+            if (w in subset and v not in subset
+                    and adjacency[v] - {w} == adjacency[w] - {v}):
+                return False
+    return True
+
+
+def _kept_children(levels) -> int:
+    """How many children the vertex route builds from the classes on each
+    of these vertex counts: one per top-vertex neighbor set that meets
+    every twin class in a prefix."""
+    return sum(1 for n in levels for g in enumerate_by_vertex_growth(n)
+               for subset in _top_vertex_subsets(g)
+               if _meets_twins_in_prefixes(g, subset))
+
+
 @pytest.fixture
 def canonical_calls(monkeypatch):
     """The argument of every canonical_form call the enumeration module
@@ -315,20 +336,22 @@ class TestVertexGrowthRoute:
 
     def test_canonical_calls_take_graphs(self, canonical_calls):
         # one call for the seed and one per child: a new vertex joined to
-        # each subset of the old ones that leaves it a top vertex, for
-        # every class of the level below
-        admissible = sum(len(_top_vertex_subsets(g))
-                         for n in range(5) for g in enumerate_by_vertex_growth(n))
+        # each subset of the old ones that leaves it a top vertex and meets
+        # every twin class in a prefix, for every class of the level below
+        admissible = _kept_children(range(5))
         canonical_calls.clear()
         assert len(enumerate_by_vertex_growth(5)) == 34
-        assert len(canonical_calls) == 1 + admissible == 89
+        assert len(canonical_calls) == 1 + admissible == 58
         assert [g.n for g in canonical_calls[:3]] == [0, 1, 2]
 
     def test_census_grows_each_vertex_level_once(self, private_memo, canonical_calls,
                                                  monkeypatch):
-        # 2,347 calls for the edge route and 2,475 for the vertex route
-        # (the seed and 2,474 top-vertex children); the census reads the
-        # vertex route's forms instead of canonicalizing its classes again
+        # 2,347 calls for the edge route and 1,674 for the vertex route
+        # (the seed and 1,673 twin-pruned top-vertex children); the census
+        # reads the vertex route's forms instead of canonicalizing its
+        # classes again
+        children = _kept_children(range(7))
+        canonical_calls.clear()
         add_vertex = enumeration._add_vertex
         grown = []
 
@@ -341,7 +364,7 @@ class TestVertexGrowthRoute:
         monkeypatch.setattr(verify, "canonical_form", enumeration.canonical_form)
         report = verify_census(n_max=7)
         assert report.passed
-        assert len(canonical_calls) == 4822
+        assert len(canonical_calls) == 2347 + 1 + children == 4021
         assert grown == [[n] * total for n, total in enumerate([1, 1, 2, 4, 11, 34, 156])]
 
     def test_census_canonicalizes_only_inside_the_enumerators(self, private_memo,
@@ -349,6 +372,8 @@ class TestVertexGrowthRoute:
                                                               monkeypatch):
         # every canonical call falls inside a call of one of the two public
         # enumerators, so per-route counts can be read off the call stack
+        children = _kept_children(range(7))
+        canonical_calls.clear()
         inside = {"edges": 0, "vertices": 0}
         open_route = []
 
@@ -372,8 +397,9 @@ class TestVertexGrowthRoute:
         monkeypatch.setattr(verify, "canonical_form", enumeration.canonical_form)
         assert verify_census(n_max=7).passed
         assert vertex_calls == list(range(8))
-        assert inside == {"edges": 2347, "vertices": 2475}
-        assert len(canonical_calls) == 4822
+        assert inside == {"edges": 2347, "vertices": 1 + children} == \
+            {"edges": 2347, "vertices": 1674}
+        assert len(canonical_calls) == 4021
 
     def test_resumed_growth_grows_only_the_missing_levels(self, canonical_calls):
         levels = []
@@ -382,11 +408,10 @@ class TestVertexGrowthRoute:
         canonical_calls.clear()
         assert _forms(enumerate_by_vertex_growth(5, levels=levels)) == \
             _forms(enumerate_by_vertex_growth(5))
-        # the fresh n = 5 growth makes 89 calls; the resumed one skips the
+        # the fresh n = 5 growth makes 58 calls; the resumed one skips the
         # seed and the children of levels 0..2
-        resumed = len(canonical_calls) - 89
-        assert resumed == sum(len(_top_vertex_subsets(g))
-                              for n in (3, 4) for g in enumerate_by_vertex_growth(n))
+        resumed = len(canonical_calls) - 58
+        assert resumed == _kept_children((3, 4)) == 50
         assert [list(level) == sorted(level) for level in levels] == [True] * 6
         canonical_calls.clear()
         assert len(enumerate_by_vertex_growth(2, levels=levels)) == 2

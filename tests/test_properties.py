@@ -1,7 +1,8 @@
 """Property tests: the graph6 decoder, canonical forms, bitmask rows,
 the peeled-tree charpoly value against one Bareiss elimination,
-twin-pruned children, children built without validation, the top-edge
-test against the child's own degree pairs, the top-vertex rule against the
+twin-pruned edge, leaf and vertex children, children built without
+validation, the top-edge test against the child's own degree pairs and
+against the per-edge test it replaced, the top-vertex rule against the
 child's own neighbor degrees and against deleting a top vertex, the ring
 laws of IntPoly and LaurentPoly, the substitution x = y + 2 + 1/y against
 Horner's rule on plain dicts, and the Berkowitz charpoly against the
@@ -79,6 +80,18 @@ def _vertex_children(g: Graph):
             yield child
 
 
+def _is_top_edge(rows, degrees, i, j) -> bool:
+    """The per-edge top-edge test the per-parent one replaced: the child's
+    degree list rebuilt and every vertex scanned."""
+    child = list(degrees)
+    child[i] += 1
+    child[j] += 1
+    high, low = max(child[i], child[j]), min(child[i], child[j])
+    above_low = sum(1 << v for v, d in enumerate(child) if d > low)
+    return all(d < high or (d == high and not rows[v] & above_low)
+               for v, d in enumerate(child))
+
+
 def _leaf_children(g: Graph):
     """One child per vertex, with a new leaf on it."""
     for v in range(g.n):
@@ -124,8 +137,11 @@ def test_canonical_form_survives_relabeling(g, rng):
 @PROPERTY
 @given(graphs(max_n=8))
 def test_twin_pruned_children_cover_every_class(g):
+    # the vertex route's twin-prefix rule drops only children isomorphic to
+    # a kept top-vertex child
     for pruned, full in ((enumeration._add_edge, _edge_children),
-                         (enumeration._add_leaf, _leaf_children)):
+                         (enumeration._add_leaf, _leaf_children),
+                         (enumeration._add_vertex, _vertex_children)):
         kept = [canonical_form(c) for c in pruned([g])]
         assert set(kept) == {canonical_form(c) for c in full(g)}
 
@@ -144,8 +160,11 @@ def test_trusted_children_equal_validated_graphs(g):
     vertex_children = list(enumeration._add_vertex([g]))
     children = [*enumeration._add_edge([g]), *enumeration._add_top_edge([g]),
                 *enumeration._add_leaf([g]), *vertex_children]
-    # one vertex child per neighbor set S leaving the new vertex a top vertex
-    assert vertex_children == list(_vertex_children(g))
+    # each vertex child has a neighbor set S leaving the new vertex a top
+    # vertex; test_twin_pruned_children_cover_every_class checks that they
+    # reach the forms of all such children
+    top_children = list(_vertex_children(g))
+    assert all(child in top_children for child in vertex_children)
     assert len(vertex_children) >= 1
     for child in children:
         built = Graph(child.n, child.edges)
@@ -158,7 +177,7 @@ def test_trusted_children_equal_validated_graphs(g):
 def test_top_edge_has_the_largest_degree_pair(g):
     # the (larger, smaller) endpoint-degree pair of every edge of the child,
     # read off the child itself
-    degrees = [row.bit_count() for row in g.rows]
+    is_top = enumeration._top_edge_test(g.rows)
     for i in range(g.n):
         for j in range(i + 1, g.n):
             if g.rows[i] >> j & 1:
@@ -167,7 +186,18 @@ def test_top_edge_has_the_largest_degree_pair(g):
             deg = [row.bit_count() for row in child.rows]
             pairs = [(max(deg[a], deg[b]), min(deg[a], deg[b])) for a, b in child.edges]
             top = max(pairs) == (max(deg[i], deg[j]), min(deg[i], deg[j]))
-            assert enumeration._is_top_edge(g.rows, degrees, i, j) == top
+            assert is_top(i, j) == top
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs(max_n=10), sparse_graphs(max_n=10)))
+def test_top_edge_test_matches_the_per_edge_test(g):
+    degrees = [row.bit_count() for row in g.rows]
+    is_top = enumeration._top_edge_test(g.rows)
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if not g.rows[i] >> j & 1:
+                assert is_top(i, j) == _is_top_edge(g.rows, degrees, i, j)
 
 
 @PROPERTY
@@ -182,7 +212,9 @@ def test_top_vertex_deleted_and_readded_is_a_child(g):
                                  if w not in (a, b)])
         child = Graph(g.n, parent.edges + tuple((position[v], g.n - 1)
                                                 for v in sorted(adjacency[w])))
-        assert child in list(enumeration._add_vertex([parent]))
+        assert canonical_form(child) in {canonical_form(c)
+                                         for c in enumeration._add_vertex([parent])}
+
 
 
 COEFFS = st.integers(-50, 50)
