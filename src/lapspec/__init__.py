@@ -20,11 +20,10 @@ from .graphs import (DumbbellParams, Graph, ThetaParams, classify_bicyclic,
                      make_theta, relabel, theta_graph)
 from .invariants import (InvalidCharpolyError, SpectralInvariants,
                          degree_constraint_solver, graph_invariants,
-                         invariants_from_charpoly, is_l_cospectral)
-from .laplacian import (charpoly, charpoly_interpolated, cycles_through,
-                        det_bareiss, laplacian, spanning_tree_count,
-                        submatrix_charpoly, trailing_charpolys, u_matrix,
-                        u_matrix_charpoly, verify_deletion_formula)
+                         invariants_from_charpoly)
+from .laplacian import (charpoly, charpoly_interpolated, det_bareiss, laplacian,
+                        spanning_tree_count, trailing_charpolys, u_matrix,
+                        verify_deletion_formula)
 from .polynomials import IntPoly, LaurentPoly, Y_SUBSTITUTION, substitute_y
 from .recurrences import (dumbbell_charpoly_rec, dumbbell_helper_poly,
                           dumbbell_value_at4, path_charpoly_rec, path_value_at4,

@@ -76,11 +76,6 @@ def graph_invariants(g: Graph) -> SpectralInvariants:
     return invariants_from_charpoly(charpoly(laplacian(g)))
 
 
-def is_l_cospectral(a: Graph, b: Graph) -> bool:
-    """Exact equality of Laplacian characteristic polynomials."""
-    return charpoly(laplacian(a)) == charpoly(laplacian(b))
-
-
 def degree_constraint_solver(inv: SpectralInvariants) -> Optional[dict[int, int]]:
     """Degree profile forced by the invariants of a connected graph with
     n + 1 edges and degree square sum 4n + 10, mirroring the counting

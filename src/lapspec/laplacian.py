@@ -25,11 +25,11 @@ member's before running Berkowitz on them, and ``_charpoly_at`` is its test
 oracle.  Bareiss skips the products of rows that are zero in the pivot
 column, so sparse matrices cost less.
 
-Also here: principal submatrix characteristic polynomials (vertex-deleted
-Laplacians keep the degrees of the original graph), the tridiagonal matrix
-family behind the path recurrences, the matrix-tree spanning tree count, and
-an executable check of the vertex deletion expansion of phi(L(G)) at every
-vertex of a graph at once.
+Also here: principal submatrices (vertex-deleted Laplacians keep the
+degrees of the original graph), the tridiagonal matrix family behind the
+path recurrences, the matrix-tree spanning tree count, and an executable
+check of the vertex deletion expansion of phi(L(G)) at every vertex of a
+graph at once.
 
 The deletion check is one exact integer identity per vertex at the
 Kronecker point x = z = 2^b.  With M = zI - L, every phi(L_S)(z) is the
@@ -313,22 +313,6 @@ def submatrix_deleting(mat: IntMatrix, delete: Iterable[int]) -> IntMatrix:
     return [[mat[i][j] for j in keep] for i in keep]
 
 
-def submatrix_charpoly(g: Graph, delete: Iterable[int]) -> IntPoly:
-    """Characteristic polynomial of L(g) with the given rows/columns removed.
-
-    Degrees on the diagonal are the degrees in g itself, which is exactly the
-    convention the deletion expansion below needs."""
-    drop = set(delete)
-    if not all(0 <= v < g.n for v in drop):
-        raise ValueError("vertex to delete out of range")
-    return charpoly(submatrix_deleting(laplacian(g), drop))
-
-
-def u_matrix_charpoly(n: int) -> IntPoly:
-    """Matrix-route characteristic polynomial of u_matrix(n)."""
-    return charpoly(u_matrix(n))
-
-
 def spanning_tree_count(g: Graph) -> int:
     """Matrix-tree theorem: any cofactor of the Laplacian."""
     if g.n == 0:
@@ -358,12 +342,6 @@ def _cycles_from(adj: list[set[int]], u: int, lowest: int) -> list[tuple[int, ..
 
     dfs(u)
     return cycles
-
-
-def cycles_through(g: Graph, u: int) -> list[tuple[int, ...]]:
-    """All simple cycles containing u, each listed once as a vertex tuple
-    starting at u; orientation is fixed by second vertex < last vertex."""
-    return _cycles_from(g.adjacency(), u, 0)
 
 
 def _adjugate(mat: IntMatrix) -> tuple[int, IntMatrix]:

@@ -8,9 +8,39 @@ cleared of denominators, satisfies
 with n the vertex count and f the fixed boundary polynomial below.  The
 tables live in data files (one term per line: coefficient, parity form,
 exponent form, all affine in the family parameters) and are treated as data
-under test: the verifiers compute the left side independently, from both the
-matrix and the recurrence charpoly routes, and report any exponent where the
-instantiated table disagrees.  A table mismatch is reported, never patched.
+under test: the verifiers compute the left side independently, from the
+matrix charpoly, check that the recurrence charpoly equals the matrix one,
+and report any exponent where the instantiated table disagrees.  A table
+mismatch is reported, never patched.
+
+Comparing the two charpolys is comparing the two left-hand sides.  The map
+phi -> y^n (y^2 - 1)^3 phi|_{x=y+2+1/y} is linear, and it is injective: with
+y + 2 + 1/y = (y + 1)^2 / y, a phi = sum_k c_k x^k of degree d <= n goes to
+g(y) = y^n phi((y + 1)^2 / y) = sum_k c_k (y + 1)^(2k) y^(n-k), whose top
+term c_d y^(n+d) is nonzero when phi is, and (y^2 - 1)^3 is a nonzero
+factor.  So the left-hand sides are equal exactly when the charpolys are,
+and each audit builds one left-hand side, from the matrix charpoly.
+
+``identity_lhs`` computes that left-hand side as one integer at the
+Kronecker point y = z = 2^b: g(z) by Horner's rule in w = (z + 1)^2, as
+T_n = c_n, T_j = T_(j+1) w + c_j z^(n-j) and g(z) = T_0 (each product by
+w as three shifted copies), then three multiplications by z^2 - 1 and
+f(n; z) added.  Every exponent is in
+0..2n+6, and the map y -> 2^b is a ring homomorphism, so the integer unpacks
+(``recurrences._unpack``) into the 2n + 7 balanced base-2^b digits in
+[-2^(b-1), 2^(b-1)) that are the coefficients, provided every coefficient
+is below 2^(b-1) in magnitude.  In the 1-norm |.| (sum of absolute
+coefficients), |f g| <= |f| |g|, so |(y + 1)^(2k)| = 4^k <= 4^n gives
+|g| <= 4^n |phi|, |(y^2 - 1)^3| = 8 and |f(n; y)| = 28.  Every coefficient
+of the left-hand side is thus at most 8 * 4^n * |phi| + 28, and b is read
+from the input so that 2^(b-1) exceeds that.
+
+``TermTable.instantiate`` evaluates integer rows compiled once per table,
+on first use: per term its coefficient and the constants of its parity and
+exponent forms, and per symbol the column of its coefficients in each form.  The exponents
+and parities of all terms are the constant columns plus each symbol's value
+times its column; a term's sign is (-1)^parity, read from the parity's low
+bit, so a negative parity still gives an integer coefficient.
 
 The lowest-exponent term of an instantiated table is what pins down the
 family parameters from the spectrum, which is why lowest_term gets dedicated
@@ -21,13 +51,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .graphs import dumbbell_graph, theta_graph
 from .laplacian import charpoly, laplacian
-from .polynomials import IntPoly, LaurentPoly, substitute_y
-from .recurrences import dumbbell_charpoly_rec, theta_charpoly_rec
+from .polynomials import IntPoly, LaurentPoly
+from .recurrences import _unpack, dumbbell_charpoly_rec, theta_charpoly_rec
 
 
 @dataclass(frozen=True)
@@ -84,22 +114,45 @@ class TableTerm:
     exponent: AffineForm
 
 
+def _columns(forms: list[AffineForm], symbols: tuple[str, ...]) -> tuple:
+    """(constants, one coefficient column per symbol) of a list of forms."""
+    coefs = [dict(form.coefs) for form in forms]
+    return (tuple(form.const for form in forms),
+            tuple(tuple(c.get(s, 0) for c in coefs) for s in symbols))
+
+
+def _evaluate_columns(columns: tuple, values: list[int]) -> list[int]:
+    consts, cols = columns
+    out = list(consts)
+    for col, v in zip(cols, values):
+        out = [o + a * v for o, a in zip(out, col)]
+    return out
+
+
 @dataclass(frozen=True)
 class TermTable:
     symbols: tuple[str, ...]
     terms: tuple[TableTerm, ...]
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """Integer rows, compiled on first use: the coefficients, and the
+        parity and exponent forms as columns (see the module docstring)."""
+        return (tuple(t.coeff for t in self.terms),
+                _columns([t.parity for t in self.terms], self.symbols),
+                _columns([t.exponent for t in self.terms], self.symbols))
 
     def instantiate(self, **values: int) -> LaurentPoly:
         """Sum the terms at integer parameter values; colliding exponents
         accumulate, which is how parameter coincidences merge terms."""
         if set(values) != set(self.symbols):
             raise ValueError(f"expected values for {self.symbols}, got {sorted(values)}")
-        acc: dict[int, int] = {}
-        for term in self.terms:
-            e = term.exponent.evaluate(values)
-            c = term.coeff * (-1) ** term.parity.evaluate(values)
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
+        coeffs, parity_columns, exponent_columns = self._rows
+        vals = [values[s] for s in self.symbols]
+        parities = _evaluate_columns(parity_columns, vals)
+        exponents = _evaluate_columns(exponent_columns, vals)
+        return LaurentPoly(zip(exponents, (-c if p & 1 else c
+                                           for c, p in zip(coeffs, parities))))
 
 
 def _parse_table(text: str) -> TermTable:
@@ -141,48 +194,62 @@ def theta_table() -> TermTable:
     return load_table("theta_terms.txt")
 
 
+# f(n; y) = head(y) + y^(2n+2) tail(y).
+_CORRECTION_HEAD = IntPoly((1, -2, -3, 4, 4))
+_CORRECTION_TAIL = IntPoly((-4, -4, 3, 2, -1))
+
+
 def correction_poly(n: int) -> LaurentPoly:
     """The fixed boundary polynomial f(n; y) added to the shifted charpoly."""
-    return LaurentPoly([
-        (0, 1), (1, -2), (2, -3), (3, 4), (4, 4),
-        (2 * n + 2, -4), (2 * n + 3, -4), (2 * n + 4, 3),
-        (2 * n + 5, 2), (2 * n + 6, -1),
-    ])
+    return LaurentPoly([*enumerate(_CORRECTION_HEAD.coeffs),
+                        *enumerate(_CORRECTION_TAIL.coeffs, start=2 * n + 2)])
 
 
-_UNIT_CUBE = (LaurentPoly.monomial(2) - 1) \
-    * (LaurentPoly.monomial(2) - 1) * (LaurentPoly.monomial(2) - 1)
+def _lhs_bits(n: int, norm: int) -> int:
+    """Digit width b for the left-hand side of a degree-n charpoly of 1-norm
+    norm: 2^(b-1) > 8 * 4^n * norm + 28 (see the module docstring)."""
+    return ((norm << (2 * n + 3)) + 28).bit_length() + 1
 
 
 def identity_lhs(phi: IntPoly, n: int) -> LaurentPoly:
-    """y^n (y^2-1)^3 phi|_{x=y+2+1/y} + f(n; y) for a degree-n charpoly."""
+    """y^n (y^2-1)^3 phi|_{x=y+2+1/y} + f(n; y) for a degree-n charpoly,
+    computed at the Kronecker point y = z = 2^b and unpacked."""
     if phi.degree != n:
         raise ValueError(f"charpoly degree {phi.degree} does not match n={n}")
-    return substitute_y(phi).shift(n) * _UNIT_CUBE + correction_poly(n)
+    coeffs = phi.coeffs
+    b = _lhs_bits(n, sum(map(abs, coeffs)))
+    acc = coeffs[n]
+    for j in range(n - 1, -1, -1):
+        # acc * (z + 1)^2 + c_j z^(n-j), the product as three shifted copies
+        acc = (acc << 2 * b) + (acc << b + 1) + acc + (coeffs[j] << b * (n - j))
+    for _ in range(3):
+        acc = (acc << 2 * b) - acc
+    z = 1 << b
+    acc += _CORRECTION_HEAD.eval(z) + (_CORRECTION_TAIL.eval(z) << b * (2 * n + 2))
+    return LaurentPoly(enumerate(_unpack(acc, b, 2 * n + 6).coeffs))
 
 
-def _audit(lhs_matrix: LaurentPoly, lhs_rec: LaurentPoly, table: LaurentPoly) -> dict:
-    diffs = []
-    exps = sorted(set(e for e, _ in lhs_matrix.items()) | set(e for e, _ in table.items()))
-    for e in exps:
-        if lhs_matrix.coeff(e) != table.coeff(e):
-            diffs.append({"exponent": e,
-                          "lhs": lhs_matrix.coeff(e),
-                          "table": table.coeff(e)})
+def _audit(phi_matrix: IntPoly, phi_rec: IntPoly, n: int, table: LaurentPoly) -> dict:
+    """routes_agree compares the two charpolys, which is comparing their
+    left-hand sides (the map between them is injective); the table is
+    compared with the one left-hand side built from the matrix charpoly."""
+    lhs = identity_lhs(phi_matrix, n)
+    diffs = [{"exponent": e, "lhs": lhs.coeff(e), "table": table.coeff(e)}
+             for e, _ in (table - lhs).items()]
     return {
-        "routes_agree": lhs_matrix == lhs_rec,
+        "routes_agree": phi_matrix == phi_rec,
         "table_matches": not diffs,
         "diffs": diffs,
     }
 
 
 def audit_dumbbell_identity(p: int, k: int, q: int) -> dict:
-    """One grid point of the dumbbell y-side identity: computes the LHS from
-    the matrix and recurrence routes and compares the instantiated table."""
+    """One grid point of the dumbbell y-side identity: compares the matrix
+    and recurrence charpolys and the instantiated table with the LHS."""
     n = p + k + q
-    lhs_matrix = identity_lhs(charpoly(laplacian(dumbbell_graph(p, k, q))), n)
-    lhs_rec = identity_lhs(dumbbell_charpoly_rec(p, k, q), n)
-    result = _audit(lhs_matrix, lhs_rec, dumbbell_table().instantiate(p=p, k=k, q=q))
+    result = _audit(charpoly(laplacian(dumbbell_graph(p, k, q))),
+                    dumbbell_charpoly_rec(p, k, q), n,
+                    dumbbell_table().instantiate(p=p, k=k, q=q))
     result["params"] = [p, k, q]
     return result
 
@@ -190,9 +257,9 @@ def audit_dumbbell_identity(p: int, k: int, q: int) -> dict:
 def audit_theta_identity(r: int, s: int, t: int) -> dict:
     """One grid point of the theta y-side identity, same contract."""
     n = r + s + t + 2
-    lhs_matrix = identity_lhs(charpoly(laplacian(theta_graph(r, s, t))), n)
-    lhs_rec = identity_lhs(theta_charpoly_rec(r, s, t), n)
-    result = _audit(lhs_matrix, lhs_rec, theta_table().instantiate(r=r, s=s, t=t))
+    result = _audit(charpoly(laplacian(theta_graph(r, s, t))),
+                    theta_charpoly_rec(r, s, t), n,
+                    theta_table().instantiate(r=r, s=s, t=t))
     result["params"] = [r, s, t]
     return result
 

@@ -12,16 +12,27 @@ from lapspec.enumeration import (EnumerationTask, enumerate_graphs,
 from lapspec.graphs import (Graph, make_cycle, make_dumbbell, make_path,
                             make_theta)
 from lapspec.laplacian import (_adjugate, _charpoly_at, _charpoly_value,
-                               _cycles_by_vertex, _deletion_bits, _pair_minor,
-                               charpoly, charpoly_interpolated, cycles_through,
+                               _cycles_by_vertex, _cycles_from, _deletion_bits,
+                               _pair_minor, charpoly, charpoly_interpolated,
                                det_bareiss, laplacian, submatrix_deleting,
-                               spanning_tree_count, submatrix_charpoly,
-                               trailing_charpolys, u_matrix, u_matrix_charpoly,
+                               spanning_tree_count, trailing_charpolys, u_matrix,
                                verify_deletion_formula)
 from lapspec.polynomials import IntPoly, X
 
 # the package re-exports the function laplacian under the module's name
 laplacian_module = importlib.import_module("lapspec.laplacian")
+
+
+def submatrix_charpoly(g, delete):
+    """Characteristic polynomial of L(g) with the given rows and columns
+    removed; the diagonal keeps the degrees in g itself."""
+    return charpoly(submatrix_deleting(laplacian(g), delete))
+
+
+def cycles_through(g, u):
+    """All simple cycles containing u, each listed once as a vertex tuple
+    starting at u; orientation is fixed by second vertex < last vertex."""
+    return _cycles_from(g.adjacency(), u, 0)
 
 
 def naive_det(mat):
@@ -170,9 +181,9 @@ class TestUMatrix:
         assert u_matrix(3) == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 
     def test_charpolys(self):
-        assert u_matrix_charpoly(0) == IntPoly((1,))
-        assert u_matrix_charpoly(1) == X - 2
-        assert u_matrix_charpoly(2) == (X - 2) * (X - 2) - 1
+        assert charpoly(u_matrix(0)) == IntPoly((1,))
+        assert charpoly(u_matrix(1)) == X - 2
+        assert charpoly(u_matrix(2)) == (X - 2) * (X - 2) - 1
 
 
 class TestSubmatrixCharpoly:

@@ -4,8 +4,7 @@ from hypothesis import strategies as st
 
 from lapspec import recurrences
 from lapspec.graphs import dumbbell_graph, make_path, theta_graph
-from lapspec.laplacian import (charpoly, laplacian, submatrix_charpoly,
-                               u_matrix_charpoly)
+from lapspec.laplacian import charpoly, laplacian, submatrix_deleting, u_matrix
 from lapspec.polynomials import IntPoly, X, substitute_y, LaurentPoly
 from lapspec.recurrences import (dumbbell_charpoly_rec, dumbbell_helper_poly,
                                  dumbbell_value_at4, path_charpoly_rec,
@@ -13,6 +12,12 @@ from lapspec.recurrences import (dumbbell_charpoly_rec, dumbbell_helper_poly,
                                  theta_helper_poly, theta_value_at4,
                                  u_generating_identity_holds, u_poly_rec,
                                  u_value_at2, u_value_at4)
+
+
+def submatrix_charpoly(g, delete):
+    """Characteristic polynomial of L(g) with the given rows and columns
+    removed; the diagonal keeps the degrees in g itself."""
+    return charpoly(submatrix_deleting(laplacian(g), delete))
 
 
 class TestInteriorPolys:
@@ -32,7 +37,7 @@ class TestInteriorPolys:
 
     @pytest.mark.parametrize("n", range(0, 12))
     def test_matches_matrix_route(self, n):
-        assert u_poly_rec(n) == u_matrix_charpoly(n)
+        assert u_poly_rec(n) == charpoly(u_matrix(n))
 
 
 class TestPathPolys:

@@ -1,12 +1,34 @@
-import pytest
+import sys
 
-from lapspec.polynomials import LaurentPoly
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lapspec import polynomials, termtables
+from lapspec.graphs import dumbbell_graph, theta_graph
+from lapspec.laplacian import charpoly, laplacian
+from lapspec.polynomials import IntPoly, LaurentPoly, X, substitute_y
 from lapspec.recurrences import dumbbell_charpoly_rec, theta_charpoly_rec
-from lapspec.termtables import (AffineForm, audit_dumbbell_identity,
+from lapspec.termtables import (AffineForm, _parse_table, audit_dumbbell_identity,
                                 audit_theta_identity, correction_poly,
                                 dumbbell_table, dumbbell_table_lowest_term,
                                 identity_lhs, parse_affine, theta_table,
                                 theta_table_lowest_term)
+from lapspec.verify import (_dumbbell_grid, _theta_grid, verify_dumbbell_table,
+                            verify_theta_table)
+
+# The grids of the benchmark's dumbbell-table and theta-table suites.
+DUMBBELL_GRID = _dumbbell_grid(8, 5)
+THETA_GRID = _theta_grid(8)
+
+_UNIT_CUBE = (LaurentPoly.monomial(2) - 1) \
+    * (LaurentPoly.monomial(2) - 1) * (LaurentPoly.monomial(2) - 1)
+
+
+def oracle_identity_lhs(phi: IntPoly, n: int) -> LaurentPoly:
+    """The left-hand side from sparse LaurentPoly products: phi substituted at
+    x = y + 2 + 1/y, shifted by y^n, times (y^2 - 1)^3, plus f(n; y)."""
+    return substitute_y(phi).shift(n) * _UNIT_CUBE + correction_poly(n)
 
 
 class TestParseAffine:
@@ -57,6 +79,22 @@ class TestTables:
         assert isinstance(poly, LaurentPoly)
         assert not poly.is_zero()
 
+    def test_negative_parity_gives_an_integer_sign(self):
+        # (-1) ** -3 is the float -1.0; the sign comes from the parity's low bit
+        poly = _parse_table("symbols: p\n 3 | p-5 | p\n").instantiate(p=2)
+        assert poly.items() == [(2, -3)]
+        assert type(poly.coeff(2)) is int
+
+    @pytest.mark.parametrize("table, grid", [(dumbbell_table(), DUMBBELL_GRID),
+                                             (theta_table(), THETA_GRID)])
+    def test_compiled_rows_match_term_by_term_evaluation(self, table, grid):
+        for params in grid:
+            values = dict(zip(table.symbols, (getattr(params, s) for s in table.symbols)))
+            want = LaurentPoly((t.exponent.evaluate(values),
+                                t.coeff * (-1 if t.parity.evaluate(values) % 2 else 1))
+                               for t in table.terms)
+            assert table.instantiate(**values) == want, params
+
 
 class TestCorrectionPoly:
     def test_fixed_head_and_tail(self):
@@ -89,6 +127,29 @@ class TestIdentityLhs:
         assert table - lhs == LaurentPoly.monomial(2 * r + 2 * t + 6, 2)
 
 
+    @pytest.mark.parametrize("grid, graph, rec", [
+        (DUMBBELL_GRID, lambda d: dumbbell_graph(d.p, d.k, d.q),
+         lambda d: dumbbell_charpoly_rec(d.p, d.k, d.q)),
+        (THETA_GRID, lambda h: theta_graph(h.r, h.s, h.t),
+         lambda h: theta_charpoly_rec(h.r, h.s, h.t))])
+    def test_matches_oracle_on_the_benchmark_grids(self, grid, graph, rec):
+        for params in grid:
+            g = graph(params)
+            for phi in (charpoly(laplacian(g)), rec(params)):
+                assert identity_lhs(phi, g.n) == oracle_identity_lhs(phi, g.n), params
+
+    @settings(max_examples=150, deadline=None)
+    @example(([0] * 40, 10**40))  # the top digit 2n + 6 is not 0
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-10**40, 10**40), min_size=n, max_size=n),
+        st.integers(-10**40, 10**40).filter(bool))))
+    def test_matches_oracle_on_random_polys(self, case):
+        low, top = case
+        phi = IntPoly([*low, top])
+        n = phi.degree
+        assert identity_lhs(phi, n) == oracle_identity_lhs(phi, n)
+
+
 class TestAudits:
     @pytest.mark.parametrize("p,k,q", [(3, 0, 3), (4, 2, 3), (6, 1, 5), (5, 0, 5)])
     def test_dumbbell_exact(self, p, k, q):
@@ -106,6 +167,50 @@ class TestAudits:
         diff = result["diffs"][0]
         assert diff["exponent"] == 2 * r + 2 * t + 6
         assert diff["table"] - diff["lhs"] == 2
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls to module.name made from any lapspec module."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("lapspec") \
+                and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestTableSuites:
+    @pytest.mark.parametrize("suite, kwargs", [(verify_dumbbell_table, {"p_max": 5, "k_max": 2}),
+                                               (verify_theta_table, {"r_max": 4})])
+    def test_one_lhs_per_tuple_and_no_substitution(self, monkeypatch, suite, kwargs):
+        lhs_calls = _count_calls(monkeypatch, termtables, "identity_lhs")
+        substitutions = _count_calls(monkeypatch, polynomials, "substitute_y")
+        report = suite(**kwargs)
+        assert report.passed
+        assert len(lhs_calls) == report.counts["tuples"] > 0
+        assert substitutions == []
+
+    @pytest.mark.parametrize("wrong", [lambda rec: lambda *params: X + 1,
+                                       lambda rec: lambda *params: rec(*params) + 1],
+                             ids=["wrong-degree", "off-by-one"])
+    @pytest.mark.parametrize("name, suite, kwargs", [
+        ("dumbbell_charpoly_rec", verify_dumbbell_table, {"p_max": 3, "k_max": 0}),
+        ("dumbbell_charpoly_rec", verify_dumbbell_table, {"p_max": 4, "k_max": 1}),
+        ("theta_charpoly_rec", verify_theta_table, {"r_max": 2})])
+    def test_a_wrong_recurrence_fails_every_tuple(self, monkeypatch, name, suite, kwargs, wrong):
+        monkeypatch.setattr(termtables, name, wrong(getattr(termtables, name)))
+        report = suite(**kwargs)
+        assert not report.passed
+        assert report.counts["tuples"] > 0
+        assert len(report.counterexamples) == report.counts["tuples"]
+        assert all(c["failure"] == "computational routes disagree"
+                   for c in report.counterexamples)
 
 
 class TestSmallestExponent:
