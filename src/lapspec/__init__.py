@@ -15,9 +15,10 @@ from .enumeration import (DEFAULT_CAP, EnumerationCapError, EnumerationTask,
                           random_connected_graph)
 from .graph6 import Graph6Error, graph6_decode, graph6_encode
 from .graphs import (DumbbellParams, Graph, ThetaParams, classify_bicyclic,
-                     connected_components, dumbbell_graph, find_bridges,
-                     is_connected, make_cycle, make_dumbbell, make_path,
-                     make_theta, relabel, theta_graph)
+                     connected_components, dumbbell_graph,
+                     dumbbell_parameter_grid, is_connected, make_cycle,
+                     make_dumbbell, make_path, make_theta, relabel, theta_graph,
+                     theta_parameter_grid)
 from .invariants import (InvalidCharpolyError, SpectralInvariants,
                          degree_constraint_solver, graph_invariants,
                          invariants_from_charpoly)
@@ -34,8 +35,7 @@ from .reports import VerificationReport
 from .termtables import (TermTable, audit_dumbbell_identity, audit_theta_identity,
                          correction_poly, dumbbell_table, dumbbell_table_lowest_term,
                          identity_lhs, theta_table, theta_table_lowest_term)
-from .verify import (dumbbell_parameter_grid, family_members, member_charpoly,
-                     theta_parameter_grid, verify_census,
+from .verify import (family_members, member_charpoly, verify_census,
                      verify_cospectral_structure, verify_deletion_suite,
                      verify_determination, verify_dumbbell_table,
                      verify_family_values, verify_generating_identity,

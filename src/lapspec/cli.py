@@ -43,7 +43,7 @@ _PARAMETERS = {name: param for params in _SIGNATURES.values()
 _KINDS = ("dumbbell", "theta", "cycle", "path", "g6")
 
 # Largest graph charpoly and invariants accept; Berkowitz is O(n^4) and
-# already takes ~0.2 s at n = 80.
+# takes ~0.06 s on a path of 80 vertices and ~1.2 s on one of 200.
 MAX_CLI_VERTICES = 200
 
 

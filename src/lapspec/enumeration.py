@@ -112,7 +112,8 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .canonical import canonical_form
 from .graph6 import graph6_decode
-from .graphs import Graph, dumbbell_graph, theta_graph
+from .graphs import (Graph, dumbbell_graph, dumbbell_parameter_grid, theta_graph,
+                     theta_parameter_grid)
 
 DEFAULT_CAP = 10
 CACHE_MAGIC = "#lapspec-pool"
@@ -373,17 +374,15 @@ def _figure_eight_edges(p: int, q: int) -> list[tuple[int, int]]:
 
 def _bicyclic_cores(n: int) -> list[tuple[str, tuple[int, ...], Graph]]:
     """(kind, parameters, graph) of every 2-core with cyclomatic number 2 on
-    at most n vertices: thetas r >= s >= t >= 0 with s >= 1, dumbbells
-    p >= q >= 3 with k >= 0, and figure-eights p >= q >= 3."""
-    cores = [("theta", (r, s, t), theta_graph(r, s, t))
-             for r in range(1, n - 2) for s in range(1, r + 1) for t in range(s + 1)
-             if r + s + t + 2 <= n]
-    for p in range(3, n):
-        for q in range(3, min(p, n - p + 1) + 1):
-            cores += [("dumbbell", (p, k, q), dumbbell_graph(p, k, q))
-                      for k in range(n - p - q + 1)]
-            cores.append(("figure-eight", (p, q),
-                          Graph(p + q - 1, _figure_eight_edges(p, q))))
+    at most n vertices: the thetas and dumbbells of the parameter grids on
+    4..n vertices, and figure-eights p >= q >= 3."""
+    sizes = range(4, n + 1)
+    cores = [("theta", (h.r, h.s, h.t), theta_graph(h.r, h.s, h.t))
+             for c in sizes for h in theta_parameter_grid(c)]
+    cores += [("dumbbell", (d.p, d.k, d.q), dumbbell_graph(d.p, d.k, d.q))
+              for c in sizes for d in dumbbell_parameter_grid(c)]
+    cores += [("figure-eight", (p, q), Graph(p + q - 1, _figure_eight_edges(p, q)))
+              for p in range(3, n) for q in range(3, min(p, n - p + 1) + 1)]
     return cores
 
 

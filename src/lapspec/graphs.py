@@ -12,6 +12,13 @@ Vertex numbering is fixed so constructions are reproducible:
             second cycle p+k..p+k+q-1 (hub p+k)
   theta:    hubs 0 and 1, then the three chains in order.
 
+``dumbbell_parameter_grid(n)`` and ``theta_parameter_grid(n)`` list the
+normalized parameters of every member on n vertices; they are the family
+members of the verification suites and the dumbbell and theta 2-cores of
+the structural enumeration.  ``classify_bicyclic`` goes the other way, from
+a graph to its normalized parameters, by following the three walks out of
+one of its two hubs.
+
 A Graph keeps its edges sorted and, from first use on, its int bitmask
 rows (``Graph.rows``); nowhere else are rows built from edges.
 ``Graph(n, edges)`` checks n and every edge, and refuses a non-integer
@@ -71,6 +78,25 @@ class ThetaParams:
 
 
 FamilyParams = Union[DumbbellParams, ThetaParams]
+
+
+def dumbbell_parameter_grid(n: int) -> list[DumbbellParams]:
+    """All normalized dumbbell parameters (p >= q >= 3, k >= 0) on n
+    vertices, in (p, k, q) order."""
+    # q = n - p - k >= 3 allows p <= n - 3 and k <= n - p - 3.
+    return [DumbbellParams(p, k, n - p - k)
+            for p in range(3, n - 2)
+            for k in range(n - p - 2)
+            if 3 <= n - p - k <= p]
+
+
+def theta_parameter_grid(n: int) -> list[ThetaParams]:
+    """All normalized theta parameters (r >= s >= t >= 0, (s,t) != (0,0))
+    on n vertices, in (r, s, t) order."""
+    return [ThetaParams(r, s, n - 2 - r - s)
+            for r in range(n - 1)
+            for s in range(1, r + 1)
+            if 0 <= n - 2 - r - s <= s]
 
 
 @dataclass(frozen=True)
@@ -275,47 +301,7 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
 
 
-def find_bridges(g: Graph) -> set[tuple[int, int]]:
-    """Cut edges, found by the usual DFS low-point computation."""
-    adj = g.adjacency()
-    index = [0] * g.n
-    low = [0] * g.n
-    visited = [False] * g.n
-    bridges: set[tuple[int, int]] = set()
-    counter = 1
-
-    for root in range(g.n):
-        if visited[root]:
-            continue
-        # iterative DFS; stack holds (vertex, parent, neighbor iterator)
-        visited[root] = True
-        index[root] = low[root] = counter
-        counter += 1
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if not visited[w]:
-                    visited[w] = True
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, v, iter(adj[w])))
-                    advanced = True
-                    break
-                elif w != parent:
-                    low[v] = min(low[v], index[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > index[u]:
-                        bridges.add((min(u, v), max(u, v)))
-    return bridges
-
-
-def _walk_cycle_from(adj: list[set[int]], start: int, first: int) -> Optional[list[int]]:
+def _walk_cycle_from(adj: list[set[int]], start: int, first: int) -> list[int]:
     """Follow degree-2 vertices from start through first until a vertex of
     degree != 2 is hit; return the full vertex walk including both ends."""
     walk = [start, first]
@@ -331,6 +317,12 @@ def classify_bicyclic(g: Graph) -> Optional[FamilyParams]:
 
     Returns DumbbellParams, ThetaParams, or None when the graph is not in
     either family.  Not being in the family is an answer, not an error.
+
+    A connected graph with n + 1 edges and degree profile (3, 3, 2, ..., 2)
+    is a theta or a dumbbell, and the three walks out of hub a tell which.
+    If all three end at hub b, they are the theta's three chains.  Otherwise
+    two of them go round a's cycle, one each way, and the third crosses the
+    bridge to b; b's cycle holds the vertices left over.
     """
     if g.n < 4 or g.m != g.n + 1 or not is_connected(g):
         return None
@@ -338,47 +330,12 @@ def classify_bicyclic(g: Graph) -> Optional[FamilyParams]:
     if degs[:2] != (3, 3) or any(d != 2 for d in degs[2:]):
         return None
     adj = g.adjacency()
-    hubs = [v for v in range(g.n) if len(adj[v]) == 3]
-    a, b = hubs
-
-    if find_bridges(g):
-        # Dumbbell: each hub sits on its own cycle.  Walk a cycle by leaving
-        # the hub along an edge whose walk returns to the hub.
-        lengths = []
-        for hub in (a, b):
-            cycle_len = None
-            for first in adj[hub]:
-                walk = _walk_cycle_from(adj, hub, first)
-                if walk[-1] == hub:
-                    cycle_len = len(walk) - 1
-                    break
-            if cycle_len is None:
-                return None
-            lengths.append(cycle_len)
-        p, q = max(lengths), min(lengths)
-        k = g.n - p - q
-        if k < 0:
-            return None
-        params = DumbbellParams(p, k, q)
-        try:
-            params.validate()
-        except ValueError:
-            return None
-        return params
-
-    # Theta: every walk out of hub a must end at hub b.
-    interior = []
-    for first in adj[a]:
-        walk = _walk_cycle_from(adj, a, first)
-        if walk[-1] != b:
-            return None
-        interior.append(len(walk) - 2)
-    r, s, t = sorted(interior, reverse=True)
-    if r + s + t + 2 != g.n:
-        return None
-    params = ThetaParams(r, s, t)
-    try:
-        params.validate()
-    except ValueError:
-        return None
-    return params
+    a, b = [v for v in range(g.n) if len(adj[v]) == 3]
+    walks = [_walk_cycle_from(adj, a, first) for first in adj[a]]
+    if all(walk[-1] == b for walk in walks):
+        r, s, t = sorted((len(walk) - 2 for walk in walks), reverse=True)
+        return ThetaParams(r, s, t)
+    p = next(len(walk) - 1 for walk in walks if walk[-1] == a)
+    k = next(len(walk) - 2 for walk in walks if walk[-1] == b)
+    q = g.n - p - k
+    return DumbbellParams(max(p, q), k, min(p, q))

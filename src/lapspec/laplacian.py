@@ -8,14 +8,26 @@ k x k block, so ``trailing_charpolys`` returns the charpolys of all of
 those blocks from the one run that gives the whole matrix's (the
 recurrences suite takes the charpolys of every interior matrix
 ``u_matrix(k)``, k <= n, from the run on ``u_matrix(n)``).  A second,
-independent route evaluates det(xI - L) at x = 0..n with fraction-free
-(Bareiss) elimination and recovers the coefficients by exact Lagrange
-interpolation; it exists only to cross-check the first and is never used as
-the reference.  Both, and the Bareiss determinant, refuse a matrix that is
-not square.
+independent route (``charpoly_interpolated``) takes one Bareiss determinant
+of 2^b I - M and reads the coefficients off it as n + 1 balanced base-2^b
+digits (``polynomials.kronecker_unpack``); it exists only to cross-check
+the first and is never used as the reference.  Both, and the Bareiss
+determinant, refuse a matrix that is not square.
+
+The second route's width comes from the Gershgorin bound.  Every complex
+eigenvalue of M lies within R of the origin, R the largest absolute row
+sum (2 Delta for a Laplacian of maximum degree Delta).  The coefficient of
+x^(n-k) in det(xI - M) = prod (x - lambda_i) is, up to sign, the k-th
+elementary symmetric function of the eigenvalues, at most C(n, k) R^k in
+magnitude, so the charpoly's 1-norm (sum of absolute coefficients) is at
+most (1 + R)^n.  With b = bit_length((1 + R)^n) + 2, 2^(b-1) > 2 (1 + R)^n
+exceeds every coefficient in magnitude.  The map x -> 2^b is a ring
+homomorphism, so the determinant is the charpoly's value at 2^b, and a
+polynomial of degree n with every coefficient in [-2^(b-1), 2^(b-1)) is
+the one reading of that value as n + 1 balanced base-2^b digits.
 
 The value det(xI - M) at one integer x (``_charpoly_at``, one Bareiss
-elimination) is the interpolation route's evaluation step.  For a graph's
+elimination) is that route's evaluation step.  For a graph's
 Laplacian, ``_charpoly_value`` takes the same value with less work: it peels
 the hung trees leaves first, a Schur complement kept in one integer pair per
 vertex, and runs Bareiss only on the 2-core that is left (for a connected
@@ -59,11 +71,10 @@ no pivot is 0."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 from .graphs import Graph
-from .polynomials import IntPoly
+from .polynomials import IntPoly, kronecker_unpack
 
 IntMatrix = list[list[int]]
 
@@ -274,37 +285,18 @@ def _charpoly_value(g: Graph, x: int) -> int:
 
 
 def charpoly_interpolated(mat: IntMatrix) -> IntPoly:
-    """det(xI - M) by evaluation at x = 0..n plus exact interpolation.
+    """det(xI - M) read off one Bareiss determinant at the Kronecker point
+    x = 2^b, with b from the Gershgorin bound (see the module docstring).
 
     Independent of the Berkowitz route; used as a cross-check oracle.
-    Raises ValueError unless M is square."""
+    Raises ValueError unless M is square, and ArithmeticError unless every
+    entry is an integer."""
     n = _require_square(mat)
-    points = list(range(n + 1))
-    values = [_charpoly_at(mat, x0) for x0 in points]
-    # Lagrange interpolation over exact rationals.
-    coeffs = [Fraction(0)] * (n + 1)
-    for x0, y0 in zip(points, values):
-        # basis polynomial prod_{x1 != x0} (x - x1) / (x0 - x1)
-        basis = [Fraction(1)]
-        denom = 1
-        for x1 in points:
-            if x1 == x0:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d + 1] += c
-                new[d] -= c * x1
-            basis = new
-            denom *= x0 - x1
-        scale = Fraction(y0, denom)
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError(f"interpolated coefficient {c} is not an integer")
-        out.append(int(c))
-    return IntPoly(out)
+    if not all(isinstance(v, int) for row in mat for v in row):
+        raise ArithmeticError("the Kronecker route needs integer entries")
+    radius = max((sum(map(abs, row)) for row in mat), default=0)
+    b = ((1 + radius) ** n).bit_length() + 2
+    return kronecker_unpack(_charpoly_at(mat, 1 << b), b, n)
 
 
 def submatrix_deleting(mat: IntMatrix, delete: Iterable[int]) -> IntMatrix:

@@ -9,6 +9,11 @@ Two representations are used throughout the package:
                produces.
 
 Everything is arbitrary-precision int.  No floats enter any code path here.
+
+``kronecker_unpack`` reads an integer polynomial back from its value at a
+Kronecker point x = 2^b, as balanced base-2^b digits.  The recurrences, the
+term-table left-hand sides and the second matrix charpoly route are all
+computed as one such integer and read back here.
 """
 
 from __future__ import annotations
@@ -146,6 +151,24 @@ class IntPoly:
 ZERO = IntPoly()
 ONE = IntPoly((1,))
 X = IntPoly((0, 1))
+
+
+def kronecker_unpack(value: int, b: int, n: int) -> IntPoly:
+    """The polynomial of degree <= n whose value at x = 2^b is value, read
+    as n + 1 balanced base-2^b digits in [-2^(b-1), 2^(b-1)).  Raises
+    ArithmeticError if anything is left above degree n."""
+    half = 1 << (b - 1)
+    mask = (1 << b) - 1
+    coeffs = []
+    for _ in range(n + 1):
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << b
+        coeffs.append(digit)
+        value = (value - digit) >> b
+    if value:
+        raise ArithmeticError(f"value has digits above degree {n} at base 2^{b}")
+    return IntPoly(coeffs)
 
 
 class LaurentPoly:

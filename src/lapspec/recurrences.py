@@ -45,7 +45,8 @@ factor of 16 to spare: 2^(b-1) = 2^(2n+7).
 
 from __future__ import annotations
 
-from .polynomials import IntPoly, LaurentPoly, X, ZERO, substitute_y
+from .polynomials import (IntPoly, LaurentPoly, X, ZERO, kronecker_unpack,
+                          substitute_y)
 
 _U_NEG = {-1: ZERO, -2: IntPoly.const(-1)}
 _U_CACHE = [IntPoly.const(1), IntPoly((-2, 1))]
@@ -114,24 +115,6 @@ def _kronecker_bits(n: int) -> int:
     return 2 * n + 8
 
 
-def _unpack(value: int, b: int, n: int) -> IntPoly:
-    """The polynomial of degree <= n whose value at x = 2^b is value, read
-    as n + 1 balanced base-2^b digits in [-2^(b-1), 2^(b-1)).  Raises
-    ArithmeticError if anything is left above degree n."""
-    half = 1 << (b - 1)
-    mask = (1 << b) - 1
-    coeffs = []
-    for _ in range(n + 1):
-        digit = value & mask
-        if digit >= half:
-            digit -= 1 << b
-        coeffs.append(digit)
-        value = (value - digit) >> b
-    if value:
-        raise ArithmeticError(f"value has digits above degree {n} at base 2^{b}")
-    return IntPoly(coeffs)
-
-
 def _at_kronecker_point(n: int, formula, *params: int) -> IntPoly:
     """formula(x, u, *params) as an IntPoly of degree <= n, computed in the
     integers at x = z = 2^b with u from u(j+1) = (z - 2) u(j) - u(j-1).
@@ -143,7 +126,7 @@ def _at_kronecker_point(n: int, formula, *params: int) -> IntPoly:
     for j in range(max(params) + 1):
         prev, cur = cur, (z - 2) * cur - prev
         values[j] = cur
-    return _unpack(formula(z, values.__getitem__, *params), b, n)
+    return kronecker_unpack(formula(z, values.__getitem__, *params), b, n)
 
 
 def _cycle_block(length: int) -> IntPoly:

@@ -27,7 +27,7 @@ T_n = c_n, T_j = T_(j+1) w + c_j z^(n-j) and g(z) = T_0 (each product by
 w as three shifted copies), then three multiplications by z^2 - 1 and
 f(n; z) added.  Every exponent is in
 0..2n+6, and the map y -> 2^b is a ring homomorphism, so the integer unpacks
-(``recurrences._unpack``) into the 2n + 7 balanced base-2^b digits in
+(``polynomials.kronecker_unpack``) into the 2n + 7 balanced base-2^b digits in
 [-2^(b-1), 2^(b-1)) that are the coefficients, provided every coefficient
 is below 2^(b-1) in magnitude.  In the 1-norm |.| (sum of absolute
 coefficients), |f g| <= |f| |g|, so |(y + 1)^(2k)| = 4^k <= 4^n gives
@@ -56,8 +56,8 @@ from importlib import resources
 
 from .graphs import dumbbell_graph, theta_graph
 from .laplacian import charpoly, laplacian
-from .polynomials import IntPoly, LaurentPoly
-from .recurrences import _unpack, dumbbell_charpoly_rec, theta_charpoly_rec
+from .polynomials import IntPoly, LaurentPoly, kronecker_unpack
+from .recurrences import dumbbell_charpoly_rec, theta_charpoly_rec
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ def identity_lhs(phi: IntPoly, n: int) -> LaurentPoly:
         acc = (acc << 2 * b) - acc
     z = 1 << b
     acc += _CORRECTION_HEAD.eval(z) + (_CORRECTION_TAIL.eval(z) << b * (2 * n + 2))
-    return LaurentPoly(enumerate(_unpack(acc, b, 2 * n + 6).coeffs))
+    return LaurentPoly(enumerate(kronecker_unpack(acc, b, 2 * n + 6).coeffs))
 
 
 def _audit(phi_matrix: IntPoly, phi_rec: IntPoly, n: int, table: LaurentPoly) -> dict:

@@ -55,7 +55,8 @@ from .enumeration import (DEFAULT_CAP, EnumerationCapError, EnumerationTask,
 from .graph6 import graph6_decode, graph6_encode
 from .graphs import (DumbbellParams, FamilyParams, Graph, ThetaParams,
                      classify_bicyclic, connected_components, dumbbell_graph,
-                     make_dumbbell, make_path, make_theta, theta_graph)
+                     dumbbell_parameter_grid, make_dumbbell, make_path,
+                     make_theta, theta_graph, theta_parameter_grid)
 from .invariants import (degree_constraint_solver, graph_invariants,
                          invariants_from_charpoly)
 from .laplacian import (_charpoly_value, charpoly, laplacian,
@@ -132,25 +133,6 @@ def _theta_grid(r_max: int) -> list[ThetaParams]:
             for s in range(r + 1)
             for t in range(s + 1)
             if (s, t) != (0, 0)]
-
-
-def dumbbell_parameter_grid(n: int) -> list[DumbbellParams]:
-    """All normalized dumbbell parameters (p >= q >= 3, k >= 0) on n
-    vertices, in (p, k, q) order."""
-    # q = n - p - k >= 3 allows p <= n - 3 and k <= n - p - 3.
-    return [DumbbellParams(p, k, n - p - k)
-            for p in range(3, n - 2)
-            for k in range(n - p - 2)
-            if 3 <= n - p - k <= p]
-
-
-def theta_parameter_grid(n: int) -> list[ThetaParams]:
-    """All normalized theta parameters (r >= s >= t >= 0, (s,t) != (0,0))
-    on n vertices, in (r, s, t) order."""
-    return [ThetaParams(r, s, n - 2 - r - s)
-            for r in range(n - 1)
-            for s in range(1, r + 1)
-            if 0 <= n - 2 - r - s <= s]
 
 
 def family_members(n: int) -> list[Graph]:

@@ -1,9 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lapspec
+from lapspec import verify
+from lapspec.canonical import canonical_form
+from lapspec.enumeration import enumerate_by_vertex_growth
 from lapspec.graphs import (DumbbellParams, Graph, ThetaParams, classify_bicyclic,
-                            connected_components, dumbbell_graph, find_bridges,
-                            is_connected, make_cycle, make_dumbbell, make_path,
-                            make_theta, relabel, theta_graph)
+                            connected_components, dumbbell_graph,
+                            dumbbell_parameter_grid, is_connected, make_cycle,
+                            make_dumbbell, make_path, make_theta, relabel,
+                            theta_graph, theta_parameter_grid)
 
 
 class TestGraphBasics:
@@ -132,15 +139,6 @@ class TestConnectivity:
         assert not is_connected(g)
         assert is_connected(make_cycle(6))
 
-    def test_bridges(self):
-        # every bridge-path edge of a dumbbell is a bridge; cycles have none
-        g = make_dumbbell(3, 2, 3)
-        assert len(find_bridges(g)) == 3
-        assert find_bridges(make_cycle(5)) == set()
-        assert find_bridges(make_theta(2, 1, 1)) == set()
-        tree = make_path(6)
-        assert sorted(find_bridges(tree)) == list(tree.edges)
-
 
 class TestClassifyBicyclic:
     def test_dumbbell_roundtrip(self):
@@ -175,3 +173,59 @@ class TestClassifyBicyclic:
         two_parts = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6),
                               (6, 3), (3, 5)])
         assert classify_bicyclic(two_parts) is None
+
+
+def _in_profile(g: Graph) -> bool:
+    """Connected with n + 1 edges and degree profile (3, 3, 2, ..., 2)."""
+    return (is_connected(g) and g.m == g.n + 1
+            and g.degree_sequence() == (3, 3) + (2,) * (g.n - 2))
+
+
+def _member(params) -> Graph:
+    if isinstance(params, DumbbellParams):
+        return make_dumbbell(params.p, params.k, params.q)
+    return make_theta(params.r, params.s, params.t)
+
+
+def _check_classification(g: Graph) -> None:
+    """classify_bicyclic answers exactly on the profile, with the parameters
+    of a member isomorphic to g."""
+    params = classify_bicyclic(g)
+    assert (params is not None) == _in_profile(g), g.edges
+    if params is not None:
+        assert canonical_form(_member(params)) == canonical_form(g), (g.edges, params)
+
+
+class TestClassificationCoverage:
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_every_pool_graph(self, n, bicyclic_pool):
+        pool = bicyclic_pool(n)
+        for g in pool:
+            _check_classification(g)
+        members = sum(classify_bicyclic(g) is not None for g in pool)
+        assert members == len(verify.family_members(n))
+
+    def test_every_census_graph(self):
+        levels = []
+        enumerate_by_vertex_growth(7, levels=levels)
+        graphs = [g for level in levels for g in level.values()]
+        assert len(graphs) == 1 + 1 + 2 + 4 + 11 + 34 + 156 + 1044
+        for g in graphs:
+            _check_classification(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_relabeled_members(self, data):
+        n = data.draw(st.integers(4, 15))
+        member = data.draw(st.sampled_from(verify.family_members(n)))
+        g = relabel(member, data.draw(st.permutations(range(n))))
+        assert classify_bicyclic(g) == member.family
+        _check_classification(g)
+
+
+class TestParameterGrids:
+    def test_one_definition(self):
+        # the grids live in graphs and are re-exported, not redefined
+        for name in ("dumbbell_parameter_grid", "theta_parameter_grid"):
+            assert getattr(lapspec, name) is getattr(verify, name) \
+                is globals()[name]

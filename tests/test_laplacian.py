@@ -23,6 +23,34 @@ from lapspec.polynomials import IntPoly, X
 laplacian_module = importlib.import_module("lapspec.laplacian")
 
 
+def lagrange_charpoly(mat):
+    """det(xI - M) from its values at x = 0..n (one Bareiss determinant
+    each) by exact Lagrange interpolation over Fractions: an oracle for the
+    Kronecker route of ``charpoly_interpolated``."""
+    n = len(mat)
+    points = list(range(n + 1))
+    values = [_charpoly_at(mat, x0) for x0 in points]
+    coeffs = [Fraction(0)] * (n + 1)
+    for x0, y0 in zip(points, values):
+        # basis polynomial prod_{x1 != x0} (x - x1) / (x0 - x1)
+        basis = [Fraction(1)]
+        denom = 1
+        for x1 in points:
+            if x1 == x0:
+                continue
+            new = [Fraction(0)] * (len(basis) + 1)
+            for d, c in enumerate(basis):
+                new[d + 1] += c
+                new[d] -= c * x1
+            basis = new
+            denom *= x0 - x1
+        scale = Fraction(y0, denom)
+        for d, c in enumerate(basis):
+            coeffs[d] += c * scale
+    assert all(c.denominator == 1 for c in coeffs)
+    return IntPoly(int(c) for c in coeffs)
+
+
 def submatrix_charpoly(g, delete):
     """Characteristic polynomial of L(g) with the given rows and columns
     removed; the diagonal keeps the degrees in g itself."""
@@ -108,6 +136,32 @@ class TestCharpoly:
         for g in graphs:
             mat = laplacian(g)
             assert charpoly(mat) == charpoly_interpolated(mat)
+
+    def test_kronecker_route_matches_lagrange_oracle(self):
+        rng = Random(11)
+        mats = [laplacian(make_dumbbell(4, 1, 3)), laplacian(make_theta(2, 2, 1))]
+        for _ in range(30):
+            n = rng.randint(0, 7)
+            mats.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        for mat in mats:
+            assert charpoly_interpolated(mat) == lagrange_charpoly(mat)
+
+    @pytest.mark.parametrize("radius", [1, 2, 3, 64, 1000, 2 ** 30])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_width_at_the_gershgorin_bound(self, radius, n):
+        # -R I: the charpoly (x + R)^n has 1-norm exactly (1 + R)^n
+        minus_r = [[-radius if i == j else 0 for j in range(n)] for i in range(n)]
+        phi = charpoly(minus_r)
+        assert sum(map(abs, phi.coeffs)) == (1 + radius) ** n
+        assert charpoly_interpolated(minus_r) == phi
+        # constant negative entries -c: the charpoly is x^(n-1) (x + nc)
+        unit = max(1, radius // n)
+        constant = [[-unit] * n for _ in range(n)]
+        assert charpoly_interpolated(constant) == charpoly(constant)
+        # mixed signs, not symmetric, absolute row sums of the order of R
+        mixed = [[(-1) ** (i + j * j) * unit * (1 + (i * j) % 3) for j in range(n)]
+                 for i in range(n)]
+        assert charpoly_interpolated(mixed) == charpoly(mixed)
 
     def test_interpolation_rejects_non_integer_charpoly(self):
         with pytest.raises(ArithmeticError):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from lapspec import recurrences
 from lapspec.graphs import dumbbell_graph, make_path, theta_graph
 from lapspec.laplacian import charpoly, laplacian, submatrix_deleting, u_matrix
-from lapspec.polynomials import IntPoly, X, substitute_y, LaurentPoly
+from lapspec.polynomials import IntPoly, X, kronecker_unpack, substitute_y, LaurentPoly
 from lapspec.recurrences import (dumbbell_charpoly_rec, dumbbell_helper_poly,
                                  dumbbell_value_at4, path_charpoly_rec,
                                  path_value_at4, theta_charpoly_rec,
@@ -234,17 +234,17 @@ class TestKroneckerRoute:
         n, b = 3, recurrences._kronecker_bits(3)
         half = 1 << (b - 1)
         poly = IntPoly((half - 1, -half, 0, -half))
-        assert recurrences._unpack(poly.eval(1 << b), b, n) == poly
+        assert kronecker_unpack(poly.eval(1 << b), b, n) == poly
 
     @pytest.mark.parametrize("top", [1, -1, 5])
     def test_unpack_raises_on_a_digit_above_degree_n(self, top):
         n, b = 4, recurrences._kronecker_bits(4)
         value = IntPoly((1, -2, 3, 0, 1, top)).eval(1 << b)
         with pytest.raises(ArithmeticError):
-            recurrences._unpack(value, b, n)
+            kronecker_unpack(value, b, n)
 
     def test_unpack_raises_on_a_carry_out_of_degree_n(self):
         # 2^(b-1) at degree n is not a balanced digit: it carries upward.
         n, b = 4, recurrences._kronecker_bits(4)
         with pytest.raises(ArithmeticError):
-            recurrences._unpack(1 << (b - 1) << (b * n), b, n)
+            kronecker_unpack(1 << (b - 1) << (b * n), b, n)
