@@ -2,7 +2,9 @@
 
 The reference characteristic polynomial is computed by the Berkowitz method,
 which is division-free: every intermediate quantity is an integer, so the
-result is exact by construction.  The run works up through the trailing
+result is exact by construction.  Its Toeplitz entries meet in the middle
+and its polynomial products are integer products at a Kronecker point
+(derived below).  The run works up through the trailing
 principal submatrices, and its step k is exactly the run on the trailing
 k x k block, so ``trailing_charpolys`` returns the charpolys of all of
 those blocks from the one run that gives the whole matrix's (the
@@ -12,9 +14,11 @@ independent route (``charpoly_interpolated``) takes one Bareiss determinant
 of 2^b I - M and reads the coefficients off it as n + 1 balanced base-2^b
 digits (``polynomials.kronecker_unpack``); it exists only to cross-check
 the first and is never used as the reference.  Both, and the Bareiss
-determinant, refuse a matrix that is not square.
+determinant, refuse a matrix that is not square, and both raise
+ArithmeticError on an entry that is not an int: the width below is only
+derived for integers.
 
-The second route's width comes from the Gershgorin bound.  Every complex
+Both routes' width comes from the Gershgorin bound.  Every complex
 eigenvalue of M lies within R of the origin, R the largest absolute row
 sum (2 Delta for a Laplacian of maximum degree Delta).  The coefficient of
 x^(n-k) in det(xI - M) = prod (x - lambda_i) is, up to sign, the k-th
@@ -25,6 +29,42 @@ exceeds every coefficient in magnitude.  The map x -> 2^b is a ring
 homomorphism, so the determinant is the charpoly's value at 2^b, and a
 polynomial of degree n with every coefficient in [-2^(b-1), 2^(b-1)) is
 the one reading of that value as n + 1 balanced base-2^b digits.
+
+Step i of the Berkowitz run (i = n-1 down to 0) takes the trailing m x m
+block [[a, R], [C, A]], m = n - i, and needs its Toeplitz entries R A^k C
+for k = 0..m-2.  While that block is symmetric (row j's right part equals
+column j's lower part for every j >= i; true for every Laplacian, for
+``u_matrix`` and for their principal submatrices), R = C^T and A^T = A, so
+for any 0 <= a <= k
+
+    R A^k C = C^T (A^a)^T A^(k-a) C = (A^a C) . (A^(k-a) C) = w_a . w_(k-a)
+
+with w_j = A^j C.  Meeting in the middle, a = k // 2, the largest index
+read is k - k // 2 <= ceil((m-2)/2), so a step makes floor((m-1)/2)
+products A w instead of the chain's m - 2, and each entry is one dot
+product.  A block that is not symmetric leaves every larger block not
+symmetric, so from the first such step on the run takes a = 0 and the
+entry R . w_k: the plain chain.
+
+Each step's result is det(xI - B) for a trailing m x m block B.  B is a
+principal submatrix of M, so its absolute row sums are at most R, and by
+the argument above its coefficients are below (1 + R)^m <= (1 + R)^n <
+2^(b-2) in magnitude, with M's own b.  The run keeps det(xI - B) packed as
+one integer P = sum c_t z^t, z = 2^b, c_t the coefficient of x^(m-t):
+leading first, so the leading 1 is the digit at z^0.  With the Toeplitz
+column packed as T = 1 - a z - sum over k of (R A^k C) z^(k+2), the
+Berkowitz step's new coefficients c'_0..c'_m are those of z^0..z^m in the
+polynomial product T(z) P(z); the ones above z^m are dropped.  The
+integer T P is that product's value, and the part above z^m is a multiple
+of z^(m+1), so T P = L mod z^(m+1) with L = sum over t <= m of c'_t z^t.
+Since |c'_t| < 2^(b-2), |L| < 2^(b-2) * 2 z^m = z^(m+1) / 2, so L is the
+balanced residue of T P modulo z^(m+1), one integer product and one mask,
+and its m + 1 balanced digits are the new coefficients.  The entries of T
+need no bound: they are never read as digits.  ``kronecker_unpack`` reads
+P once at the end (after every step for ``trailing_charpolys``).  It
+returns the digits as an ``IntPoly`` in z, whose top digit is the
+constant term, 0 for a Laplacian; an ``IntPoly`` drops zero top
+coefficients, so the digits are padded back to m + 1.
 
 The value det(xI - M) at one integer x (``_charpoly_at``, one Bareiss
 elimination) is that route's evaluation step.  For a graph's
@@ -71,6 +111,8 @@ no pivot is 0."""
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from operator import mul
 from typing import Iterable
 
 from .graphs import Graph
@@ -113,6 +155,25 @@ def _require_square(mat: IntMatrix) -> int:
     return n
 
 
+def _kronecker_bits(mat: IntMatrix) -> tuple[int, int]:
+    """(n, b): the order n of M and the Kronecker width
+    b = bit_length((1 + R)^n) + 2, R the largest absolute row sum (see the
+    module docstring).  Raises ValueError unless M is square, and
+    ArithmeticError unless every entry is an int."""
+    n = _require_square(mat)
+    if not all(map(isinstance, chain.from_iterable(mat), repeat(int))):
+        raise ArithmeticError("exact charpolys need integer entries")
+    radius = max((sum(map(abs, row)) for row in mat), default=0)
+    return n, ((1 + radius) ** n).bit_length() + 2
+
+
+def _leading_first(packed: int, b: int, m: int) -> list[int]:
+    """The m + 1 balanced base-2^b digits of packed, lowest first: the
+    coefficients of a degree-m charpoly, leading first."""
+    digits = kronecker_unpack(packed, b, m).coeffs
+    return [*digits, *[0] * (m + 1 - len(digits))]
+
+
 def _berkowitz(mat: IntMatrix,
                trail: list[list[int]] | None = None) -> list[int]:
     """det(xI - M) by the Berkowitz method, as coefficients leading first.
@@ -121,68 +182,84 @@ def _berkowitz(mat: IntMatrix,
     to it.
 
     Works bottom-up over trailing principal submatrices [[a, R], [C, A]] of
-    M, i = n-1 down to 0.  Each step multiplies the coefficient vector by the
+    M, i = n-1 down to 0.  Each step multiplies the coefficients by the
     Toeplitz column 1, -a, -R C, -R A C, ..., -R A^(m-2) C of its m x m
-    submatrix.  A is kept as per-column lists of its nonzero (row, value)
-    entries, indexed by absolute row and column; going from i to i - 1 it
-    grows by one row (appended to the columns it touches) and one column,
-    and is never rebuilt.  The product A v is a scatter: each nonzero v[j]
-    adds v[j] times the entries of column j into the result, so zeros of
-    both the matrix and the vector cost nothing, which matters for the
-    sparse Laplacians this package feeds in.  Raises ValueError unless M is
-    square.
+    submatrix.  Entry k is w_a . w_(k-a) with w_j = A^j C and a = k // 2
+    while the trailing submatrix is symmetric, and R . w_k (a = 0) from the
+    first step where it is not (see the module docstring).
+
+    A is kept as per-column lists of its nonzero (row, value) entries,
+    indexed by absolute row and column; going from i to i - 1 it grows by
+    one row (appended to the columns it touches) and one column, and is
+    never rebuilt.  The product A w is a scatter: each nonzero w[j] adds
+    w[j] times the entries of column j into the result, so zeros of both
+    the matrix and the vector cost nothing.  Each w_j stops after the last
+    row it can reach: C after its last nonzero, A w after len(w) + band
+    rows, band the most rows a column of A reaches below its diagonal.  A
+    dot product stops with its shorter vector, so on banded matrices (paths,
+    ``u_matrix``, family Laplacians, whose labels follow their chains) the
+    zeros below the reach cost nothing either.
+
+    The coefficients stay packed in one integer, leading coefficient at
+    z^0 with z = 2^b and b from ``_kronecker_bits``: the Toeplitz product
+    is one integer product, cut to its low m + 1 balanced digits.  Raises
+    ValueError unless M is square, and ArithmeticError unless every entry
+    is an int.
     """
-    n = _require_square(mat)
-    poly = [1]  # leading coefficient first
+    n, b = _kronecker_bits(mat)
+    packed = 1
     if trail is not None:
-        trail.append(poly)
+        trail.append([1])
+    transposed = list(map(list, zip(*mat)))
     cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    band = 0
+    symmetric = True
     for i in range(n - 1, -1, -1):
         m = n - i
         top = mat[i]
-        row = [(j, top[j]) for j in range(i + 1, n) if top[j]]
-        vec = [0] * n  # A^k C, by absolute row
-        for r in range(i + 1, n):
-            vec[r] = mat[r][i]
-        toeplitz = [-top[i]]  # below the leading 1
-        for k in range(m - 1):
-            s = 0
-            for j, val in row:
-                s -= val * vec[j]
-            toeplitz.append(s)
-            if k < m - 2:
-                nxt = [0] * n
-                for j in range(i + 1, n):
-                    vj = vec[j]
-                    if vj:
-                        for r, val in cols[j]:
-                            nxt[r] += val * vj
-                vec = nxt
-        # Row and column i join A for the next, larger submatrix.
-        for j, val in row:
-            cols[j].append((i, val))
-        cols[i] = [(r, mat[r][i]) for r in range(i, n) if mat[r][i]]
-        new = poly + [0]  # the leading 1 times poly
-        for ti, tv in enumerate(toeplitz, 1):
-            if tv:
-                for pj in range(m + 1 - ti):
-                    new[ti + pj] += tv * poly[pj]
-        poly = new
+        row = top[i + 1:]  # R
+        col = transposed[i]
+        symmetric = symmetric and row == col[i + 1:]
+        entries = cols[i] = [(r, v) for r, v in enumerate(col[i:], i) if v]
+        below = entries[-1][0] - i if entries else 0
+        ws = [col[i + 1:i + 1 + below]]  # w_j = A^j C, up to the last index read
+        for _ in range((m - 1) // 2 if symmetric else m - 2):
+            w = ws[-1]
+            nxt = [0] * min(n, i + 1 + len(w) + band)
+            for j, vj in enumerate(w, i + 1):
+                if vj:
+                    for r, val in cols[j]:
+                        nxt[r] += val * vj
+            ws.append(nxt[i + 1:])
+        band = max(band, below)
+        toeplitz = 0  # 1 - a z - sum over k of (R A^k C) z^(k+2), by Horner
+        for k in range(m - 2, -1, -1):
+            a = k // 2 if symmetric else 0
+            toeplitz = (toeplitz << b) - sum(map(mul, ws[a] if symmetric else row, ws[k - a]))
+        toeplitz = (((toeplitz << b) - top[i]) << b) + 1
+        # Row i joins A for the next, larger submatrix; column i joined above.
+        for j, val in enumerate(row, i + 1):
+            if val:
+                cols[j].append((i, val))
+        half = 1 << b * (m + 1) - 1  # the low m + 1 digits, balanced
+        packed = ((toeplitz * packed + half) & (2 * half - 1)) - half
         if trail is not None:
-            trail.append(poly)
-    return poly
+            trail.append(_leading_first(packed, b, m))
+    return _leading_first(packed, b, n)
 
 
 def charpoly(mat: IntMatrix) -> IntPoly:
     """det(xI - M) by the Berkowitz method (division-free, exact; see
-    ``_berkowitz``).  Raises ValueError unless M is square."""
+    ``_berkowitz``).  Raises ValueError unless M is square, and
+    ArithmeticError unless every entry is an int."""
     return IntPoly(reversed(_berkowitz(mat)))
 
 
 def trailing_charpolys(mat: IntMatrix) -> list[IntPoly]:
     """det(xI - B) for the trailing principal k x k submatrix B of M, for
     k = 0..n, from one Berkowitz run: its step k is exactly the run on B.
-    Raises ValueError unless M is square."""
+    Raises ValueError unless M is square, and ArithmeticError unless every
+    entry is an int."""
     trail: list[list[int]] = []
     _berkowitz(mat, trail)
     return [IntPoly(reversed(poly)) for poly in trail]
@@ -290,12 +367,8 @@ def charpoly_interpolated(mat: IntMatrix) -> IntPoly:
 
     Independent of the Berkowitz route; used as a cross-check oracle.
     Raises ValueError unless M is square, and ArithmeticError unless every
-    entry is an integer."""
-    n = _require_square(mat)
-    if not all(isinstance(v, int) for row in mat for v in row):
-        raise ArithmeticError("the Kronecker route needs integer entries")
-    radius = max((sum(map(abs, row)) for row in mat), default=0)
-    b = ((1 + radius) ** n).bit_length() + 2
+    entry is an int."""
+    n, b = _kronecker_bits(mat)
     return kronecker_unpack(_charpoly_at(mat, 1 << b), b, n)
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import inspect
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import asdict
 from random import Random
 from typing import Callable
@@ -481,8 +481,9 @@ def verify_determination(n: int, cap: int = DEFAULT_CAP,
 def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
                                 cache_dir=None) -> VerificationReport:
     """Structure forcing at one vertex count: every connected (n, n+1) graph
-    with degree profile (3,3,2,...,2) is a dumbbell or theta and their count
-    equals the family census; the degree constraint solver pins that profile
+    with degree profile (3,3,2,...,2) is a dumbbell or theta, and the
+    parameters ``classify_bicyclic`` reads off those graphs are the members'
+    parameters, each once; the degree constraint solver pins that profile
     from charpoly invariants alone for every member; any pool graph
     cospectral with a member has the profile; every member has a cospectral
     pool graph, since its own copy is in the pool.  A pool graph is cospectral
@@ -499,14 +500,18 @@ def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
     cospectral = {i for indices in mates for i in indices}
     counterexamples = []
     profiled = 0
+    classified = Counter()
     cospectral_hits = 0
     for i, (g, form) in enumerate(zip(pool, forms)):
         has_profile = g.degree_sequence() == profile
         if has_profile:
             profiled += 1
-            if classify_bicyclic(g) is None:
+            params = classify_bicyclic(g)
+            if params is None:
                 counterexamples.append({"graph6": form.decode("ascii"),
                                         "failure": "profile graph not classified"})
+            else:
+                classified[params] += 1
         if i in cospectral:
             cospectral_hits += 1
             if not has_profile:
@@ -515,9 +520,13 @@ def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
     counterexamples += [{**_params_dict(g.family),
                          "failure": "member has no cospectral pool graph"}
                         for g, indices in zip(members, mates) if not indices]
-    if profiled != len(members):
-        counterexamples.append({"failure": "profile census mismatch",
-                                "profiled": profiled, "members": len(members)})
+    expected_params = Counter(g.family for g in members)
+    counterexamples += [{**_params_dict(params),
+                         "failure": "profile graph classified as no member, or twice"}
+                        for params in (classified - expected_params).elements()]
+    counterexamples += [{**_params_dict(params),
+                         "failure": "member parameters not read off a profile graph"}
+                        for params in (expected_params - classified).elements()]
     expected = {1: 0, 2: n - 2, 3: 2}
     for g in members:
         solved = degree_constraint_solver(graph_invariants(g))

@@ -13,7 +13,8 @@ from lapspec.graphs import (Graph, make_cycle, make_dumbbell, make_path,
                             make_theta)
 from lapspec.laplacian import (_adjugate, _charpoly_at, _charpoly_value,
                                _cycles_by_vertex, _cycles_from, _deletion_bits,
-                               _pair_minor, charpoly, charpoly_interpolated,
+                               _pair_minor, _require_square, charpoly,
+                               charpoly_interpolated,
                                det_bareiss, laplacian, submatrix_deleting,
                                spanning_tree_count, trailing_charpolys, u_matrix,
                                verify_deletion_formula)
@@ -49,6 +50,60 @@ def lagrange_charpoly(mat):
             coeffs[d] += c * scale
     assert all(c.denominator == 1 for c in coeffs)
     return IntPoly(int(c) for c in coeffs)
+
+
+def list_berkowitz(mat, trail=None):
+    """det(xI - M) by the Berkowitz method, as coefficients leading first,
+    with every Toeplitz entry a chain R A^k C and every product a double
+    loop over coefficient lists: an oracle for ``laplacian._berkowitz``.
+    If trail is a list, the result of every step k = 0..n is appended to
+    it, the charpoly of the trailing k x k block.
+
+    Works bottom-up over trailing principal submatrices [[a, R], [C, A]] of
+    M, i = n-1 down to 0.  Each step multiplies the coefficient vector by
+    the Toeplitz column 1, -a, -R C, -R A C, ..., -R A^(m-2) C of its m x m
+    submatrix.  A is kept as per-column lists of its nonzero (row, value)
+    entries, indexed by absolute row and column, and A v is a scatter over
+    the nonzero entries of v."""
+    n = _require_square(mat)
+    poly = [1]  # leading coefficient first
+    if trail is not None:
+        trail.append(poly)
+    cols = [[] for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        m = n - i
+        top = mat[i]
+        row = [(j, top[j]) for j in range(i + 1, n) if top[j]]
+        vec = [0] * n  # A^k C, by absolute row
+        for r in range(i + 1, n):
+            vec[r] = mat[r][i]
+        toeplitz = [-top[i]]  # below the leading 1
+        for k in range(m - 1):
+            s = 0
+            for j, val in row:
+                s -= val * vec[j]
+            toeplitz.append(s)
+            if k < m - 2:
+                nxt = [0] * n
+                for j in range(i + 1, n):
+                    vj = vec[j]
+                    if vj:
+                        for r, val in cols[j]:
+                            nxt[r] += val * vj
+                vec = nxt
+        # Row and column i join A for the next, larger submatrix.
+        for j, val in row:
+            cols[j].append((i, val))
+        cols[i] = [(r, mat[r][i]) for r in range(i, n) if mat[r][i]]
+        new = poly + [0]  # the leading 1 times poly
+        for ti, tv in enumerate(toeplitz, 1):
+            if tv:
+                for pj in range(m + 1 - ti):
+                    new[ti + pj] += tv * poly[pj]
+        poly = new
+        if trail is not None:
+            trail.append(poly)
+    return poly
 
 
 def submatrix_charpoly(g, delete):
@@ -172,6 +227,68 @@ class TestCharpoly:
     def test_non_square_is_refused(self, route, mat):
         with pytest.raises(ValueError, match="not square"):
             route(mat)
+
+
+# mostly small, some zero, some at +-2^20
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-9, 9),
+                    st.sampled_from((-1 << 20, 1 << 20)))
+
+
+@st.composite
+def symmetric_matrices(draw, max_n: int = 8):
+    """Symmetric integer matrices, often with zero rows and columns."""
+    n = draw(st.integers(0, max_n))
+    upper = iter(draw(st.lists(ENTRIES, min_size=n * (n + 1) // 2,
+                               max_size=n * (n + 1) // 2)))
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mat[i][j] = mat[j][i] = next(upper)
+    if n:
+        for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            mat[i] = [0] * n
+            for row in mat:
+                row[i] = 0
+    return mat
+
+
+@st.composite
+def nearly_symmetric_matrices(draw, max_n: int = 8):
+    """Symmetric integer matrices with one off-diagonal pair made unequal, so
+    no step whose trailing block holds the pair is symmetric."""
+    mat = draw(symmetric_matrices(max_n).filter(lambda mat: len(mat) >= 2))
+    i, j = draw(st.lists(st.integers(0, len(mat) - 1), min_size=2, max_size=2,
+                         unique=True))
+    mat[i][j] += draw(ENTRIES.filter(bool))
+    return mat
+
+
+class TestAgainstListOracle:
+    """The packed meet-in-the-middle kernel against the list-based one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_matrices())
+    def test_symmetric_matrices(self, mat):
+        assert charpoly(mat) == IntPoly(reversed(list_berkowitz(mat)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(nearly_symmetric_matrices())
+    def test_one_unequal_pair(self, mat):
+        assert charpoly(mat) == IntPoly(reversed(list_berkowitz(mat)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(symmetric_matrices(), nearly_symmetric_matrices()))
+    def test_trailing_charpolys(self, mat):
+        trail = []
+        list_berkowitz(mat, trail)
+        assert trailing_charpolys(mat) == [IntPoly(reversed(poly)) for poly in trail]
+
+    @pytest.mark.parametrize("route", [charpoly, trailing_charpolys])
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 0.5, 2.0],
+                             ids=["half", "fraction-2", "float-half", "float-2"])
+    def test_non_integer_entry_is_refused(self, route, entry):
+        with pytest.raises(ArithmeticError, match="integer entries"):
+            route([[2, -1], [-1, entry]])
 
 
 class TestBareiss:

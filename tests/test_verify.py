@@ -133,6 +133,34 @@ class TestPoolSuites:
         assert report.counts["profile_graphs"] == report.counts["members"] == 4
         assert report.counts["cospectral_hits"] == 4
 
+    @pytest.mark.parametrize("wrong, extra, missing", [
+        # p one too long and q one too short: (4, 0, 4) becomes the member
+        # (5, 0, 3), whose own graph then reads as (6, 0, 2)
+        (lambda d: DumbbellParams(d.p + 1, d.k, d.q - 1),
+         [(4, 2, 2), (5, 1, 2), (6, 0, 2)], [(3, 2, 3), (4, 1, 3), (4, 0, 4)]),
+        # the two cycles out of normal form
+        (lambda d: DumbbellParams(d.q, d.k, d.p),
+         [(3, 1, 4), (3, 0, 5)], [(4, 1, 3), (5, 0, 3)]),
+    ], ids=["p-off-by-one", "cycles-swapped"])
+    def test_wrong_classified_parameters_fail(self, monkeypatch, wrong, extra, missing):
+        classify = verify.classify_bicyclic
+
+        def misread(g):
+            params = classify(g)
+            return wrong(params) if isinstance(params, DumbbellParams) else params
+
+        monkeypatch.setattr(verify, "classify_bicyclic", misread)
+        report = verify_cospectral_structure(8)
+        assert not report.passed
+        assert report.counts["profile_graphs"] == report.counts["members"] == 10
+
+        rows = [{"family": "dumbbell", "p": p, "k": k, "q": q, "failure": failure}
+                for triples, failure in [
+                    (extra, "profile graph classified as no member, or twice"),
+                    (missing, "member parameters not read off a profile graph")]
+                for p, k, q in triples]
+        assert sorted(map(repr, report.counterexamples)) == sorted(map(repr, rows))
+
     def test_census_small(self):
         report = verify_census(n_max=5)
         assert report.passed
