@@ -30,7 +30,7 @@ from .laplacian import charpoly, laplacian
 from .polynomials import IntPoly
 from .recurrences import (dumbbell_charpoly_rec, path_charpoly_rec,
                           theta_charpoly_rec)
-from .verify import SUITES, UNRECORDED
+from .verify import SUITES
 
 # Suite parameters by name, from the suite signatures.  Each one is a flag;
 # suites reject flags they do not take so a typo cannot silently run the
@@ -163,10 +163,6 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             continue
         if name not in accepted:
             parser.error(f"{_flag(name)} is not a parameter of suite '{args.suite}'")
-        # --grid default drops the grid bounds a report records; required
-        # parameters and the cache directory still apply.
-        if args.grid == "default" and name not in required and name not in UNRECORDED:
-            continue
         overrides[name] = value
     for name in required:
         if name not in overrides:
@@ -213,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", parents=[common],
                          help="run a verification suite; exit 0 iff it passes")
     ver.add_argument("suite", choices=sorted(SUITES))
-    ver.add_argument("--grid", choices=("default",), default=None,
-                     help="use the suite's built-in grid, ignoring bound flags")
     for name, param in _PARAMETERS.items():
         # Every suite parameter is an int bound except the cache directory,
         # whose default is None.

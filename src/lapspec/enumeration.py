@@ -77,7 +77,8 @@ owns, each a dict from canonical form to representative, so the census
 grows every level once and reads its forms from that memo.
 
 Results are deterministic: canonical graph6 forms, sorted.  They can be
-cached on disk, one file per task: a header line
+cached on disk, one file per task (of the suites, only determination and
+cospectral-structure pass a cache directory): a header line
 
     #lapspec-pool <format version> <file name> <line count> <sha256 of the body>
 
@@ -86,16 +87,15 @@ temporary name and renamed into place.  A file whose header is missing or
 disagrees with its task or body, or whose lines are not strictly sorted, is
 never trusted: the pool is regrown and the file rewritten.  The check
 guards against truncation and stale formats, not against a forged header.
-A task answered from the memo still writes its file when the cache
-directory has no valid one.  The bytes of each memo pool's file are kept
-from when they were first written or validated, so a memo hit reads the
-file and compares it with them byte for byte instead of decoding and
-re-encoding it; any other content is rewritten.
+A call reads the task's file once.  The file is decoded only when the memo
+lacks the task, and it is rewritten unless its bytes equal the encoding of
+the forms, so a task answered from the memo still writes its file when the
+cache directory has no valid one.  Each call encodes the pool at most once.
 
-``enumerate_graphs`` decodes the forms into graphs and keeps the last
-decoded pool while the memo holds its very forms list, so asking for the
-same pool twice decodes it once, and growth that resumes from that level,
-as (7, m + 1) does right after (7, m), reuses its graphs.
+``_decode`` keeps the last decoded pool while the memo holds its very forms
+list, so asking for the same pool twice decodes it once, and growth that
+resumes from that level, as (7, m + 1) does right after (7, m), reuses its
+graphs.
 """
 
 from __future__ import annotations
@@ -163,17 +163,21 @@ class EnumerationTask:
 
 _memo: dict[EnumerationTask, list[bytes]] = {}
 
-# For a memo pool written to or validated in a cache directory: that very
-# forms list and its cache file's bytes.  An entry counts only while the
-# memo holds the same list, and entries the memo no longer holds are
-# dropped, so a cleared memo frees its pools.
-_encoded: dict[EnumerationTask, tuple[list[bytes], bytes]] = {}
-
 # The forms list decoded last and its graphs.  The pool suites ask for the
 # same pool twice in a row, and growth resumes from the level a caller was
 # just handed; the identity check against the memo's list makes a cleared
 # memo decode afresh.
 _decoded: tuple[Optional[list[bytes]], list[Graph]] = (None, [])
+
+
+def _decode(forms: list[bytes]) -> list[Graph]:
+    """The graphs of a forms list the memo holds, decoded unless it is the
+    list decoded last."""
+    global _decoded
+    if _decoded[0] is not forms:
+        _decoded = (None, [])  # let the last pool go before decoding this one
+        _decoded = (forms, [graph6_decode(form) for form in forms])
+    return _decoded[1]
 
 
 def _twin_classes(rows: tuple[int, ...]) -> list[list[int]]:
@@ -354,16 +358,15 @@ def _grow_forms(task: EnumerationTask) -> list[bytes]:
     if done:
         start = done[-1]
         forms = _memo[stages[start][0]]
-        graphs = (_decoded[1] if _decoded[0] is forms
-                  else [graph6_decode(form) for form in forms])
-        level = dict(zip(forms, graphs))
+        level = dict(zip(forms, _decode(forms)))
     else:
         start, seed = 0, Graph(stages[0][0].n)
         level = {canonical_form(seed): seed}
+        forms = list(level)
     for stage, step in stages[start + 1:]:
         level = _dedup(step(level.values()))
-        _memo[stage] = sorted(level)
-    return sorted(level)
+        forms = _memo[stage] = sorted(level)
+    return forms
 
 
 def _figure_eight_edges(p: int, q: int) -> list[tuple[int, int]]:
@@ -515,36 +518,31 @@ def _write_atomic(path: Path, data: bytes) -> None:
 def _pool_forms(task: EnumerationTask, cap: int,
                 cache_dir: Optional[str | Path]) -> list[bytes]:
     """The sorted canonical forms of the task, from the memo, a valid cache
-    file or fresh growth.  Fills the memo, and a cache directory that lacks
-    a valid file; the list returned is the one the memo holds."""
+    file or fresh growth.  Fills the memo, and writes the task's file in a
+    cache directory unless it already holds these forms; the list returned
+    is the one the memo holds."""
     task = EnumerationTask(task.n, task.m, task.connected)
     task.validate()
     if task.n > cap:
         raise EnumerationCapError(task.n, cap)
 
-    global _encoded
-    _encoded = {t: kept for t, kept in _encoded.items() if _memo.get(t) is kept[0]}
     cache_file = Path(cache_dir) / task.cache_name() if cache_dir is not None else None
-    data = None
+    data = cache_file.read_bytes() if cache_file is not None and cache_file.exists() else None
     forms = _memo.get(task)
-    if cache_file is not None and cache_file.exists():
-        data = cache_file.read_bytes()
-        if forms is None:
-            forms = _decode_pool(task, data)
-            if forms is not None:
-                _encoded[task] = (forms, data)
+    if forms is None and data is not None:
+        forms = _decode_pool(task, data)
+        if forms is not None:
+            _memo[task] = forms
+            return forms  # the file was just validated against these forms
     if forms is None:
         # m = n + 1 is possible only for n >= 4, which validate() checked.
         bicyclic = task.connected and task.m == task.n + 1
         forms = _bicyclic_forms(task.n) if bicyclic else _grow_forms(task)
     _memo[task] = forms
-    # A memo hit still fills a cache directory that lacks a valid file.
     if cache_file is not None:
-        kept = _encoded.get(task)
-        if kept is None or kept[0] is not forms:
-            kept = _encoded[task] = (forms, _encode_pool(task, forms))
-        if data != kept[1]:
-            _write_atomic(cache_file, kept[1])
+        encoded = _encode_pool(task, forms)
+        if data != encoded:
+            _write_atomic(cache_file, encoded)
     return forms
 
 
@@ -552,12 +550,7 @@ def enumerate_graphs(task: EnumerationTask, cap: int = DEFAULT_CAP,
                      cache_dir: Optional[str | Path] = None) -> list[Graph]:
     """One canonically labeled representative per isomorphism class matching
     the task, sorted by graph6 form.  Raises EnumerationCapError above cap."""
-    global _decoded
-    forms = _pool_forms(task, cap, cache_dir)
-    if _decoded[0] is not forms:
-        _decoded = (None, [])  # let the last pool go before decoding this one
-        _decoded = (forms, [graph6_decode(form) for form in forms])
-    return list(_decoded[1])
+    return list(_decode(_pool_forms(task, cap, cache_dir)))
 
 
 def enumerate_by_vertex_growth(n: int, cap: int = DEFAULT_CAP,
@@ -570,7 +563,8 @@ def enumerate_by_vertex_growth(n: int, cap: int = DEFAULT_CAP,
     from canonical form to one representative, in form order, and the call
     grows only the levels up to n that it lacks.  Independent of the
     edge-addition route; used to cross-check census totals.  Raises
-    EnumerationCapError above cap."""
+    EnumerationCapError above cap and TypeError unless n is an integer."""
+    index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > cap:

@@ -31,7 +31,9 @@ leading minors are nonzero and Bareiss elimination never pivots.
 The two suites share the decoded graphs and the values of their pool:
 both are kept for the last pool and reused only while the enumeration memo
 still holds that very list of forms, so clearing the memo ends the reuse
-and the next suite decodes the pool and computes its values afresh.
+and the next suite decodes the pool and computes its values afresh.  They
+are the only suites that take ``cache_dir``: the census grows both of its
+routes on every run, so no cache file can stand in for either.
 
 The certified statements are the finite ones actually executed here (the
 report's scope says which); nothing unbounded is claimed.
@@ -541,8 +543,7 @@ def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
 
 
 @_suite("census")
-def verify_census(n_max: int = 7, cap: int = DEFAULT_CAP,
-                  cache_dir=None) -> VerificationReport:
+def verify_census(n_max: int = 7, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Edge-addition and vertex-growth enumeration agree, class by class, on
     all graphs with n <= n_max vertices, and the graph6 codec round-trips
     every one of them bit-exactly.  The vertex route grows each level once,
@@ -557,8 +558,7 @@ def verify_census(n_max: int = 7, cap: int = DEFAULT_CAP,
     for n in range(n_max + 1):
         by_edges: list[Graph] = []
         for m in range(n * (n - 1) // 2 + 1):
-            by_edges.extend(enumerate_graphs(EnumerationTask(n, m),
-                                             cap=cap, cache_dir=cache_dir))
+            by_edges.extend(enumerate_graphs(EnumerationTask(n, m), cap=cap))
         # enumerate_graphs returns canonically labeled graphs, so each
         # encoding is a canonical form; a relabeled graph fails the match.
         forms_a = [graph6_encode(g) for g in by_edges]

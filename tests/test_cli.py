@@ -118,20 +118,21 @@ class TestVerify:
         assert report.passed
         assert "PASS" in out  # summary still goes to stdout
 
-    def test_grid_default_ignores_bounds(self, capsys):
-        code, out = run(capsys, "verify", "generating-identity",
-                        "--grid", "default", "--r-max", "3")
-        assert code == 0
-        report_code, report_out = run(capsys, "verify", "generating-identity",
-                                      "--format", "json")
-        assert "r <= 50" in out
-        assert report_code == 0
-
-    def test_grid_default_keeps_cache_dir(self, capsys, tmp_path):
+    def test_determination_cache_dir_writes_the_pool_file(self, capsys, tmp_path):
         code, _ = run(capsys, "verify", "determination", "--n", "6",
-                      "--grid", "default", "--cache-dir", str(tmp_path))
+                      "--cache-dir", str(tmp_path))
         assert code == 0
-        assert (tmp_path / EnumerationTask(6, 7, connected=True).cache_name()).exists()
+        assert list(tmp_path.iterdir()) == \
+            [tmp_path / EnumerationTask(6, 7, connected=True).cache_name()]
+
+    def test_census_takes_no_cache_dir(self, capsys, tmp_path):
+        # the census grows both routes on every run, so no file may stand
+        # in for either
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "census", "--n-max", "5", "--cache-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert "--cache-dir is not a parameter of suite 'census'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv,name", [
         (("special-values", "--n-max", "-5"), "n_max"),
@@ -203,7 +204,7 @@ class TestDerivedSurface:
     def test_flag_set(self):
         flags = {option for action in self._verify_parser()._actions
                  for option in action.option_strings}
-        assert flags == self.BOUND_FLAGS | {"-h", "--help", "--grid", "--format", "--out"}
+        assert flags == self.BOUND_FLAGS | {"-h", "--help", "--format", "--out"}
 
     def test_suite_names_match_readme(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -401,6 +401,13 @@ class TestVertexGrowthRoute:
             {"edges": 2347, "vertices": 1674}
         assert len(canonical_calls) == 4021
 
+    @pytest.mark.parametrize("n", [6.5, 6.0])
+    def test_refuses_a_non_integer_n_before_any_growth(self, canonical_calls, n):
+        levels = []
+        with pytest.raises(TypeError):
+            enumerate_by_vertex_growth(n, levels=levels)
+        assert canonical_calls == [] and levels == []
+
     def test_resumed_growth_grows_only_the_missing_levels(self, canonical_calls):
         levels = []
         assert _forms(enumerate_by_vertex_growth(3, levels=levels)) == \
@@ -541,6 +548,31 @@ class TestDiskCache:
         assert enumerate_graphs(task, cache_dir=tmp_path) == pool
         assert cache_file.read_bytes() == good
 
+    @staticmethod
+    def _cache_calls(monkeypatch, cache_file) -> dict[str, int]:
+        """Live counts of pool encodes, pool decodes and reads of
+        cache_file."""
+        calls = {"encode": 0, "decode": 0, "read": 0}
+
+        def counted(key, fn):
+            def call(*args):
+                calls[key] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(enumeration, "_encode_pool",
+                            counted("encode", enumeration._encode_pool))
+        monkeypatch.setattr(enumeration, "_decode_pool",
+                            counted("decode", enumeration._decode_pool))
+        read_bytes = type(cache_file).read_bytes
+
+        def read(path):
+            calls["read"] += path == cache_file
+            return read_bytes(path)
+
+        monkeypatch.setattr(type(cache_file), "read_bytes", read)
+        return calls
+
     @pytest.mark.parametrize("first", ["written", "validated"])
     def test_memo_hit_leaves_a_valid_file_untouched(self, tmp_path, monkeypatch,
                                                     private_memo, first):
@@ -551,15 +583,23 @@ class TestDiskCache:
             enumerate_graphs(task, cache_dir=tmp_path)
         cache_file = tmp_path / task.cache_name()
         before = (cache_file.read_bytes(), cache_file.stat().st_mtime_ns)
-        reads = []
-        read_bytes = type(cache_file).read_bytes
-        monkeypatch.setattr(type(cache_file), "read_bytes",
-                            lambda path: reads.append(path) or read_bytes(path))
-        monkeypatch.setattr(enumeration, "_encode_pool", None)
-        monkeypatch.setattr(enumeration, "_decode_pool", None)
+        calls = self._cache_calls(monkeypatch, cache_file)
         assert enumerate_graphs(task, cache_dir=tmp_path) == pool
-        # the file is still read and compared, but not decoded or re-encoded
-        assert reads == [cache_file]
+        # one read, compared with one encoding of the memo's pool; no decode
+        assert calls == {"encode": 1, "decode": 0, "read": 1}
+        assert (cache_file.read_bytes(), cache_file.stat().st_mtime_ns) == before
+
+    def test_a_file_validated_on_a_memo_miss_is_encoded_once(self, tmp_path, monkeypatch,
+                                                             private_memo):
+        task = EnumerationTask(6, 7, connected=True)
+        pool = enumerate_graphs(task, cache_dir=tmp_path)
+        private_memo.clear()
+        cache_file = tmp_path / task.cache_name()
+        before = (cache_file.read_bytes(), cache_file.stat().st_mtime_ns)
+        calls = self._cache_calls(monkeypatch, cache_file)
+        assert enumerate_graphs(task, cache_dir=tmp_path) == pool
+        # the decode's own check is the one encode; the file is not rewritten
+        assert calls == {"encode": 1, "decode": 1, "read": 1}
         assert (cache_file.read_bytes(), cache_file.stat().st_mtime_ns) == before
 
     def test_valid_cache_is_read_without_growing(self, tmp_path, monkeypatch, private_memo):

@@ -167,6 +167,13 @@ class TestPoolSuites:
         assert report.details["totals"] == {"0": 1, "1": 1, "2": 2, "3": 4,
                                             "4": 11, "5": 34}
 
+    def test_census_takes_no_cache_dir(self, tmp_path):
+        # both routes are grown on every run, so no cache file can stand in
+        # for the edge route
+        with pytest.raises(TypeError):
+            verify_census(n_max=5, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_census_refuses_relabeled_edge_route(self, monkeypatch):
         # Same classes, but one graph not canonically labeled: its encoding
         # is no canonical form, so the routes no longer agree.
