@@ -8,8 +8,7 @@ the family's spectral-determination argument on exhaustively enumerated
 small graphs.
 """
 
-from .canonical import (are_isomorphic, canonical_form, canonical_permutation,
-                        refined_colors)
+from .canonical import are_isomorphic, canonical_form, refined_colors
 from .enumeration import (DEFAULT_CAP, EnumerationCapError, EnumerationTask,
                           enumerate_by_vertex_growth, enumerate_graphs,
                           random_connected_graph)
@@ -17,7 +16,7 @@ from .graph6 import Graph6Error, graph6_decode, graph6_encode
 from .graphs import (DumbbellParams, Graph, ThetaParams, classify_bicyclic,
                      connected_components, dumbbell_graph,
                      dumbbell_parameter_grid, is_connected, make_cycle,
-                     make_dumbbell, make_path, make_theta, relabel, theta_graph,
+                     make_dumbbell, make_path, make_theta, theta_graph,
                      theta_parameter_grid)
 from .invariants import (InvalidCharpolyError, SpectralInvariants,
                          degree_constraint_solver, graph_invariants,

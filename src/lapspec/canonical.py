@@ -37,6 +37,15 @@ scores.  The field at position j, the winning score shifted down by n - j
 bits, is exactly column j of the relabeled upper triangle, the order
 graph6 packs, so the certificate is packed straight from the winning
 fields without building the relabeled graph.
+
+The search is one module-level recursive function, ``_walk``, and it gets
+all of its state as arguments: the rows, neighbor lists and cells of the
+graph, the working fields and order, and the best sequence so far, which
+it replaces in place.  It is not a closure inside ``_search``: a nested
+function that calls itself sits in its own closure cell, and that
+reference cycle would keep the whole search state alive after the call
+returns, until the cyclic garbage collector ran.  As it is, a canonical
+call frees everything it built when it returns.
 """
 
 from __future__ import annotations
@@ -69,6 +78,65 @@ def refined_colors(n: int, adj: Sequence[Collection[int]]) -> list[int]:
         colors, distinct = new, len(rank)
 
 
+def _walk(n: int, rows: tuple[int, ...], adj: list[list[int]],
+          cell_at: list[list[int]], fields: list[int], order: list[int],
+          best: list[int], best_order: list[int],
+          pos: int, scores: list[int], free: int, ahead: bool) -> bool:
+    """Extend the placement order[:pos] of one search.  rows, adj and
+    cell_at describe the graph and its cells; fields and order are the
+    working sequence, shared by every call of the search; best and
+    best_order hold the best sequence so far and are replaced in place.
+    scores are the left-aligned fields against order[:pos], owned by this
+    call, free is the mask of unplaced vertices, and ahead means
+    fields[:pos] already beats best.  Returns whether best was replaced."""
+    while pos < n:
+        reps = cell_at[pos]
+        if len(reps) > 1:
+            reps = [v for v in reps if free >> v & 1]
+        if len(reps) == 1:
+            top = scores[reps[0]]
+        else:
+            top = max([scores[v] for v in reps])
+            candidates, reps = reps, []
+            for v in candidates:
+                if scores[v] != top:
+                    continue
+                row = rows[v]
+                for w in reps:
+                    if row & ~(1 << w) == rows[w] & ~(1 << v):
+                        break  # swapping two twins changes nothing downstream
+                else:
+                    reps.append(v)
+        if not ahead:
+            # A smaller field at this position loses no matter what follows.
+            if top < best[pos]:
+                return False
+            ahead = top > best[pos]
+        fields[pos] = top
+        bit = 1 << (n - 1 - pos)
+        if len(reps) > 1:
+            improved = False
+            for x in reps:
+                order[pos] = x
+                branch = scores.copy()
+                for v in adj[x]:
+                    branch[v] |= bit
+                if _walk(n, rows, adj, cell_at, fields, order, best, best_order,
+                         pos + 1, branch, free & ~(1 << x), ahead):
+                    # best now runs through fields[:pos + 1]
+                    improved, ahead = True, False
+            return improved
+        x = order[pos] = reps[0]
+        free &= ~(1 << x)
+        for v in adj[x]:
+            scores[v] |= bit
+        pos += 1
+    if ahead:
+        best[:] = fields
+        best_order[:] = order
+    return ahead
+
+
 def _search(g: Graph) -> tuple[list[int], list[int]]:
     """The maximal field sequence, left-aligned (field j shifted up by
     n - j bits), and the first placement order (position -> original
@@ -89,68 +157,11 @@ def _search(g: Graph) -> tuple[list[int], list[int]]:
     cells.sort(key=len)
     cell_at = [cell for cell in cells for _ in cell]
 
-    fields = [0] * n
-    order = [0] * n
     best: list[int] = []
     best_order: list[int] = []
-
-    def walk(pos: int, scores: list[int], free: int, ahead: bool) -> bool:
-        """Extend the placement order[:pos]; scores are the left-aligned
-        fields against order[:pos], owned by this call, and ahead means
-        fields[:pos] already beats best.  Returns whether best was replaced."""
-        nonlocal best, best_order
-        while pos < n:
-            reps = cell_at[pos]
-            if len(reps) > 1:
-                reps = [v for v in reps if free >> v & 1]
-            if len(reps) == 1:
-                top = scores[reps[0]]
-            else:
-                top = max([scores[v] for v in reps])
-                candidates, reps = reps, []
-                for v in candidates:
-                    if scores[v] != top:
-                        continue
-                    row = rows[v]
-                    for w in reps:
-                        if row & ~(1 << w) == rows[w] & ~(1 << v):
-                            break  # swapping two twins changes nothing downstream
-                    else:
-                        reps.append(v)
-            if not ahead:
-                # A smaller field at this position loses no matter what follows.
-                if top < best[pos]:
-                    return False
-                ahead = top > best[pos]
-            fields[pos] = top
-            bit = 1 << (n - 1 - pos)
-            if len(reps) > 1:
-                improved = False
-                for x in reps:
-                    order[pos] = x
-                    branch = scores.copy()
-                    for v in adj[x]:
-                        branch[v] |= bit
-                    if walk(pos + 1, branch, free & ~(1 << x), ahead):
-                        # best now runs through fields[:pos + 1]
-                        improved, ahead = True, False
-                return improved
-            x = order[pos] = reps[0]
-            free &= ~(1 << x)
-            for v in adj[x]:
-                scores[v] |= bit
-            pos += 1
-        if ahead:
-            best, best_order = fields.copy(), order.copy()
-        return ahead
-
-    walk(0, [0] * n, (1 << n) - 1, True)
+    _walk(n, rows, adj, cell_at, [0] * n, [0] * n, best, best_order,
+          0, [0] * n, (1 << n) - 1, True)
     return best, best_order
-
-
-def canonical_permutation(g: Graph) -> tuple[int, ...]:
-    """Position -> original vertex for the canonical relabeling."""
-    return tuple(_search(g)[1])
 
 
 def canonical_form(g: Graph) -> bytes:

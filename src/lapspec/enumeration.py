@@ -105,7 +105,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import index
+from operator import index, itemgetter
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional
@@ -389,13 +389,41 @@ def _bicyclic_cores(n: int) -> list[tuple[str, tuple[int, ...], Graph]]:
     return cores
 
 
+def _map_from(rows: tuple[int, ...], alike: list[int], order: list[int],
+              earlier: list[int], image: list[int], i: int, used: int,
+              found: list[tuple[int, ...]]) -> None:
+    """Append to found every automorphism that extends the partial map
+    image of order[:i], whose images are the mask used.  alike[v] is the
+    mask of the vertices of v's degree, and earlier[i] the mask of
+    order[:i]."""
+    n = len(order)
+    v = order[i]
+    target = 0  # the images of v's mapped neighbors
+    mapped = rows[v] & earlier[i]
+    while mapped:
+        low = mapped & -mapped
+        target |= 1 << image[low.bit_length() - 1]
+        mapped ^= low
+    free = alike[v] & ~used
+    for w in range(n):
+        if free >> w & 1 and rows[w] & used == target:
+            image[v] = w
+            if i + 1 == n:
+                found.append(tuple(image))
+            else:
+                _map_from(rows, alike, order, earlier, image, i + 1, used | 1 << w, found)
+
+
 def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Every automorphism of a connected graph, as the tuple of vertex
     images.  Vertices are mapped in breadth-first order from vertex 0, each
-    to an unused vertex of its degree whose adjacency to the images of the
-    vertices mapped so far matches its own.  Every vertex after the first
-    has a mapped neighbor, so its candidates are neighbors of that
-    neighbor's image."""
+    to an unused vertex w of its degree whose adjacency to the vertices
+    mapped so far matches its own.  With used the mask of their images,
+    that is one mask comparison: ``rows[w] & used`` equals the images of
+    its mapped neighbors.  Every vertex after the first has a mapped
+    neighbor, so its candidates are neighbors of that neighbor's image.
+    Candidates are tried in vertex order, so the automorphisms come out
+    sorted by the images of the vertices in breadth-first order."""
     n, rows = g.n, g.rows
     order, seen = [0], 1
     for v in order:
@@ -403,22 +431,32 @@ def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
             if rows[v] >> w & 1 and not seen >> w & 1:
                 seen |= 1 << w
                 order.append(w)
-    image = [0] * n
+    degrees = [row.bit_count() for row in rows]
+    alike = [sum(1 << w for w in range(n) if degrees[w] == d) for d in degrees]
+    earlier = [0] * n
+    for i in range(1, n):
+        earlier[i] = earlier[i - 1] | 1 << order[i - 1]
     found: list[tuple[int, ...]] = []
-
-    def extend(i: int, used: int) -> None:
-        if i == n:
-            found.append(tuple(image))
-            return
-        v = order[i]
-        for w in range(n):
-            if (not used >> w & 1 and rows[w].bit_count() == rows[v].bit_count()
-                    and all(rows[v] >> u & 1 == rows[w] >> image[u] & 1 for u in order[:i])):
-                image[v] = w
-                extend(i + 1, used | 1 << w)
-
-    extend(0, 0)
+    _map_from(rows, alike, order, earlier, [0] * n, 0, 0, found)
     return found
+
+
+def _hang_leaf(code: tuple) -> Iterator[tuple]:
+    """The AHU codes of the rooted tree with this code plus one leaf, hung
+    on each vertex in turn (with repeats)."""
+    yield tuple(sorted(code + ((),)))
+    for i, child in enumerate(code):
+        for grown in _hang_leaf(child):
+            yield tuple(sorted(code[:i] + (grown,) + code[i + 1:]))
+
+
+def _parents(code: tuple, at: int, out: list[int]) -> list[int]:
+    """Append to out the parents of the vertices below vertex at, which has
+    this code, in preorder; returns out."""
+    for child in code:
+        out.append(at)
+        _parents(child, len(out), out)
+    return out
 
 
 def _rooted_trees(size_max: int) -> list[list[int]]:
@@ -427,30 +465,23 @@ def _rooted_trees(size_max: int) -> list[list[int]]:
     (the root is vertex 0).  Trees are told apart by their AHU codes: a code is the sorted
     tuple of the root's child codes, so isomorphic rooted trees have equal
     codes, and every tree on s + 1 vertices is a tree on s plus a leaf."""
-    def hang_leaf(code: tuple) -> Iterator[tuple]:
-        yield tuple(sorted(code + ((),)))
-        for i, child in enumerate(code):
-            for grown in hang_leaf(child):
-                yield tuple(sorted(code[:i] + (grown,) + code[i + 1:]))
-
-    def parents(code: tuple, at: int, out: list[int]) -> list[int]:
-        for child in code:
-            out.append(at)
-            parents(child, len(out), out)
-        return out
-
     level = [()]
     trees = []
     for _ in range(size_max):
-        trees += [parents(code, 0, []) for code in level]
-        level = sorted({grown for code in level for grown in hang_leaf(code)})
+        trees += [_parents(code, 0, []) for code in level]
+        level = sorted({grown for code in level for grown in _hang_leaf(code)})
     return trees
 
 
 def _bicyclic_forms(n: int) -> list[bytes]:
     """Sorted canonical forms of the connected graphs with n >= 4 vertices
     and n + 1 edges, built from their 2-cores: one canonical call per class
-    and no dedup.  Raises RuntimeError if a class comes out twice."""
+    and no dedup.  Raises RuntimeError if a class comes out twice.
+
+    Each core's automorphisms other than the identity act on per-vertex
+    tuples as ``operator.itemgetter`` objects, so the orbit tests on the
+    tuple of tree sizes and on the tuple of trees are one C-level call per
+    automorphism."""
     trees = _rooted_trees(n - 3)
     by_size: list[list[int]] = [[] for _ in range(n - 2)]
     for i, tree in enumerate(trees):
@@ -458,18 +489,20 @@ def _bicyclic_forms(n: int) -> list[bytes]:
     forms = []
     for _, _, core in _bicyclic_cores(n):
         c = core.n
-        group = _automorphisms(core)
+        # The identity never maps a tuple below itself, so it is left out;
+        # itemgetter(*sigma) returns a tuple, as a core has at least 4 vertices.
+        identity = tuple(range(c))
+        moves = [itemgetter(*sigma) for sigma in _automorphisms(core) if sigma != identity]
         # An attachment (a tree per core vertex) is kept when it is minimal
         # in its orbit, ordered by tree sizes and then by tree index.
         for cuts in combinations(range(1, n), c - 1):
             sizes = tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
-            images = [tuple(sizes[v] for v in sigma) for sigma in group]
+            images = [move(sizes) for move in moves]
             if any(image < sizes for image in images):
                 continue
-            stabilizer = [sigma for sigma, image in zip(group, images) if image == sizes]
+            stabilizer = [move for move, image in zip(moves, images) if image == sizes]
             for attachment in product(*(by_size[size] for size in sizes)):
-                if any(tuple(attachment[v] for v in sigma) < attachment
-                       for sigma in stabilizer):
+                if any(move(attachment) < attachment for move in stabilizer):
                     continue
                 edges = []
                 base = c - 1  # tree vertex j >= 1 becomes base + j

@@ -196,15 +196,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def relabel(g: Graph, mapping: dict[int, int] | list[int]) -> Graph:
-    """Apply a vertex bijection old -> new; family metadata is dropped."""
-    if isinstance(mapping, list):
-        mapping = {old: new for old, new in enumerate(mapping)}
-    if sorted(mapping) != list(range(g.n)) or sorted(mapping.values()) != list(range(g.n)):
-        raise ValueError("mapping is not a bijection on 0..n-1")
-    return Graph(g.n, ((mapping[i], mapping[j]) for i, j in g.edges))
-
-
 def make_path(n: int) -> Graph:
     """Path on n >= 0 vertices."""
     if n < 0:

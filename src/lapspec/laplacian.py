@@ -385,27 +385,30 @@ def spanning_tree_count(g: Graph) -> int:
     return det_bareiss(submatrix_deleting(laplacian(g), {0}))
 
 
+def _extend_cycles(adj: list[set[int]], lowest: int, path: list[int],
+                   on_path: set[int], cycles: list[tuple[int, ...]]) -> None:
+    """Append to cycles every simple cycle that extends path, which starts
+    at u = path[0] and holds the vertices of on_path, through vertices
+    >= lowest, with second vertex < last vertex."""
+    u = path[0]
+    for w in adj[path[-1]]:
+        if w == u:
+            if len(path) >= 3 and path[1] < path[-1]:
+                cycles.append(tuple(path))
+        elif w >= lowest and w not in on_path:
+            path.append(w)
+            on_path.add(w)
+            _extend_cycles(adj, lowest, path, on_path, cycles)
+            on_path.discard(w)
+            path.pop()
+
+
 def _cycles_from(adj: list[set[int]], u: int, lowest: int) -> list[tuple[int, ...]]:
     """Simple cycles through u on vertices >= lowest, each listed once as a
     vertex tuple starting at u; orientation is fixed by second vertex < last
     vertex."""
     cycles: list[tuple[int, ...]] = []
-    path = [u]
-    on_path = {u}
-
-    def dfs(v: int) -> None:
-        for w in adj[v]:
-            if w == u:
-                if len(path) >= 3 and path[1] < path[-1]:
-                    cycles.append(tuple(path))
-            elif w >= lowest and w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                dfs(w)
-                on_path.discard(w)
-                path.pop()
-
-    dfs(u)
+    _extend_cycles(adj, lowest, [u], {u}, cycles)
     return cycles
 
 

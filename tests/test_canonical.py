@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapspec import enumeration
-from lapspec.canonical import (are_isomorphic, canonical_form,
-                               canonical_permutation, refined_colors)
+from graph_helpers import relabel
+
+from lapspec import canonical, enumeration
+from lapspec.canonical import are_isomorphic, canonical_form, refined_colors
 from lapspec.enumeration import (EnumerationTask, enumerate_by_vertex_growth,
                                  enumerate_graphs)
 from lapspec.graph6 import graph6_encode, graph6_pack
 from lapspec.graphs import (Graph, dumbbell_graph, make_cycle, make_dumbbell,
-                            make_path, make_theta, relabel, theta_graph)
+                            make_path, make_theta, theta_graph)
 
 # SHA-256 of b"\n".join(sorted canonical forms of every graph on n vertices),
 # recorded with the set-based search that preceded the bitmask kernel.
@@ -34,6 +35,11 @@ CENSUS_TOTALS = [1, 1, 2, 4, 11, 34, 156, 1044]  # OEIS A000088
 @lru_cache(maxsize=None)
 def all_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(enumerate_by_vertex_growth(n))
+
+
+def canonical_permutation(g: Graph) -> tuple[int, ...]:
+    """Position -> original vertex for the canonical relabeling."""
+    return tuple(canonical._search(g)[1])
 
 
 def canonical_graph(g: Graph) -> Graph:

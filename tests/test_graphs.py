@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_helpers import relabel
+
 import lapspec
 from lapspec import verify
 from lapspec.canonical import canonical_form
@@ -9,7 +11,7 @@ from lapspec.enumeration import enumerate_by_vertex_growth
 from lapspec.graphs import (DumbbellParams, Graph, ThetaParams, classify_bicyclic,
                             connected_components, dumbbell_graph,
                             dumbbell_parameter_grid, is_connected, make_cycle,
-                            make_dumbbell, make_path, make_theta, relabel,
+                            make_dumbbell, make_path, make_theta,
                             theta_graph, theta_parameter_grid)
 
 

@@ -1,5 +1,6 @@
 """Property tests: the graph6 decoder, canonical forms, bitmask rows,
 the peeled-tree charpoly value against one Bareiss elimination,
+core automorphism groups on relabeled cores,
 twin-pruned edge, leaf and vertex children, children built without
 validation, the top-edge test against the child's own degree pairs and
 against the per-edge test it replaced, the top-vertex rule against the
@@ -12,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_helpers import core_group_order, relabel
+
 from lapspec import enumeration
 from lapspec.canonical import canonical_form
 from lapspec.graph6 import Graph6Error, graph6_decode, graph6_encode
-from lapspec.graphs import Graph, make_path, relabel
+from lapspec.graphs import Graph, make_path
 from lapspec.laplacian import (_charpoly_at, _charpoly_value, charpoly,
                                charpoly_interpolated, laplacian, u_matrix)
 from lapspec.polynomials import IntPoly, LaurentPoly, substitute_y
@@ -132,6 +135,21 @@ def test_canonical_form_survives_relabeling(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     assert canonical_form(relabel(g, perm)) == canonical_form(g)
+
+
+@PROPERTY
+@given(st.sampled_from(enumeration._bicyclic_cores(10)), st.randoms(use_true_random=False))
+def test_core_automorphisms_survive_relabeling(core, rng):
+    # the closed-form test sees cores only in their built labelling
+    kind, params, g = core
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = relabel(g, perm)
+    group = enumeration._automorphisms(h)
+    assert len(set(group)) == len(group) == core_group_order(kind, params)
+    for sigma in group:
+        assert sorted(sigma) == list(range(h.n))
+        assert {tuple(sorted((sigma[i], sigma[j]))) for i, j in h.edges} == set(h.edges)
 
 
 @PROPERTY

@@ -1,10 +1,14 @@
+import gc
+
 import pytest
+
+from graph_helpers import relabel
 
 from lapspec import enumeration, invariants, verify
 from lapspec.canonical import canonical_form
 from lapspec.enumeration import DEFAULT_CAP
 from lapspec.graph6 import graph6_decode, graph6_encode
-from lapspec.graphs import DumbbellParams, Graph, ThetaParams, relabel
+from lapspec.graphs import DumbbellParams, Graph, ThetaParams
 from lapspec.laplacian import charpoly, laplacian
 from lapspec.polynomials import IntPoly
 from lapspec.reports import VerificationReport
@@ -406,3 +410,34 @@ class TestRunner:
     def test_sample_bound_below_two_without_samples_is_accepted(self):
         assert verify_deletion_suite(family_n_max=5, samples=0, sample_n_max=1).passed
         assert verify_invariants_suite(samples=0, n_max=0).passed
+
+
+# Small bounds for every suite; the pool suites run on a private empty memo.
+GARBAGE_RUNS = {
+    "recurrences": {"path_n_max": 10, "p_max": 4, "k_max": 1, "r_max": 3},
+    "special-values": {"n_max": 50},
+    "generating-identity": {"r_max": 12},
+    "dumbbell-table": {"p_max": 5, "k_max": 1},
+    "theta-table": {"r_max": 3},
+    "family-values": {"p_max": 5, "k_max": 1, "r_max": 3},
+    "deletion-formula": {"family_n_max": 8, "samples": 10},
+    "invariants": {"samples": 30, "n_max": 7},
+    "within-family": {"n_max": 10},
+    "determination": {"n": 7},
+    "cospectral-structure": {"n": 7},
+    "census": {"n_max": 5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(verify.SUITES))
+def test_suite_leaves_no_cyclic_garbage(monkeypatch, name):
+    """A suite's work is freed by reference counting alone: with the cyclic
+    collector off, a run leaves nothing for it to collect."""
+    monkeypatch.setattr(enumeration, "_memo", {})
+    gc.collect()
+    gc.disable()
+    try:
+        assert verify.SUITES[name](**GARBAGE_RUNS[name]).passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
