@@ -23,6 +23,16 @@ significant, and a count never exceeds n - 1 < 2**w.  Between two
 equal-length sorted tuples the first difference, at the smaller color,
 gives that color a larger count, hence a larger sum and a smaller key.
 
+The refinement works on the color classes themselves (``_refined_cells``),
+kept in color order.  The keys of one class share c, so a round only sums
+the neighbor weights of the members of each class with more than one
+vertex, groups them by sum and puts the groups in place of the class,
+larger sum first; a singleton class keeps its place without a key.  The
+new list of classes is the dense ranking of all the keys, as a full
+re-keying and sort would give, and a round that splits no class ends the
+refinement.  ``_search`` takes these classes as its cells, and
+``refined_colors`` reads the ranks off them.
+
 The search reads the graph's int bitmask rows (``Graph.rows``), one per
 vertex, for the twin test ``rows[v] & ~(1 << w) == rows[w] & ~(1 << v)``,
 and neighbor lists built once from ``Graph.edges`` for the rest.  Every
@@ -56,26 +66,53 @@ from .graph6 import graph6_pack
 from .graphs import Graph
 
 
+def _refined_cells(n: int, adj: Sequence[Collection[int]]) -> list[list[int]]:
+    """The color classes of the stable refinement, in color order, each in
+    vertex order.  Starts from the degree classes; every round splits each
+    class with more than one vertex by its members' keys (see the module
+    docstring), the pieces in key order in place of the class."""
+    by_degree: dict[int, list[int]] = {}
+    for v in range(n):
+        by_degree.setdefault(len(adj[v]), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    width = n.bit_length()
+    top = width * n
+    weight = [0] * n
+    get = weight.__getitem__
+    while len(cells) < n:
+        for c, cell in enumerate(cells):
+            w = 1 << (top - width * (c + 1))
+            for v in cell:
+                weight[v] = w
+        split: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            # In one class the keys differ only in their sums, and the
+            # larger sum is the smaller key.
+            pieces: dict[int, list[int]] = {}
+            for v in cell:
+                pieces.setdefault(sum(map(get, adj[v])), []).append(v)
+            if len(pieces) == 1:
+                split.append(cell)
+            else:
+                split += [pieces[s] for s in sorted(pieces, reverse=True)]
+        if len(split) == len(cells):
+            break
+        cells = split
+    return cells
+
+
 def refined_colors(n: int, adj: Sequence[Collection[int]]) -> list[int]:
     """Stable vertex coloring: start from degrees, repeatedly split classes
     by the multiset of neighbor colors.  Color ranks are derived from sorted
     structural keys, so they are invariant under relabeling."""
-    colors = [len(adj[v]) for v in range(n)]
-    distinct = len(set(colors))
-    width = n.bit_length()
-    top = width * n
-    while True:
-        # The key of v orders like (color, sorted neighbor colors); see the
-        # module docstring for why one int per vertex is exact.
-        weight = [1 << (top - width * (c + 1)) for c in colors]
-        get = weight.__getitem__
-        keys = [((c + 1) << top) - sum(map(get, adj[v])) for v, c in enumerate(colors)]
-        rank = dict(zip(sorted(set(keys)), range(n)))
-        new = list(map(rank.__getitem__, keys))
-        # With n distinct ranks the next round would return them unchanged.
-        if len(rank) in (distinct, n):
-            return new
-        colors, distinct = new, len(rank)
+    colors = [0] * n
+    for c, cell in enumerate(_refined_cells(n, adj)):
+        for v in cell:
+            colors[v] = c
+    return colors
 
 
 def _walk(n: int, rows: tuple[int, ...], adj: list[list[int]],
@@ -146,14 +183,10 @@ def _search(g: Graph) -> tuple[list[int], list[int]]:
     for i, j in g.edges:
         adj[i].append(j)
         adj[j].append(i)
-    colors = refined_colors(n, adj)
-
-    # Colors are ranks 0..k-1.  Small cells first, ties by color (the sort is
-    # stable): the first positions then branch as little as possible, and
-    # (size, color) is relabeling-invariant, so this order is too.
-    cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
-    for v, color in enumerate(colors):
-        cells[color].append(v)
+    # Small cells first, ties by color (the sort is stable): the first
+    # positions then branch as little as possible, and (size, color) is
+    # relabeling-invariant, so this order is too.
+    cells = _refined_cells(n, adj)
     cells.sort(key=len)
     cell_at = [cell for cell in cells for _ in cell]
 

@@ -481,14 +481,21 @@ def _bicyclic_forms(n: int) -> list[bytes]:
     Each core's automorphisms other than the identity act on per-vertex
     tuples as ``operator.itemgetter`` objects, so the orbit tests on the
     tuple of tree sizes and on the tuple of trees are one C-level call per
-    automorphism."""
-    trees = _rooted_trees(n - 3)
+    automorphism.  Every rooted tree's (parent, vertex) edge pairs are
+    listed once, and each class is built in one loop over its trees that
+    extends copies of the core's rows and edges; the graph goes to
+    ``canonical_form`` through ``Graph._trusted``, with its edges
+    sorted."""
+    # Tree i hung with its vertex j >= 1 at base + j: the (parent, j) pairs
+    # of its edges, parent 0 being the core vertex it hangs on.
+    trees = [[(p, j) for j, p in enumerate(parents, 1)] for parents in _rooted_trees(n - 3)]
     by_size: list[list[int]] = [[] for _ in range(n - 2)]
     for i, tree in enumerate(trees):
         by_size[len(tree) + 1].append(i)
     forms = []
     for _, _, core in _bicyclic_cores(n):
         c = core.n
+        core_rows, core_edges = list(core.rows) + [0] * (n - c), list(core.edges)
         # The identity never maps a tuple below itself, so it is left out;
         # itemgetter(*sigma) returns a tuple, as a core has at least 4 vertices.
         identity = tuple(range(c))
@@ -504,13 +511,17 @@ def _bicyclic_forms(n: int) -> list[bytes]:
             for attachment in product(*(by_size[size] for size in sizes)):
                 if any(move(attachment) < attachment for move in stabilizer):
                     continue
-                edges = []
+                rows, edges = core_rows.copy(), core_edges.copy()
                 base = c - 1  # tree vertex j >= 1 becomes base + j
                 for v, tree in enumerate(attachment):
-                    edges += [(v if p == 0 else base + p, base + j)
-                              for j, p in enumerate(trees[tree], 1)]
+                    for p, j in trees[tree]:
+                        i, j = v if p == 0 else base + p, base + j
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+                        edges.append((i, j))
                     base += len(trees[tree])
-                forms.append(canonical_form(core._child(n, edges)))
+                edges.sort()
+                forms.append(canonical_form(Graph._trusted(n, tuple(edges), tuple(rows))))
     forms.sort()
     if any(a == b for a, b in zip(forms, forms[1:])):
         raise RuntimeError(f"the structural route built a class twice on n={n}")

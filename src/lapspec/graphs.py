@@ -24,7 +24,8 @@ rows (``Graph.rows``); nowhere else are rows built from edges.
 ``Graph(n, edges)`` checks n and every edge, and refuses a non-integer
 vertex count or endpoint with TypeError.  Enumeration grows each child from
 a valid parent with the private ``Graph._child``, which extends the
-parent's rows and edges without checking them again.  It and the graph6
+parent's rows and edges without checking them again.  It, the structural
+pool route (a core's rows and edges plus hung trees) and the graph6
 decoder, whose edges are valid by the format, build through the one
 unchecked path ``Graph._trusted``.
 """

@@ -70,12 +70,22 @@ The value det(xI - M) at one integer x (``_charpoly_at``, one Bareiss
 elimination) is that route's evaluation step.  For a graph's
 Laplacian, ``_charpoly_value`` takes the same value with less work: it peels
 the hung trees leaves first, a Schur complement kept in one integer pair per
-vertex, and runs Bareiss only on the 2-core that is left (for a connected
-(n, n+1) graph a theta, a dumbbell or a figure-eight).  The pool suites in
-``verify`` use it to find the few pool graphs whose charpoly can equal a
-member's before running Berkowitz on them, and ``_charpoly_at`` is its test
-oracle.  Bareiss skips the products of rows that are zero in the pivot
-column, so sparse matrices cost less.
+vertex, and is left with the 2-core (for a connected (n, n+1) graph a theta,
+a dumbbell or a figure-eight).  The core's vertices of degree 2 form chains
+between its hubs, and each chain is eliminated by a product of 2 x 2
+integer transfer matrices [[P, -Q], [Q, 0]], one per chain vertex, whose
+first column holds the chain's continuant (the determinant of its
+tridiagonal block) and whose other entries give the chain's Schur terms on
+its end hubs.  What is left is the hub matrix, 2 x 2 for a theta or a
+dumbbell and 1 x 1 for a figure-eight, kept multiplied by the product of
+the continuants, and the value is its determinant divided exactly by that
+product (once for two hubs, never for one).  Bareiss eliminates the core
+instead only where this does not reduce it: a core with no hub or more
+than two, a core vertex on no chain between hubs, or a continuant that is
+0 at x.  The pool suites in ``verify`` use it to find the few pool graphs
+whose charpoly can equal a member's before running Berkowitz on them, and
+``_charpoly_at`` is its test oracle.  Bareiss skips the products of rows
+that are zero in the pivot column, so sparse matrices cost less.
 
 Also here: principal submatrices (vertex-deleted Laplacians keep the
 degrees of the original graph), the tridiagonal matrix family behind the
@@ -311,9 +321,75 @@ def _charpoly_at(mat: IntMatrix, x: int) -> int:
     return det_bareiss(_shifted(mat, x))
 
 
+def _hub_determinant(edges: tuple[tuple[int, int], ...], deg: list[int],
+                     link: list[int], p: list[int], q: list[int],
+                     hubs: list[int], size: int) -> int | None:
+    """det M of a 2-core of size vertices, with the peeled pairs (p, q),
+    core degrees deg and XOR links of ``_charpoly_value``, by folding every
+    chain into the hub matrix of these hubs (see there); None unless every
+    other core vertex lies on a chain between hubs and no continuant is
+    0.  Raises ArithmeticError if the final division leaves a remainder."""
+    index = [0] * len(deg)
+    hub = [[0] * len(hubs) for _ in hubs]
+    for k, v in enumerate(hubs):
+        index[v] = k
+        hub[k][k] = p[v]
+    starts = []
+    for i, j in edges:
+        if deg[i] > 2:
+            if deg[j] > 2:
+                hub[index[i]][index[j]] = q[i]
+                hub[index[j]][index[i]] = q[j]
+            elif deg[j]:
+                starts.append((i, j))
+        elif deg[i] and deg[j] > 2:
+            starts.append((j, i))
+    product = 1  # of the continuants
+    seen = 0  # the chain vertices walked
+    covered = len(hubs)
+    for a, v in starts:
+        if seen >> v & 1:
+            continue  # walked from its other end
+        # (k, c) and (e, f), the columns of the transfer product, end at
+        # k = K, c = Q_k K'' and e = -Q_1 K'; signs ends at S
+        k, c, e, f, signs = 1, 0, 0, 1, 1
+        prev = a
+        while deg[v] == 2:
+            seen |= 1 << v
+            pv, qv = p[v], q[v]
+            k, c = pv * k - qv * c, qv * k
+            e, f = pv * e - qv * f, qv * e
+            signs *= -qv
+            prev, v = v, link[v] ^ prev
+            covered += 1
+        if k == 0:
+            return None
+        # hub is G times the Schur complement so far; the chain's terms
+        # over k become terms times the old G when hub is scaled by k.
+        hub = [[k * entry for entry in row] for row in hub]
+        i, j = index[a], index[v]
+        qa, qb = q[a] * product, q[v] * product
+        product *= k
+        if i == j:
+            hub[i][i] -= qa * (c - e - 2 * signs)
+        else:
+            hub[i][i] += qa * e
+            hub[j][j] -= qb * c
+            hub[i][j] += qa * signs
+            hub[j][i] += qb * signs
+    if covered != size:
+        return None
+    if len(hubs) == 1:
+        return hub[0][0]
+    det, remainder = divmod(hub[0][0] * hub[1][1] - hub[0][1] * hub[1][0], product)
+    if remainder:
+        raise ArithmeticError("the hub determinant is not a multiple of the continuants")
+    return det
+
+
 def _charpoly_value(g: Graph, x: int) -> int:
     """det(xI - L(g)) at an integer x, exactly: hung trees peeled leaves
-    first, then one Bareiss elimination of the 2-core.
+    first, then the 2-core's chains folded into their end hubs.
 
     Each vertex v carries a pair (P_v, Q_v), starting at (x - deg v, 1); its
     row of the matrix still to be eliminated is Q_v times row v of the Schur
@@ -321,9 +397,24 @@ def _charpoly_value(g: Graph, x: int) -> int:
     Absorbing a leaf v into its neighbour u sets (P_u, Q_u) to
     (P_u P_v - Q_u Q_v, Q_u P_v).  A tree root left with degree 0 gives the
     factor P_u, and what is left with degree >= 2 is the 2-core, whose matrix
-    has determinant det(xI - L) divided by those factors.  Every step is a
+    M has determinant det(xI - L) divided by those factors.
+
+    The core's hubs are its vertices of degree >= 3, and every other core
+    vertex lies on one chain of degree-2 vertices v_1..v_k from a hub a to
+    a hub b (b = a for a cycle through a).  The product of the transfer
+    matrices [[P, -Q], [Q, 0]] of v_1..v_k is
+    [[K, -Q_1 K'], [Q_k K'', *]], with K the chain's continuant (the
+    determinant of its tridiagonal block of M) and K', K'' those of
+    v_2..v_k and v_1..v_(k-1).  With S the product of the -Q_i,
+    eliminating the chain adds -Q_a Q_1 K' / K at (a, a), -Q_b Q_k K'' / K
+    at (b, b), Q_a S / K at (a, b) and Q_b S / K at (b, a) of the hub
+    matrix, all four at (a, a) when b = a.  The hub matrix is kept multiplied by the product G of the
+    continuants, so it stays integral, and with h hubs
+    det M = det(hub matrix) / G^(h - 1), an exact division.  Each step is a
     ring operation in x, so the value is exact for every x, also where a
-    peeled P_v is 0."""
+    peeled P_v is 0.  Bareiss eliminates the core instead when this does
+    not reduce it: no hub, more than two, a core vertex on no chain between
+    hubs, or a continuant that is 0 at x."""
     n = g.n
     deg = [0] * n
     link = [0] * n  # XOR of the neighbours still attached
@@ -349,6 +440,13 @@ def _charpoly_value(g: Graph, x: int) -> int:
         elif deg[u] == 0:
             value *= p[u]
     core = [v for v, d in enumerate(deg) if d]
+    if not core:
+        return value
+    hubs = [v for v in core if deg[v] > 2]
+    if 0 < len(hubs) <= 2:
+        det = _hub_determinant(g.edges, deg, link, p, q, hubs, len(core))
+        if det is not None:
+            return value * det
     at = [0] * n
     mat = [[0] * len(core) for _ in core]
     for k, v in enumerate(core):

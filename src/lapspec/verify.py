@@ -23,10 +23,13 @@ mate, and every reported match is still an exact matrix-vs-recurrence
 match.  For x0 < 0 the matrix x0 I - L is negative definite, so no value
 is 0; at x0 = -3 the only candidates for n = 6..12 are the members' own
 copies.  A value is ``laplacian._charpoly_value``: hung trees peeled leaves
-first, then Bareiss on the 2-core.  Every Schur complement of a negative
-definite matrix is negative definite, so no peeled P is 0, and the core
-matrix is such a complement with each row scaled by a nonzero Q, so its
-leading minors are nonzero and Bareiss elimination never pivots.
+first, then every chain of the 2-core folded into its end hubs by transfer
+products.  Every Schur complement of a negative definite matrix is negative
+definite, so no peeled P is 0, and the core matrix is such a complement
+with each row scaled by a nonzero Q.  A chain's continuant is the
+determinant of a principal submatrix of that core matrix, a negative
+definite block times the nonzero Q of its rows, so no continuant is 0 at
+x0 < 0 and no pool graph's value falls back to Bareiss.
 
 The two suites share the decoded graphs and the values of their pool:
 both are kept for the last pool and reused only while the enumeration memo

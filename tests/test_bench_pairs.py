@@ -1,0 +1,42 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _path)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_summary_of_fixed_runs():
+    base = [{"wall_s": w, "peak_rss_mb": 30.0, "hits": h}
+            for w, h in [(1.0, 5), (1.2, 6), (1.1, 7), (1.4, 8)]]
+    change = [{"wall_s": w, "peak_rss_mb": 30.0, "hits": h}
+              for w, h in [(0.9, 6), (1.3, 6), (0.8, 9), (1.0, 9)]]
+    rows = {r["metric"]: r for r in bench_pairs.summarize(
+        base, change, {"wall_s": "lower", "hits": "higher"})}
+    assert list(rows) == ["wall_s", "peak_rss_mb", "hits"]
+
+    wall = rows["wall_s"]
+    assert wall["base_median"] == pytest.approx(1.15)
+    assert wall["change_median"] == pytest.approx(0.95)
+    assert wall["base_quartiles"] == pytest.approx((1.075, 1.25))
+    assert wall["change_quartiles"] == pytest.approx((0.875, 1.075))
+    assert wall["delta"] == pytest.approx(0.95 / 1.15 - 1)
+    assert (wall["wins"], wall["pairs"]) == (3, 4)  # pair 2 got slower
+
+    # a tie is no win; a metric not in the map is better lower
+    assert (rows["peak_rss_mb"]["wins"], rows["peak_rss_mb"]["delta"]) == (0, 0)
+    # better higher: pairs 1, 3 and 4 rose, pair 2 tied
+    assert rows["hits"]["wins"] == 3
+
+
+def test_summary_keeps_only_metrics_of_every_run():
+    base = [{"wall_s": 1.0, "extra": 2.0}, {"wall_s": 1.0}]
+    change = [{"wall_s": 2.0, "extra": 1.0}, {"wall_s": 2.0, "extra": 1.0}]
+    rows = bench_pairs.summarize(base, change, {})
+    assert [r["metric"] for r in rows] == ["wall_s"]
+    assert rows[0]["base_quartiles"] == (1.0, 1.0)
+    assert rows[0]["wins"] == 0
+    assert bench_pairs.summarize([], [], {}) == []

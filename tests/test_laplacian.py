@@ -345,6 +345,51 @@ class TestCharpolyValue:
         for g in enumerate_graphs(EnumerationTask(n, n + 1, connected=True)):
             assert _charpoly_value(g, -3) == _charpoly_at(laplacian(g), -3)
 
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_every_pool_graph_at_small_x(self, n, bicyclic_pool, monkeypatch):
+        """Every x in range(-4, n + 2).  At x = 1, 2 and 3 some short chain
+        has continuant 0, so the Bareiss fallback runs on bicyclic cores."""
+        eliminations = []
+        real = laplacian_module.det_bareiss
+
+        def counted(mat):
+            eliminations.append(len(mat))
+            return real(mat)
+
+        for g in bicyclic_pool(n):
+            for x in range(-4, n + 2):
+                monkeypatch.setattr(laplacian_module, "det_bareiss", counted)
+                value = _charpoly_value(g, x)
+                monkeypatch.setattr(laplacian_module, "det_bareiss", real)
+                assert value == _charpoly_at(laplacian(g), x), (g.edges, x)
+        assert eliminations
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_pool_values_at_x0_need_no_elimination(self, n, bicyclic_pool, monkeypatch):
+        """x0 I - L is negative definite for x0 < 0, so no continuant of a
+        pool graph's chains is 0 there and every core folds into its hubs."""
+        def refused(mat):
+            raise AssertionError("Bareiss ran on a pool graph's core")
+
+        monkeypatch.setattr(laplacian_module, "det_bareiss", refused)
+        for g in bicyclic_pool(n):
+            _charpoly_value(g, -3)
+
+    @pytest.mark.parametrize("g", [
+        make_cycle(5),  # a core without a hub
+        Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5),
+                  (5, 6), (6, 7), (7, 3)]),  # three hubs
+        # a figure-eight and a separate triangle: a core vertex on no chain
+        Graph(8, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4),
+                  (5, 6), (6, 7), (5, 7)]),
+        # two figure-eights: two hubs that share no chain
+        Graph(10, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4),
+                   (5, 6), (6, 7), (5, 7), (5, 8), (8, 9), (5, 9)]),
+    ], ids=["cycle", "three-hubs", "figure-eight-and-triangle", "two-figure-eights"])
+    def test_cores_outside_one_or_two_hubs(self, g):
+        for x in range(-4, g.n + 2):
+            assert _charpoly_value(g, x) == _charpoly_at(laplacian(g), x)
+
 
 class TestUMatrix:
     def test_shape(self):
