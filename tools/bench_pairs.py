@@ -111,8 +111,7 @@ def better_directions() -> dict[str, str]:
         spec = json.loads((REPO / "BENCHMARK.json").read_text())
     except (OSError, json.JSONDecodeError):
         return {}
-    return {m["name"]: m.get("better", "lower")
-            for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    return {m["name"]: m.get("better", "lower") for m in spec.get("end_to_end", [])}
 
 
 def main(argv: list[str] | None = None) -> int:
