@@ -5,37 +5,32 @@ isomorphism class at every level (dedup by canonical form; simple rather
 than clever, since the vertex counts here are desk scale).  No child is
 generated only to be thrown away:
 
-- Unconnected tasks grow from the empty graph one edge at a time, and a
-  child is kept only when its new edge is a top edge: its (larger,
-  smaller) endpoint-degree pair is the largest among the child's edges,
-  ties allowed.  Every class is still reached: deleting a top edge e from
-  a graph G with m + 1 edges leaves a graph with m edges, and an
-  isomorphism onto that graph's representative carries e to a non-edge
-  whose child is isomorphic to G, with the new edge again a top edge,
-  since degree pairs are invariant.  The test reads the parent's degrees
-  before the child is built.
-- Connected tasks start from the trees, grown by leaf addition (every tree
-  on k + 1 vertices is a tree on k vertices plus a leaf), and then add
-  edges.  Every connected graph is a spanning tree plus edges, and deleting
-  a cycle edge keeps a graph connected, so each level of connected graphs
-  comes from the level below and every child is connected.  The top-edge
-  rule does not apply here: a top edge may be a bridge, and deleting it
-  leaves the connected level.
+- Every task grows from the empty graph one edge at a time, and a child is
+  kept only when its new edge is a top edge: its (larger, smaller)
+  endpoint-degree pair is the largest among the child's edges, ties
+  allowed.  Every class is still reached: deleting a top edge e from a
+  graph G with m + 1 edges leaves a graph with m edges, and an isomorphism
+  onto that graph's representative carries e to a non-edge whose child is
+  isomorphic to G, with the new edge again a top edge, since degree pairs
+  are invariant.  The test reads the parent's degrees before the child is
+  built.  A top edge may be a bridge, so the levels grown are those of all
+  graphs, connected or not; a connected task keeps the classes of its
+  level whose representative is connected.
 - A child is built from its parent by ``Graph._child``: the parent's
   bitmask rows and sorted edges plus the new edge, with no re-validation.
   Only a seed or a 2-core goes through ``Graph(n, edges)``; the graph6
   decoder builds its graphs unchecked as well.
 - Children are pruned by twin swaps.  Twins v, w have N(v) - {w} =
-  N(w) - {v}; any permutation inside a twin class is an automorphism, so a
-  leaf goes only on the first vertex of each class, and an edge (i, j) is
-  added only when i and j are each first in their class or are the first
-  two vertices of one class, and the pruned children still reach every
-  class.  A twin swap is an automorphism of the parent and maps a top edge
-  to a top edge, so twin pruning and the top-edge rule combine.
+  N(w) - {v}; any permutation inside a twin class is an automorphism, so an
+  edge (i, j) is added only when i and j are each first in their class or
+  are the first two vertices of one class, and the pruned children still
+  reach every class.  A twin swap is an automorphism of the parent and maps
+  a top edge to a top edge, so twin pruning and the top-edge rule combine.
 
 Every level grown is kept in the in-process memo, and a task resumes from
 the deepest level already there: (7, m) grows one level from (7, m - 1),
-and the trees on n vertices grow from the trees on n - 1.
+and a connected (7, m) task only filters the (7, m) level when an earlier
+task, such as the census, has grown it.
 
 The connected graphs with n >= 4 vertices and n + 1 edges, the pool of the
 determination suites, come from a structural route instead.  Such a graph
@@ -112,8 +107,8 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .canonical import canonical_form
 from .graph6 import graph6_decode
-from .graphs import (Graph, dumbbell_graph, dumbbell_parameter_grid, theta_graph,
-                     theta_parameter_grid)
+from .graphs import (Graph, dumbbell_graph, dumbbell_parameter_grid, is_connected,
+                     theta_graph, theta_parameter_grid)
 
 DEFAULT_CAP = 10
 CACHE_MAGIC = "#lapspec-pool"
@@ -212,13 +207,6 @@ def _edge_ends(g: Graph) -> Iterator[tuple[int, int]]:
                 yield i, j
 
 
-def _add_edge(level: Iterable[Graph]) -> Iterator[Graph]:
-    """Every graph of level plus one new edge, up to twin swaps."""
-    for g in level:
-        for i, j in _edge_ends(g):
-            yield g._child(g.n, ((i, j),))
-
-
 def _top_edge_test(rows: tuple[int, ...]) -> Callable[[int, int], bool]:
     """The test of whether a new edge (i, j) of the parent with these rows
     has the largest (larger, smaller) endpoint-degree pair among the edges
@@ -259,21 +247,14 @@ def _top_edge_test(rows: tuple[int, ...]) -> Callable[[int, int], bool]:
 
 
 def _add_top_edge(level: Iterable[Graph]) -> Iterator[Graph]:
-    """The children of ``_add_edge`` whose new edge is a top edge
-    (``_top_edge_test``); the test runs before the child is built."""
+    """Every graph of level plus one new top edge (``_top_edge_test``), up
+    to twin swaps (``_edge_ends``); the test runs before the child is
+    built."""
     for g in level:
         is_top = _top_edge_test(g.rows)
         for i, j in _edge_ends(g):
             if is_top(i, j):
                 yield g._child(g.n, ((i, j),))
-
-
-def _add_leaf(level: Iterable[Graph]) -> Iterator[Graph]:
-    """Every tree of level plus one new leaf, up to twin swaps: only the
-    first vertex of each twin class gets the leaf."""
-    for g in level:
-        for cls in _twin_classes(g.rows):
-            yield g._child(g.n + 1, ((cls[0], g.n),))
 
 
 def _is_top_vertex(rows: tuple[int, ...], degrees: list[int], subset: int) -> bool:
@@ -342,30 +323,23 @@ def _dedup(children: Iterable[Graph]) -> dict[bytes, Graph]:
 
 
 def _grow_forms(task: EnumerationTask) -> list[bytes]:
-    n, m = task.n, task.m
-    # Levels from the seed (a graph without edges) to the task, each with the
-    # step that grows it from the one before.
-    if task.connected and n > 0:
-        if m < n - 1:
-            return []
-        stages = [(EnumerationTask(k, k - 1, True), _add_leaf) for k in range(1, n + 1)]
-        stages += [(EnumerationTask(n, e, True), _add_edge) for e in range(n, m + 1)]
-    else:
-        stages = [(EnumerationTask(n, e, task.connected), _add_top_edge)
-                  for e in range(m + 1)]
-
-    done = [i for i, (stage, _) in enumerate(stages) if stage in _memo]
+    # The levels of all graphs on n vertices with 0..m edges, each grown by
+    # top edges from the one before; a connected task filters the last.
+    stages = [EnumerationTask(task.n, e) for e in range(task.m + 1)]
+    done = [i for i, stage in enumerate(stages) if stage in _memo]
     if done:
         start = done[-1]
-        forms = _memo[stages[start][0]]
+        forms = _memo[stages[start]]
         level = dict(zip(forms, _decode(forms)))
     else:
-        start, seed = 0, Graph(stages[0][0].n)
+        start, seed = 0, Graph(task.n)
         level = {canonical_form(seed): seed}
         forms = list(level)
-    for stage, step in stages[start + 1:]:
-        level = _dedup(step(level.values()))
+    for stage in stages[start + 1:]:
+        level = _dedup(_add_top_edge(level.values()))
         forms = _memo[stage] = sorted(level)
+    if task.connected:
+        return [form for form in forms if is_connected(level[form])]
     return forms
 
 

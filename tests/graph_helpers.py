@@ -1,8 +1,11 @@
-"""Helpers shared by several test files: relabeling a graph, and the
-closed-form order of the automorphism group of a bicyclic 2-core."""
+"""Helpers shared by several test files: relabeling a graph, the
+closed-form order of the automorphism group of a bicyclic 2-core, and the
+edge route's children before its top-edge rule."""
 
 import math
+from typing import Iterable, Iterator
 
+from lapspec.enumeration import _edge_ends
 from lapspec.graphs import Graph
 
 
@@ -25,3 +28,12 @@ def core_group_order(kind: str, params: tuple[int, ...]) -> int:
             order *= math.factorial(params.count(length))
         return order
     return 8 if params[0] == params[-1] else 4
+
+
+def twin_pruned_edge_children(level: Iterable[Graph]) -> Iterator[Graph]:
+    """Every graph of level plus one new edge, up to twin swaps only: the
+    children ``enumeration._add_top_edge`` keeps before its top-edge test,
+    the oracle that test is checked against."""
+    for g in level:
+        for i, j in _edge_ends(g):
+            yield g._child(g.n, ((i, j),))

@@ -22,7 +22,7 @@ from lapspec.verify import (verify_census, verify_cospectral_structure,
 
 DS_RANGE = range(6, 11)
 # SHA-256 of b"\n".join(sorted forms) of the connected (12, 13) pool, equal
-# on the structural and the tree-first edge route.
+# on the structural and the tree-first edge route (a route since deleted).
 POOL_DIGEST_12 = "9155e60374ae82ef77272694929f4542620a205ceb0717091c3a17d9f794c2fa"
 
 _capture = None

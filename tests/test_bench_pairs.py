@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,38 @@ def test_summary_keeps_only_metrics_of_every_run():
     assert rows[0]["base_quartiles"] == (1.0, 1.0)
     assert rows[0]["wins"] == 0
     assert bench_pairs.summarize([], [], {}) == []
+
+
+def test_parse_keeps_the_result_and_the_failed_gates():
+    out = ("env: {}\n== determination-warm end-to-end (3 passes)\n"
+           "FAIL: determination n=8 pool\nFAIL: warm pass read pools from the cache directory\n"
+           '{"correct": false, "attempted": 9, "failed": 2, "metrics": {}}\n')
+    result, failures = bench_pairs.parse_run(out)
+    assert result == {"correct": False, "attempted": 9, "failed": 2, "metrics": {}}
+    assert failures == ["FAIL: determination n=8 pool",
+                        "FAIL: warm pass read pools from the cache directory"]
+    # a run that died before its result line: no result, no gates
+    assert bench_pairs.parse_run("env: {}\nTraceback (most recent call last):\n") \
+        == (None, [])
+    assert bench_pairs.parse_run("") == (None, [])
+    assert bench_pairs.parse_run("[1, 2]\n") == (None, [])
+
+
+def test_a_failed_run_reports_pair_side_exit_code_and_gates(monkeypatch, capsys):
+    # pair 1 runs the base first; a stub run fails it without running anything
+    out = ("FAIL: determination n=8 pool\n"
+           '{"correct": false, "attempted": 9, "failed": 1, "metrics": {}}\n')
+    calls = []
+
+    def run(cmd, **kwargs):
+        calls.append(kwargs["cwd"])
+        return subprocess.CompletedProcess(cmd, 1, stdout=out)
+
+    monkeypatch.setattr(bench_pairs, "extract", lambda commit, into: None)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "determination-warm",
+                             "--pairs", "2"]) == 1
+    assert len(calls) == 1 and calls[0] != bench_pairs.REPO
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["pair 1: the base run exited 1 and did not report correct true; stopping",
+                   "pair 1 base: FAIL: determination n=8 pool"]

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from graph_helpers import core_group_order
+from graph_helpers import core_group_order, twin_pruned_edge_children
 
 from lapspec import enumeration, verify
 from lapspec.canonical import canonical_form
@@ -17,7 +17,8 @@ from lapspec.verify import family_members, verify_census, verify_determination
 
 # SHA-256 of b"\n".join(sorted forms) of the connected (n, n+1) pools,
 # computed by growing every graph from the empty graph and keeping the
-# connected ones (n <= 10), and by the tree-first edge route (n = 11).
+# connected ones (n <= 10), and by the tree-first edge route (n = 11), a
+# route since deleted; the structural route reproduces them all.
 POOL_DIGESTS = {
     4: "6d8e7398da5d5577f9976742a966a66ab47296f98fe8d2f6393061a8134926cf",
     5: "f45965cb6720dbc80e37bc80739a8a577f4178ef5c54ddf13383faffb815849e",
@@ -179,25 +180,24 @@ class TestPoolIdentity:
             expected = sorted(canonical_form(g) for g in by_growth if g.m == m)
             assert _forms(enumerate_graphs(EnumerationTask(n, m))) == expected, m
         private_memo.clear()
-        # descending: one fresh growth from the trees, then memo hits on
-        # the levels it wrote on the way
+        # descending: one fresh growth of the unconnected levels, then each
+        # connected task filters a level that growth wrote on the way
         for m in reversed(edge_counts):
             expected = sorted(canonical_form(g) for g in by_growth
                               if g.m == m and is_connected(g))
             pool = enumerate_graphs(EnumerationTask(n, m, connected=True))
             assert _forms(pool) == expected, m
 
-    def test_resume_grows_one_level(self, private_memo, canonical_calls):
-        # (6, 7) comes from the structural route; (6, 8) is grown by edges
-        # from the (6, 7) level it left in the memo.
-        below = enumerate_graphs(EnumerationTask(6, 7, connected=True))
+    def test_connected_tasks_resume_from_the_census_levels(self, private_memo,
+                                                           canonical_calls):
+        # the census grows every unconnected (7, m) level, so a connected
+        # (7, 9) task only filters the (7, 9) level it finds in the memo
+        assert verify_census(n_max=7).passed
         canonical_calls.clear()
-        enumerate_graphs(EnumerationTask(6, 8, connected=True))
-        # one child per non-edge of each (6, 7) class up to twin swaps,
-        # nothing deeper
-        children = sum(1 for _ in enumeration._add_edge(below))
-        assert len(canonical_calls) == children == 110
-        assert children < len(below) * (15 - 7)
+        pool = enumerate_graphs(EnumerationTask(7, 9, connected=True))
+        assert len(pool) == 107
+        assert all(is_connected(g) for g in pool)
+        assert canonical_calls == []
 
     def test_resume_reuses_the_decoded_level(self, private_memo, monkeypatch):
         # (7, 8) resumes from the (7, 7) level its caller was just handed
@@ -218,7 +218,7 @@ class TestTopEdgeRule:
         for n in range(8):
             full = pruned = {canonical_form(Graph(n)): Graph(n)}
             for m in range(1, n * (n - 1) // 2 + 1):
-                full = enumeration._dedup(enumeration._add_edge(full.values()))
+                full = enumeration._dedup(twin_pruned_edge_children(full.values()))
                 pruned = enumeration._dedup(enumeration._add_top_edge(pruned.values()))
                 assert sorted(pruned) == sorted(full), (n, m)
 
@@ -229,7 +229,7 @@ class TestTopEdgeRule:
         canonical_calls.clear()
         enumerate_graphs(EnumerationTask(7, 10))
         assert len(canonical_calls) == sum(1 for _ in enumeration._add_top_edge(below))
-        assert len(canonical_calls) < sum(1 for _ in enumeration._add_edge(below)) / 2
+        assert len(canonical_calls) < sum(1 for _ in twin_pruned_edge_children(below)) / 2
 
 
 class TestStructuralRoute:
@@ -499,6 +499,17 @@ class TestDiskCache:
                                   str(len(forms)).encode(),
                                   hashlib.sha256(body).hexdigest().encode()]
         assert body == b"".join(form + b"\n" for form in forms)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: a self-consistent pool "
+                       "file is trusted without checking that it holds the whole pool")
+    def test_forged_pool_file_cannot_pass_determination(self, tmp_path, private_memo):
+        # a valid header over only the 10 members' canonical forms: today
+        # determination passes against this 10-graph pool
+        task = EnumerationTask(8, 9, connected=True)
+        members = sorted(canonical_form(g) for g in family_members(8))
+        (tmp_path / task.cache_name()).write_bytes(enumeration._encode_pool(task, members))
+        report = verify_determination(8, cache_dir=tmp_path)
+        assert not report.passed or report.counts["pool"] == 236
 
     def test_truncated_cache_is_regrown(self, tmp_path, private_memo):
         # A cache holding only the family members must not let

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_helpers import core_group_order, relabel
+from graph_helpers import core_group_order, relabel, twin_pruned_edge_children
 
 from lapspec import enumeration
 from lapspec.canonical import canonical_form
@@ -95,12 +95,6 @@ def _is_top_edge(rows, degrees, i, j) -> bool:
                for v, d in enumerate(child))
 
 
-def _leaf_children(g: Graph):
-    """One child per vertex, with a new leaf on it."""
-    for v in range(g.n):
-        yield Graph(g.n + 1, g.edges + ((v, g.n),))
-
-
 @PROPERTY
 @given(st.one_of(st.binary(max_size=64),
                  st.lists(st.integers(63, 126), max_size=64).map(bytes)))
@@ -157,8 +151,7 @@ def test_core_automorphisms_survive_relabeling(core, rng):
 def test_twin_pruned_children_cover_every_class(g):
     # the vertex route's twin-prefix rule drops only children isomorphic to
     # a kept top-vertex child
-    for pruned, full in ((enumeration._add_edge, _edge_children),
-                         (enumeration._add_leaf, _leaf_children),
+    for pruned, full in ((twin_pruned_edge_children, _edge_children),
                          (enumeration._add_vertex, _vertex_children)):
         kept = [canonical_form(c) for c in pruned([g])]
         assert set(kept) == {canonical_form(c) for c in full(g)}
@@ -176,8 +169,8 @@ def test_rows_agree_with_edges(g):
 @given(graphs(max_n=7))
 def test_trusted_children_equal_validated_graphs(g):
     vertex_children = list(enumeration._add_vertex([g]))
-    children = [*enumeration._add_edge([g]), *enumeration._add_top_edge([g]),
-                *enumeration._add_leaf([g]), *vertex_children]
+    children = [*twin_pruned_edge_children([g]), *enumeration._add_top_edge([g]),
+                *vertex_children]
     # each vertex child has a neighbor set S leaving the new vertex a top
     # vertex; test_twin_pruned_children_cover_every_class checks that they
     # reach the forms of all such children

@@ -1,4 +1,7 @@
+import builtins
 import gc
+import io
+import os
 
 import pytest
 
@@ -6,7 +9,7 @@ from graph_helpers import relabel
 
 from lapspec import enumeration, invariants, verify
 from lapspec.canonical import canonical_form
-from lapspec.enumeration import DEFAULT_CAP
+from lapspec.enumeration import DEFAULT_CAP, EnumerationTask, enumerate_graphs
 from lapspec.graph6 import graph6_decode, graph6_encode
 from lapspec.graphs import DumbbellParams, Graph, ThetaParams
 from lapspec.laplacian import charpoly, laplacian
@@ -294,6 +297,59 @@ class TestSharedPoolCharpolys:
         assert charpoly_calls[charpolys:] == [9] * (13 + 13)
         assert len(decode_calls) == 236 + 797
         self.assert_as_fresh(monkeypatch, [report])
+
+
+class TestWarmCache:
+    """The benchmark's warm determination workload on n = 6..8: pools filled
+    into a cache directory once, then passes that each clear the memo and
+    run both pool suites against that directory."""
+
+    SIZES = range(6, 9)
+    SUITES = (verify_determination, verify_cospectral_structure)
+
+    def run_pass(self, cache_dir=None) -> list[VerificationReport]:
+        enumeration._memo.clear()
+        return [suite(n, cache_dir=cache_dir) for n in self.SIZES for suite in self.SUITES]
+
+    def test_passes_read_every_file_and_match_a_run_without_a_cache(self, tmp_path,
+                                                                    monkeypatch):
+        monkeypatch.setattr(enumeration, "_memo", {})
+        for n in self.SIZES:
+            enumerate_graphs(EnumerationTask(n, n + 1, connected=True), cache_dir=tmp_path)
+
+        def files():
+            return {path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+                    for path in tmp_path.iterdir()}
+
+        filled = files()
+        assert sorted(filled) == ["n6_m7_conn.g6", "n7_m8_conn.g6", "n8_m9_conn.g6"]
+        fresh = [r.without_timing().to_json() for r in self.run_pass()]
+        assert files() == filled
+
+        # every file opened for reading under the cache directory, seen the
+        # way the benchmark sees it
+        reads = []
+        real_open = io.open
+
+        def watched(file, mode="r", *args, **kwargs):
+            if "r" in mode and isinstance(file, (str, os.PathLike)):
+                path = os.fspath(file)
+                if os.path.dirname(path) == str(tmp_path):
+                    reads.append(os.path.basename(path))
+            return real_open(file, mode, *args, **kwargs)
+
+        for _ in range(3):
+            reads.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(builtins, "open", watched)
+                patch.setattr(io, "open", watched)
+                reports = self.run_pass(tmp_path)
+            assert set(reads) == set(filled)
+            assert [r.without_timing().to_json() for r in reports] == fresh
+            assert all(r.passed for r in reports)
+            assert [(r.counts["members"], r.counts["pool"]) for r in reports] == \
+                [(4, 19)] * 2 + [(6, 67)] * 2 + [(10, 236)] * 2
+            assert files() == filled
 
 
 class TestValueFilter:

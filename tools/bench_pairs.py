@@ -14,7 +14,8 @@ temporary directory.  Each pair then runs
 once in that tree and once in this checkout, each in its own process, with
 the side that runs first alternating from pair to pair so that a slow phase
 of the machine does not always fall on the same side.  The runs stop at the
-first one that does not report ``correct`` true.  At the end, for every
+first one that does not report ``correct`` true, after printing its pair
+number, side, exit code and ``FAIL:`` lines.  At the end, for every
 metric of the result lines, the script prints the median and quartiles of
 each side, the change of the medians, and in how many pairs the checkout
 was the better side.  A metric is better lower unless the checkout's
@@ -94,16 +95,26 @@ def extract(commit: str, into: Path) -> None:
         tar.extractall(into)
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> dict | None:
-    """The result line of one untraced benchmark run in tree, or None
-    when the run printed none."""
+def parse_run(stdout: str) -> tuple[dict | None, list[str]]:
+    """The result line of a benchmark run's standard output, or None when
+    its last line is not one, and the run's ``FAIL:`` lines."""
+    lines = stdout.rstrip("\n").split("\n")
+    failures = [line for line in lines if line.startswith("FAIL:")]
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        result = None
+    return (result if isinstance(result, dict) else None), failures
+
+
+def run_once(tree: Path, workload: str, seconds: float) -> tuple[dict | None, int, list[str]]:
+    """The result line (or None), exit code and ``FAIL:`` lines of one
+    untraced benchmark run in tree."""
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                           "--seconds", str(seconds), "--trace", "0"],
                          cwd=tree, stdout=subprocess.PIPE, text=True)
-    try:
-        return json.loads(out.stdout.rstrip("\n").rsplit("\n", 1)[-1])
-    except (json.JSONDecodeError, IndexError):
-        return None
+    result, failures = parse_run(out.stdout)
+    return result, out.returncode, failures
 
 
 def better_directions() -> dict[str, str]:
@@ -128,10 +139,12 @@ def main(argv: list[str] | None = None) -> int:
         extract(args.base, trees["base"])
         for i in range(args.pairs):
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                result = run_once(trees[side], args.workload, args.seconds)
+                result, code, failures = run_once(trees[side], args.workload, args.seconds)
                 if result is None or not result.get("correct"):
-                    print(f"pair {i + 1}: the {side} run did not report correct true; "
-                          f"stopping", file=sys.stderr)
+                    print(f"pair {i + 1}: the {side} run exited {code} and did not report "
+                          f"correct true; stopping", file=sys.stderr)
+                    for line in failures:
+                        print(f"pair {i + 1} {side}: {line}", file=sys.stderr)
                     return 1
                 values = {k: m["value"] for k, m in result["metrics"].items()}
                 runs[side].append(values)
