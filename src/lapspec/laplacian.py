@@ -79,13 +79,14 @@ tridiagonal block) and whose other entries give the chain's Schur terms on
 its end hubs.  What is left is the hub matrix, 2 x 2 for a theta or a
 dumbbell and 1 x 1 for a figure-eight, kept multiplied by the product of
 the continuants, and the value is its determinant divided exactly by that
-product (once for two hubs, never for one).  Bareiss eliminates the core
-instead only where this does not reduce it: a core with no hub or more
-than two, a core vertex on no chain between hubs, or a continuant that is
-0 at x.  The pool suites in ``verify`` use it to find the few pool graphs
-whose charpoly can equal a member's before running Berkowitz on them, and
-``_charpoly_at`` is its test oracle.  Bareiss skips the products of rows
-that are zero in the pivot column, so sparse matrices cost less.
+product (once for two hubs, never for one).  Where this does not reduce
+the core (no hub or more than two, a core vertex on no chain between hubs,
+or a continuant that is 0 at x), it gives up and returns ``_charpoly_at``
+of the whole Laplacian, the Bareiss elimination that is also its test
+oracle.  The pool suites in ``verify`` use it to find the few pool graphs
+whose charpoly can equal a member's before running Berkowitz on them; no
+pool graph makes it give up at their x0 = -3.  Bareiss skips the products
+of rows that are zero in the pivot column, so sparse matrices cost less.
 
 Also here: principal submatrices (vertex-deleted Laplacians keep the
 degrees of the original graph), the tridiagonal matrix family behind the
@@ -321,21 +322,74 @@ def _charpoly_at(mat: IntMatrix, x: int) -> int:
     return det_bareiss(_shifted(mat, x))
 
 
-def _hub_determinant(edges: tuple[tuple[int, int], ...], deg: list[int],
-                     link: list[int], p: list[int], q: list[int],
-                     hubs: list[int], size: int) -> int | None:
-    """det M of a 2-core of size vertices, with the peeled pairs (p, q),
-    core degrees deg and XOR links of ``_charpoly_value``, by folding every
-    chain into the hub matrix of these hubs (see there); None unless every
-    other core vertex lies on a chain between hubs and no continuant is
-    0.  Raises ArithmeticError if the final division leaves a remainder."""
-    index = [0] * len(deg)
+def _charpoly_value(g: Graph, x: int) -> int:
+    """det(xI - L(g)) at an integer x, exactly: hung trees peeled leaves
+    first, then the 2-core's chains folded into their end hubs.
+
+    Each vertex v carries a pair (P_v, Q_v), starting at (x - deg v, 1); its
+    row of the matrix still to be eliminated is Q_v times row v of the Schur
+    complement, so P_v sits on the diagonal and Q_v at each neighbour.
+    Absorbing a leaf v into its neighbour u sets (P_u, Q_u) to
+    (P_u P_v - Q_u Q_v, Q_u P_v).  A tree root left with degree 0 gives the
+    factor P_u, and what is left with degree >= 2 is the 2-core, whose matrix
+    M has determinant det(xI - L) divided by those factors.
+
+    The core's hubs are its vertices of degree >= 3, and every other core
+    vertex lies on one chain of degree-2 vertices v_1..v_k from a hub a to
+    a hub b (b = a for a cycle through a).  The product of the transfer
+    matrices [[P, -Q], [Q, 0]] of v_1..v_k is
+    [[K, -Q_1 K'], [Q_k K'', *]], with K the chain's continuant (the
+    determinant of its tridiagonal block of M) and K', K'' those of
+    v_2..v_k and v_1..v_(k-1).  With S the product of the -Q_i,
+    eliminating the chain adds -Q_a Q_1 K' / K at (a, a), -Q_b Q_k K'' / K
+    at (b, b), Q_a S / K at (a, b) and Q_b S / K at (b, a) of the hub
+    matrix, all four at (a, a) when b = a.  The hub matrix is kept
+    multiplied by the product G of the continuants, so it stays integral,
+    and with h hubs det M = det(hub matrix) / G^(h - 1), an exact division
+    (a remainder raises ArithmeticError).  Each step is a ring operation in
+    x, so the value is exact for every x, also where a peeled P_v is 0.
+
+    One rule gives up: where this does not reduce the core (no hub, more
+    than two, a core vertex on no chain between hubs, or a continuant that
+    is 0 at x), the value is ``_charpoly_at`` of the whole Laplacian, one
+    Bareiss elimination of xI - L."""
+    n = g.n
+    deg = [0] * n
+    link = [0] * n  # XOR of the neighbours still attached
+    for i, j in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+        link[i] ^= j
+        link[j] ^= i
+    p = [x - d for d in deg]
+    q = [1] * n
+    value = x ** deg.count(0)
+    leaves = [v for v, d in enumerate(deg) if d == 1]
+    for v in leaves:  # grows as vertices become leaves
+        if deg[v] != 1:  # the last vertex of its tree, already a root
+            continue
+        deg[v] = 0
+        u = link[v]
+        link[u] ^= v
+        p[u], q[u] = p[u] * p[v] - q[u] * q[v], q[u] * p[v]
+        deg[u] -= 1
+        if deg[u] == 1:
+            leaves.append(u)
+        elif deg[u] == 0:
+            value *= p[u]
+    size = n - deg.count(0)  # of the core
+    if not size:
+        return value
+    hubs = [v for v, d in enumerate(deg) if d > 2]
+    if not 0 < len(hubs) <= 2:
+        return _charpoly_at(laplacian(g), x)
+    index = [0] * n
     hub = [[0] * len(hubs) for _ in hubs]
     for k, v in enumerate(hubs):
         index[v] = k
         hub[k][k] = p[v]
     starts = []
-    for i, j in edges:
+    for i, j in g.edges:
         if deg[i] > 2:
             if deg[j] > 2:
                 hub[index[i]][index[j]] = q[i]
@@ -363,7 +417,7 @@ def _hub_determinant(edges: tuple[tuple[int, int], ...], deg: list[int],
             prev, v = v, link[v] ^ prev
             covered += 1
         if k == 0:
-            return None
+            return _charpoly_at(laplacian(g), x)
         # hub is G times the Schur complement so far; the chain's terms
         # over k become terms times the old G when hub is scaled by k.
         hub = [[k * entry for entry in row] for row in hub]
@@ -378,85 +432,13 @@ def _hub_determinant(edges: tuple[tuple[int, int], ...], deg: list[int],
             hub[i][j] += qa * signs
             hub[j][i] += qb * signs
     if covered != size:
-        return None
+        return _charpoly_at(laplacian(g), x)
     if len(hubs) == 1:
-        return hub[0][0]
+        return value * hub[0][0]
     det, remainder = divmod(hub[0][0] * hub[1][1] - hub[0][1] * hub[1][0], product)
     if remainder:
         raise ArithmeticError("the hub determinant is not a multiple of the continuants")
-    return det
-
-
-def _charpoly_value(g: Graph, x: int) -> int:
-    """det(xI - L(g)) at an integer x, exactly: hung trees peeled leaves
-    first, then the 2-core's chains folded into their end hubs.
-
-    Each vertex v carries a pair (P_v, Q_v), starting at (x - deg v, 1); its
-    row of the matrix still to be eliminated is Q_v times row v of the Schur
-    complement, so P_v sits on the diagonal and Q_v at each neighbour.
-    Absorbing a leaf v into its neighbour u sets (P_u, Q_u) to
-    (P_u P_v - Q_u Q_v, Q_u P_v).  A tree root left with degree 0 gives the
-    factor P_u, and what is left with degree >= 2 is the 2-core, whose matrix
-    M has determinant det(xI - L) divided by those factors.
-
-    The core's hubs are its vertices of degree >= 3, and every other core
-    vertex lies on one chain of degree-2 vertices v_1..v_k from a hub a to
-    a hub b (b = a for a cycle through a).  The product of the transfer
-    matrices [[P, -Q], [Q, 0]] of v_1..v_k is
-    [[K, -Q_1 K'], [Q_k K'', *]], with K the chain's continuant (the
-    determinant of its tridiagonal block of M) and K', K'' those of
-    v_2..v_k and v_1..v_(k-1).  With S the product of the -Q_i,
-    eliminating the chain adds -Q_a Q_1 K' / K at (a, a), -Q_b Q_k K'' / K
-    at (b, b), Q_a S / K at (a, b) and Q_b S / K at (b, a) of the hub
-    matrix, all four at (a, a) when b = a.  The hub matrix is kept multiplied by the product G of the
-    continuants, so it stays integral, and with h hubs
-    det M = det(hub matrix) / G^(h - 1), an exact division.  Each step is a
-    ring operation in x, so the value is exact for every x, also where a
-    peeled P_v is 0.  Bareiss eliminates the core instead when this does
-    not reduce it: no hub, more than two, a core vertex on no chain between
-    hubs, or a continuant that is 0 at x."""
-    n = g.n
-    deg = [0] * n
-    link = [0] * n  # XOR of the neighbours still attached
-    for i, j in g.edges:
-        deg[i] += 1
-        deg[j] += 1
-        link[i] ^= j
-        link[j] ^= i
-    p = [x - d for d in deg]
-    q = [1] * n
-    value = x ** deg.count(0)
-    leaves = [v for v, d in enumerate(deg) if d == 1]
-    for v in leaves:  # grows as vertices become leaves
-        if deg[v] != 1:  # the last vertex of its tree, already a root
-            continue
-        deg[v] = 0
-        u = link[v]
-        link[u] ^= v
-        p[u], q[u] = p[u] * p[v] - q[u] * q[v], q[u] * p[v]
-        deg[u] -= 1
-        if deg[u] == 1:
-            leaves.append(u)
-        elif deg[u] == 0:
-            value *= p[u]
-    core = [v for v, d in enumerate(deg) if d]
-    if not core:
-        return value
-    hubs = [v for v in core if deg[v] > 2]
-    if 0 < len(hubs) <= 2:
-        det = _hub_determinant(g.edges, deg, link, p, q, hubs, len(core))
-        if det is not None:
-            return value * det
-    at = [0] * n
-    mat = [[0] * len(core) for _ in core]
-    for k, v in enumerate(core):
-        at[v] = k
-        mat[k][k] = p[v]
-    for i, j in g.edges:
-        if deg[i] and deg[j]:
-            mat[at[i]][at[j]] = q[i]
-            mat[at[j]][at[i]] = q[j]
-    return value * det_bareiss(mat)
+    return value * det
 
 
 def charpoly_interpolated(mat: IntMatrix) -> IntPoly:

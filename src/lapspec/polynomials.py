@@ -18,6 +18,7 @@ computed as one such integer and read back here.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable, Mapping, Union
 
 
@@ -88,31 +89,22 @@ class IntPoly:
     def __neg__(self) -> "IntPoly":
         return IntPoly(-c for c in self._coeffs)
 
-    def __add__(self, other: Union["IntPoly", int]) -> "IntPoly":
+    def _combine(self, other: Union["IntPoly", int], sign: int) -> "IntPoly":
+        """self + sign * other."""
         if isinstance(other, int):
             other = IntPoly.const(other)
         if not isinstance(other, IntPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly(a + sign * b for a, b in
+                       zip_longest(self._coeffs, other._coeffs, fillvalue=0))
+
+    def __add__(self, other: Union["IntPoly", int]) -> "IntPoly":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["IntPoly", int]) -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly.const(other)
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return IntPoly(out)
+        return self._combine(other, -1)
 
     def __rsub__(self, other: int) -> "IntPoly":
         return IntPoly.const(other) - self
@@ -213,35 +205,22 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly((e, -c) for e, c in self._terms.items())
 
-    def __add__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
+    def _combine(self, other: Union["LaurentPoly", int], sign: int) -> "LaurentPoly":
+        """self + sign * other; the constructor merges equal exponents."""
         if isinstance(other, int):
             other = LaurentPoly.monomial(0, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return LaurentPoly(out)
+        return LaurentPoly([*self._terms.items(),
+                            *((e, sign * c) for e, c in other._terms.items())])
+
+    def __add__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.monomial(0, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            v = out.get(e, 0) - c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return LaurentPoly(out)
+        return self._combine(other, -1)
 
     def __rsub__(self, other: int) -> "LaurentPoly":
         return LaurentPoly.monomial(0, other) - self

@@ -229,39 +229,36 @@ def identity_lhs(phi: IntPoly, n: int) -> LaurentPoly:
     return LaurentPoly(enumerate(kronecker_unpack(acc, b, 2 * n + 6).coeffs))
 
 
-def _audit(phi_matrix: IntPoly, phi_rec: IntPoly, n: int, table: LaurentPoly) -> dict:
-    """routes_agree compares the two charpolys, which is comparing their
-    left-hand sides (the map between them is injective); the table is
-    compared with the one left-hand side built from the matrix charpoly."""
-    lhs = identity_lhs(phi_matrix, n)
-    diffs = [{"exponent": e, "lhs": lhs.coeff(e), "table": table.coeff(e)}
-             for e, _ in (table - lhs).items()]
+def _audit(make_graph, recurrence, table: TermTable, **params: int) -> dict:
+    """One grid point of a y-side identity, for the family with this layout
+    builder, recurrence charpoly and term table.  routes_agree compares the
+    matrix and recurrence charpolys, which is comparing their left-hand
+    sides (the map between them is injective); the table is compared with
+    the one left-hand side built from the matrix charpoly."""
+    values = list(params.values())
+    g = make_graph(*values)
+    phi = charpoly(laplacian(g))
+    lhs = identity_lhs(phi, g.n)
+    instantiated = table.instantiate(**params)
+    diffs = [{"exponent": e, "lhs": lhs.coeff(e), "table": instantiated.coeff(e)}
+             for e, _ in (instantiated - lhs).items()]
     return {
-        "routes_agree": phi_matrix == phi_rec,
+        "routes_agree": phi == recurrence(*values),
         "table_matches": not diffs,
         "diffs": diffs,
+        "params": values,
     }
 
 
 def audit_dumbbell_identity(p: int, k: int, q: int) -> dict:
     """One grid point of the dumbbell y-side identity: compares the matrix
     and recurrence charpolys and the instantiated table with the LHS."""
-    n = p + k + q
-    result = _audit(charpoly(laplacian(dumbbell_graph(p, k, q))),
-                    dumbbell_charpoly_rec(p, k, q), n,
-                    dumbbell_table().instantiate(p=p, k=k, q=q))
-    result["params"] = [p, k, q]
-    return result
+    return _audit(dumbbell_graph, dumbbell_charpoly_rec, dumbbell_table(), p=p, k=k, q=q)
 
 
 def audit_theta_identity(r: int, s: int, t: int) -> dict:
     """One grid point of the theta y-side identity, same contract."""
-    n = r + s + t + 2
-    result = _audit(charpoly(laplacian(theta_graph(r, s, t))),
-                    theta_charpoly_rec(r, s, t), n,
-                    theta_table().instantiate(r=r, s=s, t=t))
-    result["params"] = [r, s, t]
-    return result
+    return _audit(theta_graph, theta_charpoly_rec, theta_table(), r=r, s=s, t=t)
 
 
 def dumbbell_table_lowest_term(p: int, k: int, q: int) -> tuple[int, int]:

@@ -62,7 +62,7 @@ from .graphs import (DumbbellParams, FamilyParams, Graph, ThetaParams,
                      classify_bicyclic, connected_components, dumbbell_graph,
                      dumbbell_parameter_grid, make_dumbbell, make_path,
                      make_theta, theta_graph, theta_parameter_grid)
-from .invariants import (degree_constraint_solver, graph_invariants,
+from .invariants import (InvalidCharpolyError, degree_constraint_solver,
                          invariants_from_charpoly)
 from .laplacian import (_charpoly_value, charpoly, laplacian,
                         spanning_tree_count, trailing_charpolys, u_matrix,
@@ -489,7 +489,8 @@ def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
     with degree profile (3,3,2,...,2) is a dumbbell or theta, and the
     parameters ``classify_bicyclic`` reads off those graphs are the members'
     parameters, each once; the degree constraint solver pins that profile
-    from charpoly invariants alone for every member; any pool graph
+    from the invariants of each member's recurrence charpoly alone (the
+    charpoly its mates are matched against); any pool graph
     cospectral with a member has the profile; every member has a cospectral
     pool graph, since its own copy is in the pool.  A pool graph is cospectral
     with a member when its value det(-3I - L) is among the members' values
@@ -533,8 +534,11 @@ def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
                          "failure": "member parameters not read off a profile graph"}
                         for params in (expected_params - classified).elements()]
     expected = {1: 0, 2: n - 2, 3: 2}
-    for g in members:
-        solved = degree_constraint_solver(graph_invariants(g))
+    for g, phi in zip(members, phis):
+        try:
+            solved = degree_constraint_solver(invariants_from_charpoly(phi))
+        except InvalidCharpolyError:  # a recurrence gone wrong, reported below
+            solved = None
         if solved != expected:
             counterexamples.append({**_params_dict(g.family),
                                     "failure": "solver did not force profile",

@@ -25,6 +25,61 @@ DS_RANGE = range(6, 11)
 # on the structural and the tree-first edge route (a route since deleted).
 POOL_DIGEST_12 = "9155e60374ae82ef77272694929f4542620a205ceb0717091c3a17d9f794c2fa"
 
+# SHA-256 of each report's timing-free JSON (``without_timing().to_json()``),
+# keyed by suite name and, for the pool suites, n.  The reports are
+# deterministic, so a change of any byte shows here; a change that alters
+# report bytes on purpose updates these pins and names them.
+REPORT_DIGESTS = {
+    "recurrences":
+        "4b14c2ec353ea03396ab7e50d67d3cdef9bd2ad533fe7fe34d78ae57dad06a66",
+    "special-values":
+        "4ea857ec21598977c7fda5421087830326ff170d6992ed85c0d8b9cce39f5311",
+    "generating-identity":
+        "b39d0cb6f50abeb09d8367754db8471cd6f5c23d3bc596dcdf17650cf78f210c",
+    "dumbbell-table":
+        "cd880329fd3ad15c5a1d39aa86404911d4c54d225651c7d906aee5935020902a",
+    "theta-table":
+        "81ce625367fc4de1d25436548ac9765c3bcf288af0d2cb026fa22ae1460c4ad7",
+    "family-values":
+        "3786dcb9e3433fffcfeeae942150603ee7a679b7dc4a6e92f7bb085e684909df",
+    "deletion-formula":
+        "55d6bd64d3c2e16a107bc4fe92cd34a95b98881252e39f6e63d672db5357357b",
+    "invariants":
+        "f6505c67aeecdfe9418afa98c07d289208577099cda51093d508de3700969f7a",
+    "within-family":
+        "401204ce29768c65a1968bf1d7fb4c1a161a2c06b7c0f49dae3c112dd3a4e60b",
+    "determination n=6":
+        "c44dd76d15b6962ee972488ec504f549145d1890f2f89a70436f743efe3bda0b",
+    "determination n=7":
+        "5a541d9e4c116e5c81109f874c010f3957b7bd8a3b409d19ee79938a0729acba",
+    "determination n=8":
+        "add629d15673e8c7a55f75eb00e78bcce774a82aab96b0fa0bd7c919f6f1e80d",
+    "determination n=9":
+        "ee302bae5a5e05f7d6055457a537d499d349307f512c109ebf71a068f08fb092",
+    "determination n=10":
+        "8a2211709078df2a14196b63addb55baf7375c9a7123bb832e997d8dbe09748e",
+    "cospectral-structure n=6":
+        "0a7c065505c89711f01567bf8376102d0762bf8d215ffeb3917a6d32821d06b1",
+    "cospectral-structure n=7":
+        "9c89d4cd04fd0c2ae0cae4e62f3805a67934ee8275d5070392562383cea1e6be",
+    "cospectral-structure n=8":
+        "74003b0723e335fc9e0abea264d2e8f9472776cf6c5d8a21a03f9c39afa9e54e",
+    "cospectral-structure n=9":
+        "6504184bcd912878502b3a870f8f0d85be2cedd95987ce6de3573c9208192d99",
+    "cospectral-structure n=10":
+        "c1ba67577dd84b7cf315912381ac918cf58e77aeaa54f2084511df6909492f1f",
+    "census":
+        "c36e6b020195b56afa2af13046fd33a945d0ddbbe8f2f8b28a032ba53a7721a3",
+    "determination n=11":
+        "5892f5032d134beebcce1a66212a18dcbc44e165a096953675f2503fbc7ec1fd",
+    "cospectral-structure n=11":
+        "bfb60fe02d8d66bfde17a4d905023159962fa99ede53ba76e61f9b9a782a6821",
+    "determination n=12":
+        "04106ae1275bef8253dc154c5cab8bdd9b4714096820313c3deffdb5176001f4",
+    "cospectral-structure n=12":
+        "a016b545d67502194c22042c838f5146e5eb76804ac2a7dbcb373daec22ea1bb",
+}
+
 _capture = None
 
 
@@ -49,9 +104,19 @@ def _verdict(ok: bool, label: str) -> None:
         print("\n" + line, flush=True)
 
 
+def _assert_pinned(*reports) -> None:
+    for report in reports:
+        key = report.suite
+        if "n" in report.parameters:
+            key += f" n={report.parameters['n']}"
+        digest = hashlib.sha256(report.without_timing().to_json().encode()).hexdigest()
+        assert digest == REPORT_DIGESTS[key], (key, digest)
+
+
 def _run(report, label: str):
     _verdict(report.passed, label)
     assert report.passed, (label, report.counterexamples[:5])
+    _assert_pinned(report)
     return report
 
 
@@ -86,6 +151,7 @@ def test_04_term_table_audits():
     for item in theta.details["tuples"]:
         assert len(item["diffs"]) == 1
         assert item["diffs"][0]["table"] - item["diffs"][0]["lhs"] == 2
+    _assert_pinned(dumbbell, theta)
 
 
 def test_05_family_values_at_four():
@@ -94,6 +160,7 @@ def test_05_family_values_at_four():
     _verdict(ok, "[ 5] family closed forms at x=4 match direct evaluation; "
                  "spot value -16 on the 5-vertex theta")
     assert ok, report.counterexamples[:5]
+    _assert_pinned(report)
 
 
 def test_06_deletion_expansion():
@@ -123,6 +190,7 @@ def test_09_spectral_determination_6_to_10():
                  f"({members} members vs {pool} pool graphs)")
     for r in reports:
         assert r.passed, (r.parameters, r.counterexamples[:5])
+    _assert_pinned(*reports)
 
 
 def test_10_profile_forcing_6_to_10():
@@ -133,6 +201,7 @@ def test_10_profile_forcing_6_to_10():
                  "profile for every member, 6<=n<=10")
     for r in reports:
         assert r.passed, (r.parameters, r.counterexamples[:5])
+    _assert_pinned(*reports)
 
 
 def test_11_codec_and_census():
@@ -152,6 +221,7 @@ def test_11_codec_and_census():
     assert census.details["totals"] == {"0": 1, "1": 1, "2": 2, "3": 4,
                                         "4": 11, "5": 34, "6": 156, "7": 1044}
     assert codec_ok
+    _assert_pinned(census)
 
 
 def test_12_determination_and_profile_forcing_at_11():
@@ -168,6 +238,7 @@ def test_12_determination_and_profile_forcing_at_11():
     assert determination.counts["members"] == 23
     assert determination.counts["pool"] == structure.counts["pool"] == 8833
     assert structure.counts["cospectral_hits"] == 23
+    _assert_pinned(determination, structure)
 
 
 def test_13_determination_and_profile_forcing_at_12():
@@ -188,3 +259,4 @@ def test_13_determination_and_profile_forcing_at_12():
     assert determination.counts["pool"] == structure.counts["pool"] == 28908
     assert structure.counts["cospectral_hits"] == 29
     assert digest == POOL_DIGEST_12
+    _assert_pinned(determination, structure)

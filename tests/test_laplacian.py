@@ -326,6 +326,36 @@ class TestBareiss:
                 assert _charpoly_at(mat, x) == charpoly(mat).eval(x) == naive_det(shifted)
 
 
+# Cores that chain folding does not reduce at any x.
+UNREDUCED_CORES = {
+    "cycle": make_cycle(5),  # a core without a hub
+    "three-hubs": Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5),
+                            (3, 5), (5, 6), (6, 7), (7, 3)]),
+    # a figure-eight and a separate triangle: a core vertex on no chain
+    "figure-eight-and-triangle": Graph(8, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4),
+                                           (0, 4), (5, 6), (6, 7), (5, 7)]),
+}
+# Two figure-eights: two hubs that share no chain.  They fold like a
+# theta's, except where a loop's two-vertex chain has continuant
+# (x - 2)^2 - 1 = 0, at x = 1 and 3.
+TWO_FIGURE_EIGHTS = Graph(10, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4),
+                               (5, 6), (6, 7), (5, 7), (5, 8), (8, 9), (5, 9)])
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Every x at which ``_charpoly_value`` defers to ``_charpoly_at``."""
+    calls = []
+    real = laplacian_module._charpoly_at
+
+    def counted(mat, x):
+        calls.append(x)
+        return real(mat, x)
+
+    monkeypatch.setattr(laplacian_module, "_charpoly_at", counted)
+    return calls
+
+
 class TestCharpolyValue:
     """The peeled-tree value against one Bareiss elimination of x I - L."""
 
@@ -348,7 +378,8 @@ class TestCharpolyValue:
     @pytest.mark.parametrize("n", range(4, 9))
     def test_every_pool_graph_at_small_x(self, n, bicyclic_pool, monkeypatch):
         """Every x in range(-4, n + 2).  At x = 1, 2 and 3 some short chain
-        has continuant 0, so the Bareiss fallback runs on bicyclic cores."""
+        has continuant 0, so the value is one Bareiss elimination of the
+        whole x I - L there."""
         eliminations = []
         real = laplacian_module.det_bareiss
 
@@ -365,30 +396,35 @@ class TestCharpolyValue:
         assert eliminations
 
     @pytest.mark.parametrize("n", range(4, 11))
-    def test_pool_values_at_x0_need_no_elimination(self, n, bicyclic_pool, monkeypatch):
+    def test_pool_values_at_x0_need_no_elimination(self, n, bicyclic_pool, monkeypatch,
+                                                   oracle_calls):
         """x0 I - L is negative definite for x0 < 0, so no continuant of a
         pool graph's chains is 0 there and every core folds into its hubs."""
         def refused(mat):
-            raise AssertionError("Bareiss ran on a pool graph's core")
+            raise AssertionError("Bareiss ran on a pool graph")
 
         monkeypatch.setattr(laplacian_module, "det_bareiss", refused)
         for g in bicyclic_pool(n):
             _charpoly_value(g, -3)
+        assert oracle_calls == []
 
-    @pytest.mark.parametrize("g", [
-        make_cycle(5),  # a core without a hub
-        Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5),
-                  (5, 6), (6, 7), (7, 3)]),  # three hubs
-        # a figure-eight and a separate triangle: a core vertex on no chain
-        Graph(8, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4),
-                  (5, 6), (6, 7), (5, 7)]),
-        # two figure-eights: two hubs that share no chain
-        Graph(10, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4),
-                   (5, 6), (6, 7), (5, 7), (5, 8), (8, 9), (5, 9)]),
-    ], ids=["cycle", "three-hubs", "figure-eight-and-triangle", "two-figure-eights"])
+    @pytest.mark.parametrize("g", [*UNREDUCED_CORES.values(), TWO_FIGURE_EIGHTS],
+                             ids=[*UNREDUCED_CORES, "two-figure-eights"])
     def test_cores_outside_one_or_two_hubs(self, g):
         for x in range(-4, g.n + 2):
             assert _charpoly_value(g, x) == _charpoly_at(laplacian(g), x)
+
+    @pytest.mark.parametrize("g, points", [
+        *((g, list(range(-4, g.n + 2))) for g in UNREDUCED_CORES.values()),
+        (TWO_FIGURE_EIGHTS, [1, 3]),
+    ], ids=[*UNREDUCED_CORES, "two-figure-eights"])
+    def test_defers_to_the_oracle_only_where_folding_gives_up(self, g, points,
+                                                              oracle_calls):
+        """The value is ``_charpoly_at`` of the whole Laplacian at exactly
+        the points where folding does not reduce the core."""
+        for x in range(-4, g.n + 2):
+            _charpoly_value(g, x)
+        assert oracle_calls == points
 
 
 class TestUMatrix:

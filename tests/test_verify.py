@@ -13,7 +13,7 @@ from lapspec.enumeration import DEFAULT_CAP, EnumerationTask, enumerate_graphs
 from lapspec.graph6 import graph6_decode, graph6_encode
 from lapspec.graphs import DumbbellParams, Graph, ThetaParams
 from lapspec.laplacian import charpoly, laplacian
-from lapspec.polynomials import IntPoly
+from lapspec.polynomials import IntPoly, X
 from lapspec.reports import VerificationReport
 from lapspec.verify import (dumbbell_parameter_grid, family_members,
                             member_charpoly, theta_parameter_grid,
@@ -168,6 +168,17 @@ class TestPoolSuites:
                 for p, k, q in triples]
         assert sorted(map(repr, report.counterexamples)) == sorted(map(repr, rows))
 
+    def test_a_recurrence_that_is_no_laplacian_charpoly_is_reported(self, monkeypatch):
+        # x + 1 has a nonzero constant term, so no invariants can be read
+        # off it; the member fails instead of the suite raising.
+        monkeypatch.setattr(verify, "dumbbell_charpoly_rec", lambda p, k, q: X + 1)
+        report = verify_cospectral_structure(6)
+        assert not report.passed
+        params = {"family": "dumbbell", "p": 3, "k": 0, "q": 3}
+        assert report.counterexamples == [
+            {**params, "failure": "member has no cospectral pool graph"},
+            {**params, "failure": "solver did not force profile", "solved": None}]
+
     def test_census_small(self):
         report = verify_census(n_max=5)
         assert report.passed
@@ -202,7 +213,8 @@ class TestPoolSuites:
 @pytest.fixture
 def charpoly_calls(monkeypatch):
     """A private pool memo, and the size of every matrix the pool suites
-    hand to charpoly, directly or through graph_invariants, in call order."""
+    hand to charpoly, in call order.  The invariants module's charpoly is
+    counted too, so a Berkowitz run for member invariants would show."""
     monkeypatch.setattr(enumeration, "_memo", {})
     calls = []
 
@@ -268,23 +280,23 @@ class TestSharedPoolCharpolys:
                                                 charpoly_calls, decode_calls):
         made, reports = self.run_pair(value_calls, charpoly_calls, 8)
         # the pool's values once; Berkowitz on each member's own copy in
-        # each suite, then graph_invariants once per member
-        assert made == (236, 10 + 10 + 10)
+        # each suite, and none for the member invariants
+        assert made == (236, 10 + 10)
         # and the pool is decoded once
         assert len(decode_calls) == len(set(decode_calls)) == 236
         self.assert_as_fresh(monkeypatch, reports)
 
     def test_clearing_the_memo_ends_the_reuse(self, monkeypatch, value_calls,
                                               charpoly_calls, decode_calls):
-        assert self.run_pair(value_calls, charpoly_calls, 8)[0] == (236, 30)
+        assert self.run_pair(value_calls, charpoly_calls, 8)[0] == (236, 20)
         values, charpolys = len(value_calls), len(charpoly_calls)
         verify_cospectral_structure(8)
         assert len(value_calls) - values == 0
-        assert len(charpoly_calls) - charpolys == 10 + 10
+        assert len(charpoly_calls) - charpolys == 10
         assert len(decode_calls) == 236
         enumeration._memo.clear()
         made, reports = self.run_pair(value_calls, charpoly_calls, 8)
-        assert made == (236, 30)
+        assert made == (236, 20)
         assert len(decode_calls) == 2 * 236
         self.assert_as_fresh(monkeypatch, reports)
 
@@ -294,7 +306,7 @@ class TestSharedPoolCharpolys:
         values, charpolys = len(value_calls), len(charpoly_calls)
         report = verify_cospectral_structure(9)
         assert value_calls[values:] == [9] * 797
-        assert charpoly_calls[charpolys:] == [9] * (13 + 13)
+        assert charpoly_calls[charpolys:] == [9] * 13
         assert len(decode_calls) == 236 + 797
         self.assert_as_fresh(monkeypatch, [report])
 
@@ -369,8 +381,7 @@ class TestValueFilter:
         monkeypatch.setattr(IntPoly, "eval", lambda self, x: 0)
         before = len(charpoly_calls)
         report = suite(8)
-        invariants_calls = 10 if suite is verify_cospectral_structure else 0
-        assert len(charpoly_calls) - before == 236 + invariants_calls
+        assert len(charpoly_calls) - before == 236
         assert report.without_timing().to_json() == expected
 
     def miss_copy(self, monkeypatch):
