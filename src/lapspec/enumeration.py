@@ -71,21 +71,19 @@ census disagreement instead of being shared by both.
 owns, each a dict from canonical form to representative, so the census
 grows every level once and reads its forms from that memo.
 
-Results are deterministic: canonical graph6 forms, sorted.  They can be
-cached on disk, one file per task (of the suites, only determination and
-cospectral-structure pass a cache directory): a header line
-
-    #lapspec-pool <format version> <file name> <line count> <sha256 of the body>
-
-then one graph6 line per class, strictly sorted.  Files are written to a
-temporary name and renamed into place.  A file whose header is missing or
-disagrees with its task or body, or whose lines are not strictly sorted, is
-never trusted: the pool is regrown and the file rewritten.  The check
-guards against truncation and stale formats, not against a forged header.
-A call reads the task's file once.  The file is decoded only when the memo
-lacks the task, and it is rewritten unless its bytes equal the encoding of
-the forms, so a task answered from the memo still writes its file when the
-cache directory has no valid one.  Each call encodes the pool at most once.
+Results are deterministic: canonical graph6 forms, sorted.  The connected
+(n, n + 1) pools with 4 <= n <= 12 can be cached on disk, one file per
+pool (of the suites, only determination and cospectral-structure pass a
+cache directory).  A file's bytes are exactly ``b"\n".join(forms)``, and
+the file is trusted only when their SHA-256 equals ``POOL_DIGESTS[n]``, the
+pinned digest of that pool; any other file (truncated, stale, reordered,
+forged or of an older format) is regrown and rewritten, to a temporary
+name renamed into place.  A cache directory given with any other task is
+refused with ValueError before any growth or file access.  A call reads
+the pool's file once.  The file is trusted only when the memo lacks the
+pool, and it is rewritten unless its bytes equal the pool's, so a pool
+answered from the memo still writes its file when the cache directory has
+no valid one.
 
 ``_decode`` keeps the last decoded pool while the memo holds its very forms
 list, so asking for the same pool twice decodes it once, and growth that
@@ -111,10 +109,19 @@ from .graphs import (Graph, dumbbell_graph, dumbbell_parameter_grid, is_connecte
                      theta_graph, theta_parameter_grid)
 
 DEFAULT_CAP = 10
-CACHE_MAGIC = "#lapspec-pool"
-# Bump when the file layout or the canonical form changes: files written
-# before then no longer validate and are regrown.
-CACHE_VERSION = 1
+# SHA-256 of b"\n".join(forms) of the connected (n, n + 1) pools, the only
+# pools a cache file may hold.
+POOL_DIGESTS = {
+    4: "6d8e7398da5d5577f9976742a966a66ab47296f98fe8d2f6393061a8134926cf",
+    5: "f45965cb6720dbc80e37bc80739a8a577f4178ef5c54ddf13383faffb815849e",
+    6: "638ef2d9781588a1615b71bd469620e4e8f2e34fba82e13e448b4357ea382b9e",
+    7: "2337f221ab0ec4fcaa17ad7822e703e938d24af4e46958f258e6cd5515995d07",
+    8: "df3b59de8375d147071d270a8ad848b541fce26b22e69aaae1e682f0cd3c70b3",
+    9: "7fe02632bbe85a32334f8c531439c63f9120423e05bc9a8a5cb6ef98d57ed0d0",
+    10: "384ec7627d27f06fa4ccb46587d57932d1899710b1371805a44640e5555772c2",
+    11: "8edbc836aab7cc59494d632b16b6b2689ea98bc4a60014382872391aa9e6e9a0",
+    12: "9155e60374ae82ef77272694929f4542620a205ceb0717091c3a17d9f794c2fa",
+}
 
 
 class EnumerationCapError(ValueError):
@@ -502,25 +509,6 @@ def _bicyclic_forms(n: int) -> list[bytes]:
     return forms
 
 
-def _encode_pool(task: EnumerationTask, forms: list[bytes]) -> bytes:
-    body = b"".join(form + b"\n" for form in forms)
-    header = (f"{CACHE_MAGIC} {CACHE_VERSION} {task.cache_name()} {len(forms)} "
-              f"{hashlib.sha256(body).hexdigest()}\n")
-    return header.encode("ascii") + body
-
-
-def _decode_pool(task: EnumerationTask, data: bytes) -> Optional[list[bytes]]:
-    """The forms of a cache file, or None unless its header matches the task
-    and the body and its lines are strictly sorted."""
-    _, _, body = data.partition(b"\n")
-    forms = body.split(b"\n")[:-1]
-    if data != _encode_pool(task, forms):
-        return None
-    if any(a >= b for a, b in zip(forms, forms[1:])):
-        return None
-    return forms
-
-
 def _write_atomic(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -535,30 +523,33 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 def _pool_forms(task: EnumerationTask, cap: int,
                 cache_dir: Optional[str | Path]) -> list[bytes]:
-    """The sorted canonical forms of the task, from the memo, a valid cache
-    file or fresh growth.  Fills the memo, and writes the task's file in a
-    cache directory unless it already holds these forms; the list returned
-    is the one the memo holds."""
-    task = EnumerationTask(task.n, task.m, task.connected)
+    """The sorted canonical forms of the task, from the memo, a trusted
+    cache file or fresh growth.  Fills the memo, and writes the task's file
+    in a cache directory unless it already holds these forms; the list
+    returned is the one the memo holds."""
     task.validate()
     if task.n > cap:
         raise EnumerationCapError(task.n, cap)
-
-    cache_file = Path(cache_dir) / task.cache_name() if cache_dir is not None else None
-    data = cache_file.read_bytes() if cache_file is not None and cache_file.exists() else None
+    # m = n + 1 is possible only for n >= 4, which validate() checked.
+    bicyclic = task.connected and task.m == task.n + 1
+    cache_file = data = None
+    if cache_dir is not None:
+        if not bicyclic or task.n not in POOL_DIGESTS:
+            raise ValueError(f"only the connected (n, n+1) pools with 4 <= n <= "
+                             f"{max(POOL_DIGESTS)} have pinned digests and can be "
+                             f"cached; not {task}")
+        cache_file = Path(cache_dir) / task.cache_name()
+        data = cache_file.read_bytes() if cache_file.exists() else None
     forms = _memo.get(task)
     if forms is None and data is not None:
-        forms = _decode_pool(task, data)
-        if forms is not None:
-            _memo[task] = forms
-            return forms  # the file was just validated against these forms
+        if hashlib.sha256(data).hexdigest() == POOL_DIGESTS[task.n]:
+            forms = _memo[task] = data.split(b"\n")
+            return forms  # the file is the pool
     if forms is None:
-        # m = n + 1 is possible only for n >= 4, which validate() checked.
-        bicyclic = task.connected and task.m == task.n + 1
         forms = _bicyclic_forms(task.n) if bicyclic else _grow_forms(task)
     _memo[task] = forms
     if cache_file is not None:
-        encoded = _encode_pool(task, forms)
+        encoded = b"\n".join(forms)
         if data != encoded:
             _write_atomic(cache_file, encoded)
     return forms

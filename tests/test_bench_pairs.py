@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -76,3 +77,62 @@ def test_a_failed_run_reports_pair_side_exit_code_and_gates(monkeypatch, capsys)
     err = capsys.readouterr().err.splitlines()
     assert err == ["pair 1: the base run exited 1 and did not report correct true; stopping",
                    "pair 1 base: FAIL: determination n=8 pool"]
+
+
+def _verdicts(base, change, better=None):
+    rows = bench_pairs.summarize([{"m": v} for v in base], [{"m": v} for v in change],
+                                 better or {}, {"m": 0.15})
+    return rows[0]["verdict"]
+
+
+def test_verdict_of_fixed_runs():
+    # the change median 20% worse than the base median, bound 15%
+    assert _verdicts([1.0] * 4, [1.2] * 4) == "worse"
+    assert _verdicts([1.0] * 4, [1.1] * 4) == "ok"
+    assert _verdicts([1.0] * 4, [0.5] * 4) == "ok"
+    # base q1-q3 spread 1.0-1.4 over median 1.2 is 33%, wider than 15%:
+    # unresolved unless the change won every pair
+    wide = [1.0, 1.4, 1.0, 1.4]
+    assert _verdicts(wide, [1.1, 1.5, 1.1, 1.1]) == "unresolved"
+    assert _verdicts(wide, [0.9, 1.3, 0.9, 1.3]) == "ok"
+    # worse beats unresolved
+    assert _verdicts(wide, [1.5] * 4) == "worse"
+    # better higher: a 20% fall is worse
+    assert _verdicts([10.0] * 4, [8.0] * 4, {"m": "higher"}) == "worse"
+    assert _verdicts([10.0] * 4, [12.0] * 4, {"m": "higher"}) == "ok"
+    # a metric without a bound gets no verdict
+    rows = bench_pairs.summarize([{"x": 1.0}], [{"x": 9.0}], {}, {"m": 0.15})
+    assert rows[0]["verdict"] == ""
+
+
+def _stub_runs(monkeypatch, stdout_of):
+    """Benchmark runs answered by stdout_of(is_base) without running anything."""
+    def run(cmd, **kwargs):
+        is_base = kwargs["cwd"] != bench_pairs.REPO
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout_of(is_base))
+
+    monkeypatch.setattr(bench_pairs, "extract", lambda commit, into: None)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+
+
+def test_summary_reads_the_bounds_of_benchmark_json(monkeypatch, capsys):
+    # wall_s 30% worse (bound 0.15), setup_s equal, peak_rss_mb 1% worse (bound 0.1)
+    def stdout_of(is_base):
+        wall, rss = (1.0, 30.0) if is_base else (1.3, 30.3)
+        metrics = {"wall_s": {"value": wall}, "setup_s": {"value": 0.4},
+                   "peak_rss_mb": {"value": rss}}
+        return json.dumps({"correct": True, "metrics": metrics}) + "\n"
+
+    _stub_runs(monkeypatch, stdout_of)
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "census", "--pairs", "2"]) == 0
+    verdicts = {line.split()[0]: line.split()[-1]
+                for line in capsys.readouterr().out.splitlines()[-3:]}
+    assert verdicts == {"wall_s": "worse", "setup_s": "ok", "peak_rss_mb": "ok"}
+
+
+def test_a_failed_run_prints_the_tail_of_its_output(monkeypatch, capsys):
+    lines = [f"line {i}" for i in range(1, 51)] + ["Traceback (most recent call last):"]
+    _stub_runs(monkeypatch, lambda is_base: "\n".join(lines) + "\n")
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "determination-warm"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["pair 1 base: last 40 lines of its output:"] + lines[-40:]

@@ -125,6 +125,13 @@ class TestVerify:
         assert list(tmp_path.iterdir()) == \
             [tmp_path / EnumerationTask(6, 7, connected=True).cache_name()]
 
+    def test_determination_cache_dir_refuses_a_pool_without_a_pinned_digest(self, capsys,
+                                                                           tmp_path):
+        assert main(["verify", "determination", "--n", "13", "--cap", "13",
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert "pinned digests" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_census_takes_no_cache_dir(self, capsys, tmp_path):
         # the census grows both routes on every run, so no file may stand
         # in for either

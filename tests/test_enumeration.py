@@ -1,10 +1,12 @@
+import bisect
 import hashlib
 from itertools import combinations
 from random import Random
 
 import pytest
 
-from graph_helpers import core_group_order, twin_pruned_edge_children
+from graph_helpers import core_group_order, relabel, twin_pruned_edge_children
+from test_acceptance import POOL_DIGEST_12
 
 from lapspec import enumeration, verify
 from lapspec.canonical import canonical_form
@@ -13,7 +15,8 @@ from lapspec.enumeration import (DEFAULT_CAP, EnumerationCapError,
                                  enumerate_graphs, random_connected_graph)
 from lapspec.graph6 import graph6_decode, graph6_encode
 from lapspec.graphs import Graph, is_connected
-from lapspec.verify import family_members, verify_census, verify_determination
+from lapspec.verify import (family_members, verify_census, verify_cospectral_structure,
+                            verify_determination)
 
 # SHA-256 of b"\n".join(sorted forms) of the connected (n, n+1) pools,
 # computed by growing every graph from the empty graph and keeping the
@@ -465,9 +468,8 @@ class TestDiskCache:
         enumeration._memo.pop(task, None)
         fresh = enumerate_graphs(task, cache_dir=tmp_path)
         cache_file = tmp_path / task.cache_name()
-        assert cache_file.exists()
-        # a header line, then one line per class
-        assert len(cache_file.read_bytes().splitlines()) == len(fresh) + 1
+        # one line per class and nothing else
+        assert cache_file.read_bytes() == b"\n".join(_forms(fresh))
         assert list(tmp_path.iterdir()) == [cache_file]  # no temp file left
         # drop the in-process memo so the next call must hit the disk file
         enumeration._memo.pop(task)
@@ -479,9 +481,7 @@ class TestDiskCache:
         pool = enumerate_graphs(task)  # grown in-process, no cache directory
         assert task in private_memo
         assert enumerate_graphs(task, cache_dir=tmp_path) == pool
-        cache_file = tmp_path / task.cache_name()
-        assert cache_file.exists()
-        assert enumeration._decode_pool(task, cache_file.read_bytes()) == _forms(pool)
+        assert (tmp_path / task.cache_name()).read_bytes() == b"\n".join(_forms(pool))
 
     def test_environment_selects_no_directory(self, tmp_path, monkeypatch, private_memo):
         # only the cache_dir argument names a cache directory, so a user's
@@ -491,51 +491,98 @@ class TestDiskCache:
         assert list(tmp_path.iterdir()) == []
         assert len(pool) == POOL_SIZES[6] == 19
 
-    def test_header_names_format_task_count_and_digest(self, tmp_path, private_memo):
+    def test_file_is_the_joined_forms_under_the_pinned_digest(self, tmp_path, private_memo):
         task = EnumerationTask(5, 6, connected=True)
         forms = _forms(enumerate_graphs(task, cache_dir=tmp_path))
-        header, body = (tmp_path / task.cache_name()).read_bytes().split(b"\n", 1)
-        assert header.split() == [b"#lapspec-pool", b"1", b"n5_m6_conn.g6",
-                                  str(len(forms)).encode(),
-                                  hashlib.sha256(body).hexdigest().encode()]
-        assert body == b"".join(form + b"\n" for form in forms)
+        data = (tmp_path / "n5_m6_conn.g6").read_bytes()
+        assert data == b"\n".join(forms)
+        assert hashlib.sha256(data).hexdigest() == POOL_DIGESTS[5]
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: a self-consistent pool "
-                       "file is trusted without checking that it holds the whole pool")
+    def test_library_pins_are_the_independently_grown_digests(self):
+        assert enumeration.POOL_DIGESTS == {**POOL_DIGESTS, 12: POOL_DIGEST_12}
+
+    @pytest.mark.parametrize("call", [
+        lambda d: enumerate_graphs(EnumerationTask(5, 4), cache_dir=d),
+        lambda d: enumerate_graphs(EnumerationTask(5, 5, connected=True), cache_dir=d),
+        lambda d: verify_determination(13, cap=13, cache_dir=d),
+    ], ids=["not-connected", "not-a-pool", "pool-13"])
+    def test_tasks_without_a_pinned_digest_are_refused(self, tmp_path, private_memo,
+                                                       canonical_calls, call):
+        # no digest could vouch for such a file, so none is read or written
+        with pytest.raises(ValueError, match="pinned digests") as info:
+            call(tmp_path)
+        assert type(info.value) is ValueError
+        assert canonical_calls == [] and private_memo == {}
+        assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def _assert_regrown(report, cache_file):
+        # the whole pool, and the file rewritten to the grown bytes
+        assert report.passed
+        assert report.counts["pool"] == POOL_SIZES[8] == 236
+        data = cache_file.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == POOL_DIGESTS[8]
+        assert data == b"\n".join(enumeration._memo[EnumerationTask(8, 9, connected=True)])
+
+    @staticmethod
+    def _forge_members(cache_dir):
+        """The 10 members' canonical forms at n = 8 in the file format: a
+        pool of 10 would let both pool suites pass against a tenth of the
+        pool."""
+        cache_file = cache_dir / EnumerationTask(8, 9, connected=True).cache_name()
+        cache_file.write_bytes(b"\n".join(sorted(canonical_form(g)
+                                                 for g in family_members(8))))
+        return cache_file
+
     def test_forged_pool_file_cannot_pass_determination(self, tmp_path, private_memo):
-        # a valid header over only the 10 members' canonical forms: today
-        # determination passes against this 10-graph pool
+        cache_file = self._forge_members(tmp_path)
+        self._assert_regrown(verify_determination(8, cache_dir=tmp_path), cache_file)
+
+    def test_forged_pool_file_cannot_pass_cospectral_structure(self, tmp_path, private_memo):
+        cache_file = self._forge_members(tmp_path)
+        self._assert_regrown(verify_cospectral_structure(8, cache_dir=tmp_path), cache_file)
+
+    def test_same_count_forgery_is_regrown(self, tmp_path, private_memo):
+        # the true file with one class swapped for a relabeled, non-canonical
+        # string of another pool graph: 236 sorted lines, one class twice
         task = EnumerationTask(8, 9, connected=True)
-        members = sorted(canonical_form(g) for g in family_members(8))
-        (tmp_path / task.cache_name()).write_bytes(enumeration._encode_pool(task, members))
-        report = verify_determination(8, cache_dir=tmp_path)
-        assert not report.passed or report.counts["pool"] == 236
+        forms = list(enumeration._bicyclic_forms(8))
+        forged = graph6_encode(relabel(graph6_decode(forms[0]), list(range(7, -1, -1))))
+        assert forged not in forms and canonical_form(graph6_decode(forged)) == forms[0]
+        i = bisect.bisect(forms, forged)  # forms[i - 1] < forged < forms[i]
+        forms[i] = forged
+        assert i > 0 and forms == sorted(forms) and len(set(forms)) == 236
+        cache_file = tmp_path / task.cache_name()
+        cache_file.write_bytes(b"\n".join(forms))
+        self._assert_regrown(verify_determination(8, cache_dir=tmp_path), cache_file)
 
     def test_truncated_cache_is_regrown(self, tmp_path, private_memo):
-        # A cache holding only the family members must not let
-        # determination pass at n=8 against 10 pool graphs instead of 236.
+        # A cache holding only the family members, not canonically labeled
+        # and with a final newline, must not let determination pass at n=8
+        # against 10 pool graphs instead of 236.
         task = EnumerationTask(8, 9, connected=True)
         members = [graph6_encode(g) for g in family_members(8)]
         cache_file = tmp_path / task.cache_name()
         cache_file.write_bytes(b"\n".join(sorted(members)) + b"\n")
-        report = verify_determination(8, cache_dir=tmp_path)
-        assert report.passed
-        assert report.counts["pool"] == 236
-        assert len(cache_file.read_bytes().splitlines()) == 236 + 1
+        self._assert_regrown(verify_determination(8, cache_dir=tmp_path), cache_file)
 
     @pytest.mark.parametrize("damage", ["drop last line", "wrong task", "unsorted",
-                                        "bad digest", "old format", "empty"])
+                                        "bad digest", "final newline", "old format",
+                                        "empty"])
     def test_damaged_cache_is_regrown_and_rewritten(self, tmp_path, damage, private_memo):
         task = EnumerationTask(6, 7, connected=True)
         forms = _forms(enumerate_graphs(task))
-        good = enumeration._encode_pool(task, forms)
-        header, body = good.split(b"\n", 1)
+        good = b"\n".join(forms)
+        body = good + b"\n"
         damaged = {
-            "drop last line": header + b"\n" + b"".join(f + b"\n" for f in forms[:-1]),
-            "wrong task": enumeration._encode_pool(EnumerationTask(6, 7), forms),
-            "unsorted": enumeration._encode_pool(task, forms[::-1]),
-            "bad digest": header.rsplit(b" ", 1)[0] + b" " + b"0" * 64 + b"\n" + body,
-            "old format": body,
+            "drop last line": b"\n".join(forms[:-1]),
+            "wrong task": b"\n".join(_forms(enumerate_graphs(EnumerationTask(7, 8, True)))),
+            "unsorted": b"\n".join(forms[::-1]),
+            "bad digest": good[:-1] + bytes([good[-1] ^ 1]),
+            "final newline": body,
+            # the header format files had before the digests were pinned
+            "old format": (f"#lapspec-pool 1 {task.cache_name()} {len(forms)} "
+                           f"{hashlib.sha256(body).hexdigest()}\n").encode() + body,
             "empty": b"",
         }[damage]
         cache_file = tmp_path / task.cache_name()
@@ -555,29 +602,18 @@ class TestDiskCache:
         assert cache_file.read_bytes() == good
 
     @staticmethod
-    def _cache_calls(monkeypatch, cache_file) -> dict[str, int]:
-        """Live counts of pool encodes, pool decodes and reads of
-        cache_file."""
-        calls = {"encode": 0, "decode": 0, "read": 0}
-
-        def counted(key, fn):
-            def call(*args):
-                calls[key] += 1
-                return fn(*args)
-            return call
-
-        monkeypatch.setattr(enumeration, "_encode_pool",
-                            counted("encode", enumeration._encode_pool))
-        monkeypatch.setattr(enumeration, "_decode_pool",
-                            counted("decode", enumeration._decode_pool))
+    def _reads(monkeypatch, cache_file) -> list:
+        """A live list that gets one entry per read of cache_file."""
+        reads = []
         read_bytes = type(cache_file).read_bytes
 
         def read(path):
-            calls["read"] += path == cache_file
+            if path == cache_file:
+                reads.append(path)
             return read_bytes(path)
 
         monkeypatch.setattr(type(cache_file), "read_bytes", read)
-        return calls
+        return reads
 
     @pytest.mark.parametrize("first", ["written", "validated"])
     def test_memo_hit_leaves_a_valid_file_untouched(self, tmp_path, monkeypatch,
@@ -589,23 +625,22 @@ class TestDiskCache:
             enumerate_graphs(task, cache_dir=tmp_path)
         cache_file = tmp_path / task.cache_name()
         before = (cache_file.read_bytes(), cache_file.stat().st_mtime_ns)
-        calls = self._cache_calls(monkeypatch, cache_file)
+        reads = self._reads(monkeypatch, cache_file)
         assert enumerate_graphs(task, cache_dir=tmp_path) == pool
-        # one read, compared with one encoding of the memo's pool; no decode
-        assert calls == {"encode": 1, "decode": 0, "read": 1}
+        assert len(reads) == 1
+        assert before[0] == b"\n".join(_forms(pool))
         assert (cache_file.read_bytes(), cache_file.stat().st_mtime_ns) == before
 
-    def test_a_file_validated_on_a_memo_miss_is_encoded_once(self, tmp_path, monkeypatch,
-                                                             private_memo):
+    def test_a_trusted_file_is_read_once_and_not_rewritten(self, tmp_path, monkeypatch,
+                                                          private_memo):
         task = EnumerationTask(6, 7, connected=True)
         pool = enumerate_graphs(task, cache_dir=tmp_path)
         private_memo.clear()
         cache_file = tmp_path / task.cache_name()
         before = (cache_file.read_bytes(), cache_file.stat().st_mtime_ns)
-        calls = self._cache_calls(monkeypatch, cache_file)
+        reads = self._reads(monkeypatch, cache_file)
         assert enumerate_graphs(task, cache_dir=tmp_path) == pool
-        # the decode's own check is the one encode; the file is not rewritten
-        assert calls == {"encode": 1, "decode": 1, "read": 1}
+        assert len(reads) == 1
         assert (cache_file.read_bytes(), cache_file.stat().st_mtime_ns) == before
 
     def test_valid_cache_is_read_without_growing(self, tmp_path, monkeypatch, private_memo):

@@ -15,11 +15,20 @@ once in that tree and once in this checkout, each in its own process, with
 the side that runs first alternating from pair to pair so that a slow phase
 of the machine does not always fall on the same side.  The runs stop at the
 first one that does not report ``correct`` true, after printing its pair
-number, side, exit code and ``FAIL:`` lines.  At the end, for every
-metric of the result lines, the script prints the median and quartiles of
-each side, the change of the medians, and in how many pairs the checkout
-was the better side.  A metric is better lower unless the checkout's
-``BENCHMARK.json`` says otherwise.
+number, side, exit code and ``FAIL:`` lines, and the last 40 lines of its
+standard output.  At the end, for every metric of the result lines, the
+script prints the median and quartiles of each side, the change of the
+medians, in how many pairs the checkout was the better side, and a
+verdict for each end-to-end metric of the checkout's ``BENCHMARK.json``
+(read only), with its relative ``bound`` (0.15 is 15%):
+
+- ``worse``: the checkout's median is worse than the base's by more than
+  the bound;
+- ``unresolved``: the base runs' q1-q3 spread, over the base median, is
+  wider than the bound, and the checkout did not win every pair;
+- ``ok`` otherwise.
+
+A metric is better lower unless ``BENCHMARK.json`` says otherwise.
 
 Standard library only; nothing under ``perfbench/`` is imported or written
 by this script (the benchmark itself writes its scratch files there).
@@ -38,6 +47,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+TAIL_LINES = 40
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -48,12 +58,28 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q[0], q[2]
 
 
+def verdict(row: dict, sign: int, bound: float | None) -> str:
+    """``worse``, ``unresolved`` or ``ok`` for a summary row under a relative
+    bound, as the module docstring defines them; "" without a bound.  sign
+    is 1 for a metric better lower and -1 for one better higher."""
+    if bound is None:
+        return ""
+    if sign * row["delta"] > bound:
+        return "worse"
+    q1, q3 = row["base_quartiles"]
+    if q3 - q1 > bound * abs(row["base_median"]) and row["wins"] < row["pairs"]:
+        return "unresolved"
+    return "ok"
+
+
 def summarize(base: list[dict[str, float]], change: list[dict[str, float]],
-              better: dict[str, str]) -> list[dict]:
+              better: dict[str, str], bounds: dict[str, float] | None = None) -> list[dict]:
     """One row per metric present in every run of both sides: medians and
-    quartiles of each side, the relative change of the medians, and the
+    quartiles of each side, the relative change of the medians, the
     number of pairs (base[i], change[i]) in which the change was strictly
-    better, with ``better[name]`` "lower" (the default) or "higher"."""
+    better, with ``better[name]`` "lower" (the default) or "higher", and
+    the verdict under ``bounds[name]``."""
+    bounds = bounds or {}
     runs = base + change
     names = [name for name in runs[0] if all(name in run for run in runs)] if runs else []
     rows = []
@@ -62,7 +88,7 @@ def summarize(base: list[dict[str, float]], change: list[dict[str, float]],
         after = [run[name] for run in change]
         sign = -1 if better.get(name, "lower") == "higher" else 1
         mid_before, mid_after = statistics.median(before), statistics.median(after)
-        rows.append({
+        row = {
             "metric": name,
             "base_median": mid_before,
             "base_quartiles": quartiles(before),
@@ -71,19 +97,22 @@ def summarize(base: list[dict[str, float]], change: list[dict[str, float]],
             "delta": mid_after / mid_before - 1 if mid_before else float("nan"),
             "wins": sum(sign * (a - b) < 0 for b, a in zip(before, after)),
             "pairs": min(len(before), len(after)),
-        })
+        }
+        row["verdict"] = verdict(row, sign, bounds.get(name))
+        rows.append(row)
     return rows
 
 
 def format_rows(rows: list[dict]) -> str:
     lines = [f"{'metric':<14} {'base median':>12} {'base q1-q3':>21} "
-             f"{'change median':>14} {'change q1-q3':>21} {'delta':>8} {'won':>7}"]
+             f"{'change median':>14} {'change q1-q3':>21} {'delta':>8} {'won':>7} "
+             f"verdict"]
     for r in rows:
         bq, cq = r["base_quartiles"], r["change_quartiles"]
         lines.append(f"{r['metric']:<14} {r['base_median']:>12.6g} "
                      f"{bq[0]:>10.6g}-{bq[1]:<10.6g} {r['change_median']:>14.6g} "
                      f"{cq[0]:>10.6g}-{cq[1]:<10.6g} {r['delta']:>+8.1%} "
-                     f"{r['wins']:>3}/{r['pairs']:<3}")
+                     f"{r['wins']:>3}/{r['pairs']:<3} {r['verdict']}")
     return "\n".join(lines)
 
 
@@ -107,22 +136,25 @@ def parse_run(stdout: str) -> tuple[dict | None, list[str]]:
     return (result if isinstance(result, dict) else None), failures
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> tuple[dict | None, int, list[str]]:
-    """The result line (or None), exit code and ``FAIL:`` lines of one
-    untraced benchmark run in tree."""
+def run_once(tree: Path, workload: str,
+             seconds: float) -> tuple[dict | None, int, list[str], list[str]]:
+    """The result line (or None), exit code, ``FAIL:`` lines and last
+    ``TAIL_LINES`` lines of standard output of one untraced benchmark run
+    in tree."""
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                           "--seconds", str(seconds), "--trace", "0"],
                          cwd=tree, stdout=subprocess.PIPE, text=True)
     result, failures = parse_run(out.stdout)
-    return result, out.returncode, failures
+    return result, out.returncode, failures, out.stdout.splitlines()[-TAIL_LINES:]
 
 
-def better_directions() -> dict[str, str]:
+def end_to_end_metrics() -> list[dict]:
+    """The end-to-end metrics of the checkout's ``BENCHMARK.json``."""
     try:
         spec = json.loads((REPO / "BENCHMARK.json").read_text())
     except (OSError, json.JSONDecodeError):
-        return {}
-    return {m["name"]: m.get("better", "lower") for m in spec.get("end_to_end", [])}
+        return []
+    return spec.get("end_to_end", [])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -139,18 +171,24 @@ def main(argv: list[str] | None = None) -> int:
         extract(args.base, trees["base"])
         for i in range(args.pairs):
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                result, code, failures = run_once(trees[side], args.workload, args.seconds)
+                result, code, failures, tail = run_once(trees[side], args.workload,
+                                                        args.seconds)
                 if result is None or not result.get("correct"):
                     print(f"pair {i + 1}: the {side} run exited {code} and did not report "
                           f"correct true; stopping", file=sys.stderr)
                     for line in failures:
                         print(f"pair {i + 1} {side}: {line}", file=sys.stderr)
+                    print(f"pair {i + 1} {side}: last {len(tail)} lines of its output:")
+                    print("\n".join(tail))
                     return 1
                 values = {k: m["value"] for k, m in result["metrics"].items()}
                 runs[side].append(values)
                 print(f"pair {i + 1} {side}: " + " ".join(
                     f"{k}={v:.6g}" for k, v in values.items()), flush=True)
-    print(format_rows(summarize(runs["base"], runs["change"], better_directions())))
+    metrics = end_to_end_metrics()
+    better = {m["name"]: m.get("better", "lower") for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
+    print(format_rows(summarize(runs["base"], runs["change"], better, bounds)))
     return 0
 
 
