@@ -27,10 +27,18 @@ generated only to be thrown away:
   reach every class.  A twin swap is an automorphism of the parent and maps
   a top edge to a top edge, so twin pruning and the top-edge rule combine.
 
-Every level grown is kept in the in-process memo, and a task resumes from
+Only the levels with at most half of the C = n(n - 1)/2 vertex pairs are
+grown.  Complementing is a bijection between the classes with m edges and
+those with C - m, so a level with 2m > C is built from the level (n, C - m),
+taken from the memo or grown as above: each representative is complemented
+(rows by mask, through ``Graph._trusted``), and each complement costs one
+canonical call, with nothing to deduplicate.
+
+Every level built is kept in the in-process memo, and a task resumes from
 the deepest level already there: (7, m) grows one level from (7, m - 1),
-and a connected (7, m) task only filters the (7, m) level when an earlier
-task, such as the census, has grown it.
+(7, 15) complements the (7, 6) level, and a connected (7, m) task only
+filters the (7, m) level when an earlier task, such as the census, has
+built it.
 
 The connected graphs with n >= 4 vertices and n + 1 edges, the pool of the
 determination suites, come from a structural route instead.  Such a graph
@@ -329,22 +337,52 @@ def _dedup(children: Iterable[Graph]) -> dict[bytes, Graph]:
     return level
 
 
-def _grow_forms(task: EnumerationTask) -> list[bytes]:
-    # The levels of all graphs on n vertices with 0..m edges, each grown by
-    # top edges from the one before; a connected task filters the last.
-    stages = [EnumerationTask(task.n, e) for e in range(task.m + 1)]
+def _complement(g: Graph) -> Graph:
+    """The graph on g's vertices whose edges are g's non-edges."""
+    n = g.n
+    full = (1 << n) - 1
+    rows = tuple(full ^ row ^ 1 << v for v, row in enumerate(g.rows))
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rows[i] >> j & 1)
+    return Graph._trusted(n, edges, rows)
+
+
+def _level(n: int, m: int) -> tuple[list[bytes], dict[bytes, Graph]]:
+    """The sorted forms of all graphs on n vertices with m edges, the list
+    the memo holds, and a dict from each form to a representative.  A level
+    with at most half the vertex pairs is grown by top edges from the
+    deepest level below it in the memo, or from the empty graph; a denser
+    one complements the level of C - m edges, C = n(n - 1)/2, one canonical
+    call per class.  Every level built goes into the memo."""
+    pairs = n * (n - 1) // 2
+    if 2 * m > pairs:
+        task = EnumerationTask(n, m)
+        forms = _memo.get(task)
+        if forms is not None:
+            return forms, dict(zip(forms, _decode(forms)))
+        mirror = _level(n, pairs - m)[1].values()
+        level = {canonical_form(g): g for g in map(_complement, mirror)}
+        forms = _memo[task] = sorted(level)
+        return forms, level
+    stages = [EnumerationTask(n, e) for e in range(m + 1)]
     done = [i for i, stage in enumerate(stages) if stage in _memo]
     if done:
         start = done[-1]
         forms = _memo[stages[start]]
         level = dict(zip(forms, _decode(forms)))
     else:
-        start, seed = 0, Graph(task.n)
+        start, seed = 0, Graph(n)
         level = {canonical_form(seed): seed}
         forms = list(level)
     for stage in stages[start + 1:]:
         level = _dedup(_add_top_edge(level.values()))
         forms = _memo[stage] = sorted(level)
+    return forms, level
+
+
+def _grow_forms(task: EnumerationTask) -> list[bytes]:
+    # a connected task keeps the classes of the level of all graphs whose
+    # representative is connected
+    forms, level = _level(task.n, task.m)
     if task.connected:
         return [form for form in forms if is_connected(level[form])]
     return forms

@@ -553,9 +553,12 @@ def verify_cospectral_structure(n: int, cap: int = DEFAULT_CAP,
 def verify_census(n_max: int = 7, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Edge-addition and vertex-growth enumeration agree, class by class, on
     all graphs with n <= n_max vertices, and the graph6 codec round-trips
-    every one of them bit-exactly.  The vertex route grows each level once,
-    into one memo, and its forms are the keys the growth computed.  A census
-    above cap is refused before any growth."""
+    every one of them bit-exactly.  The routes are compared per vertex
+    count and, when those agree, per edge count: the edge route's task
+    (n, m) against the vertex route's classes with m edges, so a level the
+    edge route builds from the wrong one still fails.  The vertex route
+    grows each level once, into one memo, and its forms are the keys the
+    growth computed.  A census above cap is refused before any growth."""
     if n_max > cap:
         raise EnumerationCapError(cap + 1, cap)
     by_vertices: list[dict[bytes, Graph]] = []
@@ -563,18 +566,27 @@ def verify_census(n_max: int = 7, cap: int = DEFAULT_CAP) -> VerificationReport:
     totals = {}
     round_trips = 0
     for n in range(n_max + 1):
-        by_edges: list[Graph] = []
-        for m in range(n * (n - 1) // 2 + 1):
-            by_edges.extend(enumerate_graphs(EnumerationTask(n, m), cap=cap))
+        levels = [enumerate_graphs(EnumerationTask(n, m), cap=cap)
+                  for m in range(n * (n - 1) // 2 + 1)]
         # enumerate_graphs returns canonically labeled graphs, so each
         # encoding is a canonical form; a relabeled graph fails the match.
-        forms_a = [graph6_encode(g) for g in by_edges]
+        level_forms = [[graph6_encode(g) for g in level] for level in levels]
+        by_edges = [g for level in levels for g in level]
+        forms_a = [form for forms in level_forms for form in forms]
         enumerate_by_vertex_growth(n, cap=cap, levels=by_vertices)
         forms_b = list(by_vertices[n])
         totals[n] = len(forms_a)
         if sorted(forms_a) != forms_b:
             counterexamples.append({"n": n, "edge_route": len(forms_a),
                                     "vertex_route": len(forms_b)})
+        else:
+            by_size: list[list[bytes]] = [[] for _ in levels]
+            for form, g in by_vertices[n].items():
+                by_size[g.m].append(form)
+            for m, (forms, classes) in enumerate(zip(level_forms, by_size)):
+                if forms != classes:
+                    counterexamples.append({"n": n, "m": m, "edge_route": len(forms),
+                                            "vertex_route": len(classes)})
         for g, encoded in zip(by_edges, forms_a):
             round_trips += 1
             back = graph6_decode(encoded)

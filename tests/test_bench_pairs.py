@@ -59,24 +59,58 @@ def test_parse_keeps_the_result_and_the_failed_gates():
     assert bench_pairs.parse_run("[1, 2]\n") == (None, [])
 
 
+def _result_line(wall):
+    return json.dumps({"correct": True, "metrics": {"wall_s": {"value": wall}}}) + "\n"
+
+
 def test_a_failed_run_reports_pair_side_exit_code_and_gates(monkeypatch, capsys):
-    # pair 1 runs the base first; a stub run fails it without running anything
-    out = ("FAIL: determination n=8 pool\n"
-           '{"correct": false, "attempted": 9, "failed": 1, "metrics": {}}\n')
+    # pair 1 runs the base first, and that run fails; the other three pass
+    failed = ("FAIL: determination n=8 pool\n"
+              '{"correct": false, "attempted": 9, "failed": 1, "metrics": {}}\n')
     calls = []
 
     def run(cmd, **kwargs):
         calls.append(kwargs["cwd"])
-        return subprocess.CompletedProcess(cmd, 1, stdout=out)
+        if len(calls) == 1:
+            return subprocess.CompletedProcess(cmd, 1, stdout=failed, stderr="")
+        wall = 1.0 if kwargs["cwd"] != bench_pairs.REPO else 0.9
+        return subprocess.CompletedProcess(cmd, 0, stdout=_result_line(wall), stderr="")
 
     monkeypatch.setattr(bench_pairs, "extract", lambda commit, into: None)
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
     assert bench_pairs.main(["--base", "HEAD", "--workload", "determination-warm",
                              "--pairs", "2"]) == 1
-    assert len(calls) == 1 and calls[0] != bench_pairs.REPO
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["pair 1: the base run exited 1 and did not report correct true; stopping",
-                   "pair 1 base: FAIL: determination n=8 pool"]
+    # every run is made, base and change alternating who goes first
+    assert [cwd == bench_pairs.REPO for cwd in calls] == [False, True, True, False]
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "pair 1: the base run exited 1 and did not report correct true",
+        "pair 1 base: FAIL: determination n=8 pool",
+        "failed runs: base 1 of 2, change 0 of 2"]
+    # only pair 2, where both runs were correct, is compared
+    wall = [line for line in captured.out.splitlines() if line.startswith("wall_s")]
+    assert len(wall) == 1 and wall[0].split()[-2] == "1/1"
+
+
+def test_a_failed_run_prints_the_tail_of_its_output(monkeypatch, capsys):
+    lines = [f"line {i}" for i in range(1, 51)]
+    trace = ["Traceback (most recent call last):", '  File "perfbench/run.py"',
+             "statistics.StatisticsError: fmean requires at least one data point"]
+
+    def run(cmd, **kwargs):
+        if kwargs["cwd"] != bench_pairs.REPO:
+            return subprocess.CompletedProcess(cmd, 1, stdout="\n".join(lines) + "\n",
+                                               stderr="\n".join(trace) + "\n")
+        return subprocess.CompletedProcess(cmd, 0, stdout=_result_line(1.0), stderr="")
+
+    monkeypatch.setattr(bench_pairs, "extract", lambda commit, into: None)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "determination-warm",
+                             "--pairs", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:45] == (["pair 1 base: last 40 lines of its output:"] + lines[-40:]
+                        + ["pair 1 base: last 3 lines of its standard error:"] + trace)
+    assert out[45] == "pair 1 change: wall_s=1"
 
 
 def _verdicts(base, change, better=None):
@@ -129,10 +163,3 @@ def test_summary_reads_the_bounds_of_benchmark_json(monkeypatch, capsys):
                 for line in capsys.readouterr().out.splitlines()[-3:]}
     assert verdicts == {"wall_s": "worse", "setup_s": "ok", "peak_rss_mb": "ok"}
 
-
-def test_a_failed_run_prints_the_tail_of_its_output(monkeypatch, capsys):
-    lines = [f"line {i}" for i in range(1, 51)] + ["Traceback (most recent call last):"]
-    _stub_runs(monkeypatch, lambda is_base: "\n".join(lines) + "\n")
-    assert bench_pairs.main(["--base", "HEAD", "--workload", "determination-warm"]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert out == ["pair 1 base: last 40 lines of its output:"] + lines[-40:]

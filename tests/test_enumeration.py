@@ -178,13 +178,15 @@ class TestPoolIdentity:
     def test_every_task_matches_vertex_growth(self, n, private_memo):
         by_growth = enumerate_by_vertex_growth(n)
         edge_counts = range(n * (n - 1) // 2 + 1)
-        # ascending: a fresh seed, then every task resumes one level
+        # ascending: a fresh seed, then every sparse task resumes one level
+        # and every dense one complements the level of its mirror
         for m in edge_counts:
             expected = sorted(canonical_form(g) for g in by_growth if g.m == m)
             assert _forms(enumerate_graphs(EnumerationTask(n, m))) == expected, m
         private_memo.clear()
-        # descending: one fresh growth of the unconnected levels, then each
-        # connected task filters a level that growth wrote on the way
+        # descending: the dense tasks grow the sparse levels as their
+        # mirrors and complement them, then each sparse connected task
+        # filters a level that growth wrote on the way
         for m in reversed(edge_counts):
             expected = sorted(canonical_form(g) for g in by_growth
                               if g.m == m and is_connected(g))
@@ -233,6 +235,41 @@ class TestTopEdgeRule:
         enumerate_graphs(EnumerationTask(7, 10))
         assert len(canonical_calls) == sum(1 for _ in enumeration._add_top_edge(below))
         assert len(canonical_calls) < sum(1 for _ in twin_pruned_edge_children(below)) / 2
+
+
+class TestComplementLevels:
+    """A level with more than half of the C = n(n - 1)/2 vertex pairs is
+    the complement of the level with C - m edges, class for class."""
+
+    def test_dense_connected_task_equals_vertex_route(self, private_memo):
+        expected = [canonical_form(g) for g in enumerate_by_vertex_growth(7)
+                    if g.m == 15 and is_connected(g)]
+        pool = enumerate_graphs(EnumerationTask(7, 15, connected=True))
+        assert _forms(pool) == expected
+        assert len(pool) == 40
+
+    def test_dense_task_grows_only_the_sparse_levels(self, private_memo, canonical_calls):
+        # (7, 15) from an empty memo grows the levels (7, 0..6), then makes
+        # one canonical call per complement of a (7, 6) class
+        level = enumerate_graphs(EnumerationTask(7, 15))
+        assert len(level) == 41
+        assert set(private_memo) == {EnumerationTask(7, m) for m in [*range(1, 7), 15]}
+        assert sorted({g.m for g in canonical_calls}) == [0, 1, 2, 3, 4, 5, 6, 15]
+        dense = [g for g in canonical_calls if g.m == 15]
+        assert len(dense) == len(level)
+        # each complement is a well-formed graph: its rows are those its
+        # edges give, with no vertex its own neighbor
+        assert all(g.rows == Graph(7, g.edges).rows for g in dense)
+        assert sorted(_forms(dense)) == _forms(level)
+
+    def test_complement_of_every_small_graph(self):
+        for n in range(6):
+            for g in enumerate_by_vertex_growth(n):
+                h = enumeration._complement(g)
+                assert h.m == n * (n - 1) // 2 - g.m
+                assert h.rows == Graph(n, h.edges).rows
+                assert not set(h.edges) & set(g.edges)
+                assert enumeration._complement(h) == g
 
 
 class TestStructuralRoute:
@@ -344,7 +381,8 @@ class TestVertexGrowthRoute:
 
     def test_census_grows_each_vertex_level_once(self, private_memo, canonical_calls,
                                                  monkeypatch):
-        # 2,347 calls for the edge route and 1,674 for the vertex route
+        # 1,783 calls for the edge route, which complements its levels with
+        # more than half the vertex pairs, and 1,674 for the vertex route
         # (the seed and 1,673 twin-pruned top-vertex children); the census
         # reads the vertex route's forms instead of canonicalizing its
         # classes again
@@ -362,7 +400,7 @@ class TestVertexGrowthRoute:
         monkeypatch.setattr(verify, "canonical_form", enumeration.canonical_form)
         report = verify_census(n_max=7)
         assert report.passed
-        assert len(canonical_calls) == 2347 + 1 + children == 4021
+        assert len(canonical_calls) == 1783 + 1 + children == 3457
         assert grown == [[n] * total for n, total in enumerate([1, 1, 2, 4, 11, 34, 156])]
 
     def test_census_canonicalizes_only_inside_the_enumerators(self, private_memo,
@@ -395,9 +433,9 @@ class TestVertexGrowthRoute:
         monkeypatch.setattr(verify, "canonical_form", enumeration.canonical_form)
         assert verify_census(n_max=7).passed
         assert vertex_calls == list(range(8))
-        assert inside == {"edges": 2347, "vertices": 1 + children} == \
-            {"edges": 2347, "vertices": 1674}
-        assert len(canonical_calls) == 4021
+        assert inside == {"edges": 1783, "vertices": 1 + children} == \
+            {"edges": 1783, "vertices": 1674}
+        assert len(canonical_calls) == 3457
 
     @pytest.mark.parametrize("n", [6.5, 6.0])
     def test_refuses_a_non_integer_n_before_any_growth(self, canonical_calls, n):

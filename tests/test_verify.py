@@ -209,6 +209,23 @@ class TestPoolSuites:
         assert not report.passed
         assert report.counterexamples == [{"n": 4, "edge_route": 11, "vertex_route": 11}]
 
+    def test_census_compares_each_edge_count(self, monkeypatch):
+        # The edge route answers (4, 2) with the (4, 4) classes and the
+        # other way round: every class of n = 4 still comes out once, so only
+        # the per-level comparison sees it.
+        enumerate_graphs = verify.enumerate_graphs
+
+        def swapped(task, **kwargs):
+            m = {2: 4, 4: 2}.get(task.m, task.m) if task.n == 4 else task.m
+            return enumerate_graphs(EnumerationTask(task.n, m), **kwargs)
+
+        monkeypatch.setattr(verify, "enumerate_graphs", swapped)
+        report = verify_census(n_max=4)
+        assert not report.passed
+        assert report.counterexamples == [
+            {"n": 4, "m": 2, "edge_route": 2, "vertex_route": 2},
+            {"n": 4, "m": 4, "edge_route": 2, "vertex_route": 2}]
+
 
 @pytest.fixture
 def charpoly_calls(monkeypatch):

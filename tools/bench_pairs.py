@@ -13,14 +13,15 @@ temporary directory.  Each pair then runs
 
 once in that tree and once in this checkout, each in its own process, with
 the side that runs first alternating from pair to pair so that a slow phase
-of the machine does not always fall on the same side.  The runs stop at the
-first one that does not report ``correct`` true, after printing its pair
-number, side, exit code and ``FAIL:`` lines, and the last 40 lines of its
-standard output.  At the end, for every metric of the result lines, the
-script prints the median and quartiles of each side, the change of the
-medians, in how many pairs the checkout was the better side, and a
-verdict for each end-to-end metric of the checkout's ``BENCHMARK.json``
-(read only), with its relative ``bound`` (0.15 is 15%):
+of the machine does not always fall on the same side.  For a run that does
+not report ``correct`` true the script prints its pair number, side, exit
+code and ``FAIL:`` lines, and the last 40 lines of its standard output and
+of its standard error (where a traceback goes), and goes on with the next
+run.  At the end, over the pairs in which both runs were correct, for every
+metric of the result lines, the script prints the median and quartiles of
+each side, the change of the medians, in how many pairs the checkout was
+the better side, and a verdict for each end-to-end metric of the checkout's
+``BENCHMARK.json`` (read only), with its relative ``bound`` (0.15 is 15%):
 
 - ``worse``: the checkout's median is worse than the base's by more than
   the bound;
@@ -28,7 +29,9 @@ verdict for each end-to-end metric of the checkout's ``BENCHMARK.json``
   wider than the bound, and the checkout did not win every pair;
 - ``ok`` otherwise.
 
-A metric is better lower unless ``BENCHMARK.json`` says otherwise.
+A metric is better lower unless ``BENCHMARK.json`` says otherwise.  The
+script then prints how many runs of each side failed, and exits 1 if any
+did.
 
 Standard library only; nothing under ``perfbench/`` is imported or written
 by this script (the benchmark itself writes its scratch files there).
@@ -45,6 +48,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parents[1]
 TAIL_LINES = 40
@@ -136,16 +140,45 @@ def parse_run(stdout: str) -> tuple[dict | None, list[str]]:
     return (result if isinstance(result, dict) else None), failures
 
 
-def run_once(tree: Path, workload: str,
-             seconds: float) -> tuple[dict | None, int, list[str], list[str]]:
-    """The result line (or None), exit code, ``FAIL:`` lines and last
-    ``TAIL_LINES`` lines of standard output of one untraced benchmark run
-    in tree."""
+class Run(NamedTuple):
+    """One untraced benchmark run: its result line (or None), exit code,
+    ``FAIL:`` lines, and the last ``TAIL_LINES`` lines of its standard
+    output and standard error."""
+
+    result: dict | None
+    code: int
+    failures: list[str]
+    out_tail: list[str]
+    err_tail: list[str]
+
+    @property
+    def correct(self) -> bool:
+        return self.result is not None and bool(self.result.get("correct"))
+
+
+def run_once(tree: Path, workload: str, seconds: float) -> Run:
+    """One untraced benchmark run in tree."""
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                           "--seconds", str(seconds), "--trace", "0"],
-                         cwd=tree, stdout=subprocess.PIPE, text=True)
+                         cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True)
     result, failures = parse_run(out.stdout)
-    return result, out.returncode, failures, out.stdout.splitlines()[-TAIL_LINES:]
+    return Run(result, out.returncode, failures, out.stdout.splitlines()[-TAIL_LINES:],
+               (out.stderr or "").splitlines()[-TAIL_LINES:])
+
+
+def report_failed(pair: int, side: str, run: Run) -> None:
+    """What a run that did not report correct true left behind."""
+    label = f"pair {pair} {side}"
+    print(f"pair {pair}: the {side} run exited {run.code} and did not report "
+          f"correct true", file=sys.stderr)
+    for line in run.failures:
+        print(f"{label}: {line}", file=sys.stderr)
+    print(f"{label}: last {len(run.out_tail)} lines of its output:")
+    print("\n".join(run.out_tail))
+    if run.err_tail:
+        print(f"{label}: last {len(run.err_tail)} lines of its standard error:")
+        print("\n".join(run.err_tail))
 
 
 def end_to_end_metrics() -> list[dict]:
@@ -166,29 +199,32 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     runs: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
+    failed = {"base": 0, "change": 0}
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         trees = {"base": Path(tmp), "change": REPO}
         extract(args.base, trees["base"])
         for i in range(args.pairs):
+            pair: dict[str, dict[str, float]] = {}
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                result, code, failures, tail = run_once(trees[side], args.workload,
-                                                        args.seconds)
-                if result is None or not result.get("correct"):
-                    print(f"pair {i + 1}: the {side} run exited {code} and did not report "
-                          f"correct true; stopping", file=sys.stderr)
-                    for line in failures:
-                        print(f"pair {i + 1} {side}: {line}", file=sys.stderr)
-                    print(f"pair {i + 1} {side}: last {len(tail)} lines of its output:")
-                    print("\n".join(tail))
-                    return 1
-                values = {k: m["value"] for k, m in result["metrics"].items()}
-                runs[side].append(values)
+                run = run_once(trees[side], args.workload, args.seconds)
+                if not run.correct:
+                    failed[side] += 1
+                    report_failed(i + 1, side, run)
+                    continue
+                pair[side] = {k: m["value"] for k, m in run.result["metrics"].items()}
                 print(f"pair {i + 1} {side}: " + " ".join(
-                    f"{k}={v:.6g}" for k, v in values.items()), flush=True)
+                    f"{k}={v:.6g}" for k, v in pair[side].items()), flush=True)
+            if len(pair) == 2:  # a pair is compared only when both runs were correct
+                for side, values in pair.items():
+                    runs[side].append(values)
     metrics = end_to_end_metrics()
     better = {m["name"]: m.get("better", "lower") for m in metrics}
     bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
     print(format_rows(summarize(runs["base"], runs["change"], better, bounds)))
+    if any(failed.values()):
+        print(f"failed runs: base {failed['base']} of {args.pairs}, "
+              f"change {failed['change']} of {args.pairs}", file=sys.stderr)
+        return 1
     return 0
 
 
