@@ -11,6 +11,15 @@ backwards extends phi(U) to phi(U_-1) = 0 and phi(U_-2) = -1, which lets the
 dumbbell and theta formulas below absorb their own boundary cases (k = 0
 bridge, length-0 chain) without special-casing.
 
+``_sequence`` walks the recurrence from two seeds in whatever ring x lives
+in: the IntPoly ``X``, the Kronecker integer z below, or a plain integer
+point.  The interior sequence starts from the backward seeds u(-2) = -1 and
+u(-1) = 0, the path sequence from phi(P_0) and phi(P_1).  Each call walks
+one sequence as far as it needs and keeps nothing, so no module state grows
+with the largest n ever asked; a caller that wants the values at one point
+(the special values at x = 4 and x = 2) walks the sequence at that point
+and never builds a polynomial.
+
 The dumbbell formula goes through the helper polynomial of the "cycle plus
 dangling path" block obtained by deleting the first cycle; the theta formula
 goes through the helper obtained by deleting one hub.  Both come from
@@ -18,12 +27,12 @@ expanding det(xI - L) along the structure of the graph, and both are checked
 against the direct matrix route in the tests rather than trusted.
 
 Each formula is written once, over a ring element x and the values
-u(j) = phi(U_j) in that ring.  With x = X and u = ``u_poly_rec`` it computes
-IntPolys: ``_cycle_block``, ``dumbbell_helper_poly`` and ``theta_helper_poly``
-are those, and they serve as the test oracle.  ``dumbbell_charpoly_rec`` and
-``theta_charpoly_rec`` evaluate the same formulas in the integers at the
-Kronecker point x = z = 2^b, with u(j+1) = (z - 2) u(j) - u(j-1) from
-u(-2) = -1 and u(-1) = 0, and unpack the result into n + 1 balanced base-2^b
+u(j) = phi(U_j) in that ring, read from one walk of the interior sequence
+(``_u_table``).  With x = X it computes IntPolys: ``_cycle_block``,
+``dumbbell_helper_poly`` and ``theta_helper_poly`` are those, and they serve
+as the test oracle.  ``dumbbell_charpoly_rec`` and ``theta_charpoly_rec``
+evaluate the same formulas in the integers at the Kronecker point
+x = z = 2^b, and unpack the result into n + 1 balanced base-2^b
 digits in [-2^(b-1), 2^(b-1)).  The map x -> 2^b is a ring homomorphism, so
 the integer is the value at z of the polynomial the formula computes, and
 the unpacking returns that polynomial exactly when every coefficient is
@@ -45,32 +54,51 @@ factor of 16 to spare: 2^(b-1) = 2^(2n+7).
 
 from __future__ import annotations
 
-from .polynomials import (IntPoly, LaurentPoly, X, ZERO, kronecker_unpack,
-                          substitute_y)
+from itertools import islice
 
-_U_NEG = {-1: ZERO, -2: IntPoly.const(-1)}
-_U_CACHE = [IntPoly.const(1), IntPoly((-2, 1))]
-_PATH_CACHE = [ZERO, X]
+from .polynomials import IntPoly, LaurentPoly, X, kronecker_unpack, substitute_y
+
+
+def _sequence(x, f0, f1):
+    """Yield f0, f1, f2, ... with f(j+1) = (x - 2) f(j) - f(j-1), without
+    end, in the ring of x and the seeds."""
+    step = x - 2
+    while True:
+        yield f0
+        f0, f1 = f1, step * f1 - f0
+
+
+def _interior_sequence(x):
+    """phi(U_j) at x for j = -2, -1, 0, 1, ...; x - x is the zero of x's
+    ring, so the seeds u(-2) = -1 and u(-1) = 0 live in that ring too."""
+    zero = x - x
+    return _sequence(x, zero - 1, zero)
+
+
+def _path_sequence(x):
+    """phi(P_j) at x for j = 0, 1, 2, ..., from phi(P_0) = 0 and phi(P_1) = x."""
+    return _sequence(x, x - x, x)
+
+
+def _u_table(x, top: int):
+    """u(j) = phi(U_j) at x for -2 <= j <= top, from one walk of the
+    sequence, as the lookup the family formulas take."""
+    values = list(islice(_interior_sequence(x), top + 3))
+    return lambda j: values[j + 2]
 
 
 def u_poly_rec(n: int) -> IntPoly:
     """phi(U_n) for n >= -2 (negative indices by the backward recurrence)."""
     if n < -2:
         raise ValueError("u_poly_rec needs n >= -2")
-    if n < 0:
-        return _U_NEG[n]
-    while len(_U_CACHE) <= n:
-        _U_CACHE.append((X - 2) * _U_CACHE[-1] - _U_CACHE[-2])
-    return _U_CACHE[n]
+    return next(islice(_interior_sequence(X), n + 2, None))
 
 
 def path_charpoly_rec(n: int) -> IntPoly:
     """phi(L(P_n)) for n >= 0; the zero polynomial at n = 0."""
     if n < 0:
         raise ValueError("path_charpoly_rec needs n >= 0")
-    while len(_PATH_CACHE) <= n:
-        _PATH_CACHE.append((X - 2) * _PATH_CACHE[-1] - _PATH_CACHE[-2])
-    return _PATH_CACHE[n]
+    return next(islice(_path_sequence(X), n, None))
 
 
 # The family formulas, over a ring element x and u(j) = phi(U_j) in that
@@ -121,18 +149,13 @@ def _at_kronecker_point(n: int, formula, *params: int) -> IntPoly:
     The family formulas call u at indices -2..max(params) only."""
     b = _kronecker_bits(n)
     z = 1 << b
-    values = {-2: -1, -1: 0}
-    prev, cur = -1, 0
-    for j in range(max(params) + 1):
-        prev, cur = cur, (z - 2) * cur - prev
-        values[j] = cur
-    return kronecker_unpack(formula(z, values.__getitem__, *params), b, n)
+    return kronecker_unpack(formula(z, _u_table(z, max(params)), *params), b, n)
 
 
 def _cycle_block(length: int) -> IntPoly:
     """``_block`` as an IntPoly: a cycle of the given length carrying one
     degree-3 attachment vertex."""
-    return _block(X, u_poly_rec, length)
+    return _block(X, _u_table(X, length), length)
 
 
 def dumbbell_helper_poly(q: int, k: int) -> IntPoly:
@@ -145,7 +168,7 @@ def dumbbell_helper_poly(q: int, k: int) -> IntPoly:
         raise ValueError("dumbbell_helper_poly needs q >= 3")
     if k < -1:
         raise ValueError("dumbbell_helper_poly needs k >= -1")
-    return _dumbbell_helper(X, u_poly_rec, q, k)
+    return _dumbbell_helper(X, _u_table(X, max(q, k)), q, k)
 
 
 def dumbbell_charpoly_rec(p: int, k: int, q: int) -> IntPoly:
@@ -167,7 +190,7 @@ def theta_helper_poly(r: int, s: int, t: int) -> IntPoly:
     hub-to-hub edge case used by the top-level recurrence."""
     if min(r, s, t) < -1:
         raise ValueError("theta_helper_poly needs r, s, t >= -1")
-    return _theta_helper(X, u_poly_rec, r, s, t)
+    return _theta_helper(X, _u_table(X, max(r, s, t)), r, s, t)
 
 
 def theta_charpoly_rec(r: int, s: int, t: int) -> IntPoly:
@@ -236,7 +259,10 @@ def u_generating_identity_holds(r: int) -> bool:
     the engine behind the y-side identities for both families."""
     if r < 0:
         raise ValueError("r >= 0 required")
-    lhs = (LaurentPoly.monomial(r + 2) - LaurentPoly.monomial(r)) \
-        * substitute_y(u_poly_rec(r))
-    rhs = LaurentPoly.monomial(2 * r + 2) - 1
-    return lhs == rhs
+    return _generating_identity_holds(r, u_poly_rec(r))
+
+
+def _generating_identity_holds(r: int, u_r: IntPoly) -> bool:
+    """The generating identity for r, given u_r = phi(U_r)."""
+    lhs = (LaurentPoly.monomial(r + 2) - LaurentPoly.monomial(r)) * substitute_y(u_r)
+    return lhs == LaurentPoly.monomial(2 * r + 2) - 1

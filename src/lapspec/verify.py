@@ -49,6 +49,7 @@ import inspect
 import time
 from collections import Counter, defaultdict
 from dataclasses import asdict
+from itertools import islice
 from random import Random
 from typing import Callable
 
@@ -67,10 +68,10 @@ from .invariants import (InvalidCharpolyError, degree_constraint_solver,
 from .laplacian import (_charpoly_value, charpoly, laplacian,
                         spanning_tree_count, trailing_charpolys, u_matrix,
                         verify_deletion_formula)
-from .polynomials import IntPoly
-from .recurrences import (dumbbell_charpoly_rec, dumbbell_value_at4,
-                          path_charpoly_rec, path_value_at4, theta_charpoly_rec,
-                          theta_value_at4, u_generating_identity_holds, u_poly_rec,
+from .polynomials import IntPoly, X
+from .recurrences import (_generating_identity_holds, _interior_sequence,
+                          _path_sequence, dumbbell_charpoly_rec, dumbbell_value_at4,
+                          path_value_at4, theta_charpoly_rec, theta_value_at4,
                           u_value_at2, u_value_at4)
 from .reports import VerificationReport
 from .termtables import audit_dumbbell_identity, audit_theta_identity
@@ -237,15 +238,15 @@ def verify_recurrences(path_n_max: int = 40, p_max: int = 8, k_max: int = 5,
     counterexamples = []
     counts = {"paths": 0, "interior_matrices": 0, "dumbbells": 0, "thetas": 0}
 
-    for n in range(1, path_n_max + 1):
+    for n, phi in zip(range(1, path_n_max + 1), islice(_path_sequence(X), 1, None)):
         counts["paths"] += 1
-        if path_charpoly_rec(n) != charpoly(laplacian(make_path(n))):
+        if phi != charpoly(laplacian(make_path(n))):
             counterexamples.append({"case": "path", "n": n})
     # u_matrix(n) is the trailing n x n block of u_matrix(path_n_max).
     interior = trailing_charpolys(u_matrix(path_n_max))
-    for n in range(path_n_max + 1):
+    for n, phi in zip(range(path_n_max + 1), islice(_interior_sequence(X), 2, None)):
         counts["interior_matrices"] += 1
-        if u_poly_rec(n) != interior[n]:
+        if phi != interior[n]:
             counterexamples.append({"case": "interior", "n": n})
     for p in range(3, p_max + 1):
         for q in range(3, p_max + 1):
@@ -266,16 +267,22 @@ def verify_recurrences(path_n_max: int = 40, p_max: int = 8, k_max: int = 5,
 def verify_special_values(n_max: int = 200) -> VerificationReport:
     """Closed forms at special points, exactly: path charpoly at 4 equals 4n,
     interior charpoly at 4 equals n+1, interior charpoly at 2 alternates
-    0 / +-1 with the sign of n/2."""
+    0 / +-1 with the sign of n/2.
+
+    Evaluation at an integer point is a ring homomorphism Z[x] -> Z, so the
+    recurrence f(j+1) = (x - 2) f(j) - f(j-1) run in the integers at x = 4
+    and x = 2, from the seeds at that point, gives exactly the values of the
+    polynomials phi(P_n) and phi(U_n) there.  The walk keeps two small
+    integers per sequence and builds no polynomial, so the suite costs O(n)
+    integer operations."""
     counterexamples = []
-    for n in range(n_max + 1):
-        pv = path_charpoly_rec(n).eval(4)
+    walks = zip(range(n_max + 1), _path_sequence(4),
+                islice(_interior_sequence(4), 2, None), islice(_interior_sequence(2), 2, None))
+    for n, pv, uv, u2 in walks:
         if pv != 4 * n or pv != path_value_at4(n):
             counterexamples.append({"case": "path_at_4", "n": n, "value": pv})
-        uv = u_poly_rec(n).eval(4)
         if uv != n + 1 or uv != u_value_at4(n):
             counterexamples.append({"case": "interior_at_4", "n": n, "value": uv})
-        u2 = u_poly_rec(n).eval(2)
         want = 0 if n % 2 == 1 else (-1) ** (n // 2)
         if u2 != want or u2 != u_value_at2(n):
             counterexamples.append({"case": "interior_at_2", "n": n, "value": u2})
@@ -287,8 +294,9 @@ def verify_special_values(n_max: int = 200) -> VerificationReport:
 def verify_generating_identity(r_max: int = 50) -> VerificationReport:
     """The substituted interior charpoly times y^(r+2) - y^r telescopes to
     y^(2r+2) - 1, exactly, for r <= r_max."""
-    counterexamples = [{"r": r} for r in range(r_max + 1)
-                       if not u_generating_identity_holds(r)]
+    interior = islice(_interior_sequence(X), 2, r_max + 3)
+    counterexamples = [{"r": r} for r, u_r in enumerate(interior)
+                       if not _generating_identity_holds(r, u_r)]
     return f"r <= {r_max}", {"checked": r_max + 1}, counterexamples
 
 

@@ -163,3 +163,42 @@ def test_summary_reads_the_bounds_of_benchmark_json(monkeypatch, capsys):
                 for line in capsys.readouterr().out.splitlines()[-3:]}
     assert verdicts == {"wall_s": "worse", "setup_s": "ok", "peak_rss_mb": "ok"}
 
+
+
+def _gain(base, change, better=None):
+    rows = bench_pairs.summarize([{"m": v} for v in base], [{"m": v} for v in change],
+                                 better or {})
+    return rows[0]["gain"]
+
+
+def test_gain_of_fixed_runs():
+    # base median 10.0, q1-q3 spread 9.925-10.075 = 0.15
+    base = [9.8, 9.9, 9.9, 10.0, 10.0, 10.0, 10.0, 10.1, 10.1, 10.2]
+    # 9 of 10 pairs won, medians 0.5 apart: a gain
+    change = [9.5] * 9 + [10.5]
+    assert _gain(base, change) == "yes"
+    # 8 of 10 won is below nine tenths
+    assert _gain(base, [9.5] * 8 + [10.5] * 2) == "no"
+    # a tie is no win
+    assert _gain(base, [9.5] * 8 + [10.5, base[-1]]) == "no"
+    # every pair won, but the medians are only 0.1 apart
+    assert _gain(base, [v - 0.1 for v in base]) == "no"
+    assert _gain(base, [v - 0.25 for v in base]) == "yes"
+    # better higher: a rise is the gain, a fall is not
+    assert _gain(base, [v + 0.5 for v in base], {"m": "higher"}) == "yes"
+    assert _gain(base, change, {"m": "higher"}) == "no"
+
+
+def test_gain_is_printed_before_won_and_verdict(monkeypatch, capsys):
+    # wall_s 10% better in both pairs; setup_s equal
+    def stdout_of(is_base):
+        metrics = {"wall_s": {"value": 1.0 if is_base else 0.9},
+                   "setup_s": {"value": 0.4}}
+        return json.dumps({"correct": True, "metrics": metrics}) + "\n"
+
+    _stub_runs(monkeypatch, stdout_of)
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "algebra", "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3].split()[-3:] == ["gain", "won", "verdict"]
+    assert {line.split()[0]: line.split()[-3:] for line in lines[-2:]} == {
+        "wall_s": ["yes", "2/2", "ok"], "setup_s": ["no", "0/2", "ok"]}

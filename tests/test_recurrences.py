@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,18 @@ class TestInteriorPolys:
         assert u_poly_rec(n) == charpoly(u_matrix(n))
 
 
+class TestNothingCached:
+    def test_polynomials_are_freed_after_use(self):
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            assert u_poly_rec(200).degree == path_charpoly_rec(200).degree == 200
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(after - before) < 100_000
+
+
 class TestPathPolys:
     def test_boundaries(self):
         assert path_charpoly_rec(0) == IntPoly()
@@ -73,6 +87,16 @@ class TestValuesAtSpecialPoints:
             assert got == 0
         else:
             assert got == (-1) ** (n // 2)
+
+    @pytest.mark.parametrize("x", [-3, 2, 4, 2 ** 40])
+    def test_integer_sequences_agree_with_the_polynomials(self, x):
+        # Evaluation at x is a ring homomorphism, so the recurrence run in
+        # the integers gives the polynomials' values at x.
+        interior = recurrences._interior_sequence(x)
+        for n, value in zip(range(-2, 61), interior):
+            assert value == u_poly_rec(n).eval(x), n
+        for n, value in zip(range(61), recurrences._path_sequence(x)):
+            assert value == path_charpoly_rec(n).eval(x), n
 
     def test_rejects_negative(self):
         for fn in (u_value_at4, u_value_at2, path_value_at4):

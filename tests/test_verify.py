@@ -2,6 +2,7 @@ import builtins
 import gc
 import io
 import os
+import tracemalloc
 
 import pytest
 
@@ -67,6 +68,18 @@ class TestSuitesPass:
 
     def test_special_values(self):
         assert verify_special_values(n_max=50).passed
+
+    def test_special_values_build_no_polynomials(self):
+        # The values come from the recurrence run in the integers: a few
+        # small ints per n, where the polynomials to n = 1000 take over 100 MB.
+        tracemalloc.start()
+        try:
+            report = verify_special_values(n_max=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.counts["evaluations"] == 3 * 1001
+        assert peak < 1 << 20
 
     def test_generating_identity(self):
         report = verify_generating_identity(r_max=12)

@@ -19,9 +19,15 @@ code and ``FAIL:`` lines, and the last 40 lines of its standard output and
 of its standard error (where a traceback goes), and goes on with the next
 run.  At the end, over the pairs in which both runs were correct, for every
 metric of the result lines, the script prints the median and quartiles of
-each side, the change of the medians, in how many pairs the checkout was
-the better side, and a verdict for each end-to-end metric of the checkout's
-``BENCHMARK.json`` (read only), with its relative ``bound`` (0.15 is 15%):
+each side, the change of the medians, whether the checkout shows a gain,
+in how many pairs the checkout was the better side, and a verdict for each
+end-to-end metric of the checkout's ``BENCHMARK.json`` (read only), with
+its relative ``bound`` (0.15 is 15%).
+
+A gain (``yes``, else ``no``) needs both: the checkout was the better side
+in at least nine tenths of the pairs, ties counting for neither, and its
+median is better than the base's by more than the base runs' q1-q3 spread.
+The verdicts are:
 
 - ``worse``: the checkout's median is worse than the base's by more than
   the bound;
@@ -76,13 +82,21 @@ def verdict(row: dict, sign: int, bound: float | None) -> str:
     return "ok"
 
 
+def gain(row: dict, sign: int) -> str:
+    """``yes`` or ``no`` for a summary row, by the gain rule of the module
+    docstring; sign as for ``verdict``."""
+    q1, q3 = row["base_quartiles"]
+    margin = sign * (row["base_median"] - row["change_median"])
+    return "yes" if 10 * row["wins"] >= 9 * row["pairs"] and margin > q3 - q1 else "no"
+
+
 def summarize(base: list[dict[str, float]], change: list[dict[str, float]],
               better: dict[str, str], bounds: dict[str, float] | None = None) -> list[dict]:
     """One row per metric present in every run of both sides: medians and
     quartiles of each side, the relative change of the medians, the
     number of pairs (base[i], change[i]) in which the change was strictly
-    better, with ``better[name]`` "lower" (the default) or "higher", and
-    the verdict under ``bounds[name]``."""
+    better, with ``better[name]`` "lower" (the default) or "higher", the
+    gain and the verdict under ``bounds[name]``."""
     bounds = bounds or {}
     runs = base + change
     names = [name for name in runs[0] if all(name in run for run in runs)] if runs else []
@@ -102,6 +116,7 @@ def summarize(base: list[dict[str, float]], change: list[dict[str, float]],
             "wins": sum(sign * (a - b) < 0 for b, a in zip(before, after)),
             "pairs": min(len(before), len(after)),
         }
+        row["gain"] = gain(row, sign)
         row["verdict"] = verdict(row, sign, bounds.get(name))
         rows.append(row)
     return rows
@@ -109,13 +124,13 @@ def summarize(base: list[dict[str, float]], change: list[dict[str, float]],
 
 def format_rows(rows: list[dict]) -> str:
     lines = [f"{'metric':<14} {'base median':>12} {'base q1-q3':>21} "
-             f"{'change median':>14} {'change q1-q3':>21} {'delta':>8} {'won':>7} "
+             f"{'change median':>14} {'change q1-q3':>21} {'delta':>8} {'gain':>4} {'won':>7} "
              f"verdict"]
     for r in rows:
         bq, cq = r["base_quartiles"], r["change_quartiles"]
         lines.append(f"{r['metric']:<14} {r['base_median']:>12.6g} "
                      f"{bq[0]:>10.6g}-{bq[1]:<10.6g} {r['change_median']:>14.6g} "
-                     f"{cq[0]:>10.6g}-{cq[1]:<10.6g} {r['delta']:>+8.1%} "
+                     f"{cq[0]:>10.6g}-{cq[1]:<10.6g} {r['delta']:>+8.1%} {r['gain']:>4} "
                      f"{r['wins']:>3}/{r['pairs']:<3} {r['verdict']}")
     return "\n".join(lines)
 
