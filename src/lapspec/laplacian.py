@@ -96,9 +96,14 @@ graph at once.
 
 The deletion check is one exact integer identity per vertex at the
 Kronecker point x = z = 2^b.  With M = zI - L, every phi(L_S)(z) is the
-principal minor det M_S of M with the rows and columns of S deleted.  One
-fraction-free Gauss-Jordan elimination (``_adjugate``) gives det M and
-adj M, so phi(L_u)(z) = adj_uu, and by Jacobi's identity
+principal minor det M_S of M with the rows and columns of S deleted.
+``_adjugate`` builds det M and adj M by bordering, one vertex at a time:
+with A and d the adjugate and determinant of the leading k x k block and
+(r, c) the new row, v = A r, d' = c d - r . v and the next adjugate is
+[[(d' A + v v^T) / d, -v], [-v^T, d]].  Each division is exact, since its
+quotient is an entry of that integer adjugate, and M is symmetric, so one
+triangle of about n^3 / 6 entry updates is all the work.  Then
+phi(L_u)(z) = adj_uu, and by Jacobi's identity
 phi(L_uv)(z) = (adj_uu adj_vv - adj_uv adj_vu) / det M, an exact division
 (a remainder fails the vertex; it is never floored).  Each distinct cycle
 vertex set Z gets one Bareiss determinant of M_Z.  phi(L) itself is still
@@ -117,13 +122,13 @@ vertex.  b is chosen with 2^b above that bound.  A nonzero integer
 polynomial f of degree d with 1-norm below z has
 |f(z)| >= z^d - (|f| - 1) z^(d-1) > 0, so the difference is zero exactly
 when its value at z is.  z > 2 Delta also makes M positive definite: its
-leading principal minors, the elimination's pivots, are all positive, so
-no pivot is 0."""
+leading principal minors, the bordering's divisors, are all positive, so
+none is 0."""
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from operator import mul
+from itertools import chain, repeat, zip_longest
+from operator import add, mul
 from typing import Iterable
 
 from .graphs import Graph
@@ -493,32 +498,47 @@ def _cycles_from(adj: list[set[int]], u: int, lowest: int) -> list[tuple[int, ..
 
 
 def _adjugate(mat: IntMatrix) -> tuple[int, IntMatrix]:
-    """(det M, adj M) by one fraction-free Gauss-Jordan elimination
-    (Bareiss/Montante) of [M | I], kept in one n x n array: step k turns
-    column k of M into column k of the adjugate, so the array holds the
-    columns of M not yet eliminated and those of adj M already made.
-    Every division is exact.  Raises ArithmeticError on a zero pivot (a
-    leading principal minor of M that is 0) and ValueError unless M is
-    square."""
-    n = _require_square(mat)
-    a = [row[:] for row in mat]
-    prev = 1
-    for k in range(n):
-        pivot = a[k]
-        p = pivot[k]
-        if p == 0:
+    """(det M, adj M) of a symmetric M by bordering, in vertex order.
+
+    Step k takes the adjugate A and determinant d of the leading k x k
+    block to those of the leading (k + 1) x (k + 1) block, whose new row
+    adds r = M[k][:k] and the corner c = M[k][k]:
+
+        v = A r,  d' = c d - r . v,
+        adj = [[(d' A + v v^T) / d, -v], [-v^T, d]]
+
+    (the Schur complement of the block is d' / d).  Each division is exact:
+    its quotient is an entry of the integer matrix adj.  A and adj are
+    symmetric, so only the upper triangle is kept, column j holding
+    A[0..j][j], and it is mirrored once at the end; v reads only the
+    columns of k's earlier neighbours (the nonzero entries of r).  That is
+    about n^3 / 6 entry updates, a sixth of a Gauss-Jordan elimination's.
+    Raises ArithmeticError on a zero pivot (a leading principal minor of M
+    that is 0) and ValueError unless M is square and symmetric."""
+    _require_square(mat)
+    if list(map(list, zip(*mat))) != mat:
+        raise ValueError("matrix is not symmetric")
+    cols: IntMatrix = []  # cols[j] = A[0..j][j]
+    d = 1
+    for k, row in enumerate(mat):
+        v = None  # A r, from the columns of k's earlier neighbours
+        for j, rj in enumerate(row[:k]):
+            if rj:  # column j of A: cols[j], then A[j][i] = cols[i][j] below
+                col = cols[j] + [c[j] for c in cols[j + 1:]]
+                if rj != 1:
+                    col = [rj * y for y in col]
+                v = col if v is None else list(map(add, v, col))
+        if v is None:
+            v = [0] * k
+        d2 = row[k] * d - sum(map(mul, row, v))
+        if d2 == 0:
             raise ArithmeticError(f"zero pivot at step {k}")
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                if f:
-                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot)]
-                else:  # a row with nothing to eliminate is only rescaled
-                    a[i] = [p * x // prev for x in a[i]]
-                a[i][k] = -f
-        pivot[k] = prev
-        prev = p
-    return prev, a
+        cols = [[(d2 * x + vi * y) // d for x, y in zip(col, v)]
+                for col, vi in zip(cols, v)]
+        cols.append([-x for x in v] + [d])
+        d = d2
+    return d, [col + list(rest[i + 1:])
+               for i, (col, rest) in enumerate(zip(cols, zip_longest(*cols)))]
 
 
 def _pair_minor(adjugate: IntMatrix, det: int, u: int, v: int) -> int | None:
@@ -559,7 +579,7 @@ def verify_deletion_formula(g: Graph) -> tuple[bool, ...]:
 
     The expansion is checked as an exact integer identity at x = 2^b, wide
     enough that it holds there exactly when it holds as polynomials (see the
-    module docstring).  One elimination of M = 2^b I - L gives det M and
+    module docstring).  One bordering pass over M = 2^b I - L gives det M and
     adj M; phi(L_u) is read off adj M's diagonal and each phi(L_uv) by
     Jacobi's identity, and each distinct cycle vertex set gets one
     determinant, shared by every cycle on it (K4's three 4-cycles), while

@@ -1,6 +1,7 @@
 """Helpers shared by several test files: relabeling a graph, the
-closed-form order of the automorphism group of a bicyclic 2-core, and the
-edge route's children before its top-edge rule."""
+closed-form order of the automorphism group of a bicyclic 2-core, the
+edge route's children before its top-edge rule, and a Gauss-Jordan
+adjugate, the oracle of the bordered one."""
 
 import math
 from typing import Iterable, Iterator
@@ -37,3 +38,32 @@ def twin_pruned_edge_children(level: Iterable[Graph]) -> Iterator[Graph]:
     for g in level:
         for i, j in _edge_ends(g):
             yield g._child(g.n, ((i, j),))
+
+
+def gauss_jordan_adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(det M, adj M) by one fraction-free Gauss-Jordan elimination
+    (Bareiss/Montante) of [M | I], kept in one n x n array: step k turns
+    column k of M into column k of the adjugate, so the array holds the
+    columns of M not yet eliminated and those of adj M already made.
+    Every division is exact.  Raises ArithmeticError on a zero pivot (a
+    leading principal minor of M that is 0).  Any square M, symmetric or
+    not: the oracle of ``laplacian._adjugate``."""
+    n = len(mat)
+    a = [row[:] for row in mat]
+    prev = 1
+    for k in range(n):
+        pivot = a[k]
+        p = pivot[k]
+        if p == 0:
+            raise ArithmeticError(f"zero pivot at step {k}")
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                if f:
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot)]
+                else:  # a row with nothing to eliminate is only rescaled
+                    a[i] = [p * x // prev for x in a[i]]
+                a[i][k] = -f
+        pivot[k] = prev
+        prev = p
+    return prev, a

@@ -1,11 +1,13 @@
 import importlib
 from fractions import Fraction
+from operator import mul
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_helpers import gauss_jordan_adjugate
 from lapspec import verify
 from lapspec.enumeration import (EnumerationTask, enumerate_graphs,
                                  random_connected_graph)
@@ -249,6 +251,17 @@ def symmetric_matrices(draw, max_n: int = 8):
             mat[i] = [0] * n
             for row in mat:
                 row[i] = 0
+    return mat
+
+
+@st.composite
+def dominant_symmetric_matrices(draw, max_n: int = 8):
+    """Symmetric, strictly diagonally dominant integer matrices, so every
+    leading principal minor is nonzero."""
+    mat = draw(symmetric_matrices(max_n))
+    for i, row in enumerate(mat):
+        off = sum(map(abs, row)) - abs(row[i])
+        row[i] = draw(st.sampled_from((-1, 1))) * (off + draw(st.integers(1, 4)))
     return mat
 
 
@@ -651,8 +664,12 @@ class TestAdjugate:
     def test_matches_cofactors(self, seed):
         rng = Random(seed)
         n = rng.randint(1, 6)
-        # strictly diagonally dominant, so every leading minor is nonzero
-        mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        # symmetric and strictly diagonally dominant, so every leading minor
+        # is nonzero
+        mat = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                mat[i][j] = mat[j][i] = rng.randint(-5, 5)
         for i, row in enumerate(mat):
             row[i] = rng.choice((-1, 1)) * (sum(abs(v) for v in row) + rng.randint(1, 4))
         before = [row[:] for row in mat]
@@ -682,6 +699,37 @@ class TestAdjugate:
     def test_non_square_is_refused(self, mat):
         with pytest.raises(ValueError, match="not square"):
             _adjugate(mat)
+
+    @settings(max_examples=50, deadline=None)
+    @given(nearly_symmetric_matrices())
+    def test_non_symmetric_is_refused(self, mat):
+        with pytest.raises(ValueError, match="not symmetric"):
+            _adjugate(mat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dominant_symmetric_matrices())
+    def test_times_the_matrix_is_det_times_identity(self, mat):
+        n = len(mat)
+        det, adj = _adjugate(mat)
+        assert det == det_bareiss(mat)
+        assert [[sum(map(mul, row, col)) for col in zip(*adj)] for row in mat] == [
+            [det if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def test_matches_gauss_jordan_on_the_deletion_suite(self, monkeypatch):
+        shifted = []
+
+        def recorded(mat):
+            shifted.append([row[:] for row in mat])
+            return _adjugate(mat)
+
+        monkeypatch.setattr(laplacian_module, "_adjugate", recorded)
+        assert verify.verify_deletion_suite().passed
+        assert len(shifted) == 206
+        for g in [make_dumbbell(8, 5, 8), make_theta(8, 8, 8)]:
+            assert verify_deletion_formula(g) == (True,) * g.n
+        assert [len(mat) for mat in shifted[206:]] == [21, 26]
+        for mat in shifted:
+            assert _adjugate(mat) == gauss_jordan_adjugate(mat)
 
     def test_pair_minors_by_jacobi(self):
         for g in [make_theta(2, 2, 1), make_dumbbell(4, 0, 3), K4]:

@@ -203,11 +203,11 @@ def thetas(draw, n_max: int = 40) -> tuple[int, int, int]:
 
 
 def _intpoly_dumbbell(p, k, q):
-    return recurrences._dumbbell(X, u_poly_rec, p, k, q)
+    return recurrences._dumbbell(X, recurrences._u_table(X, max(p, k, q)), p, k, q)
 
 
 def _intpoly_theta(r, s, t):
-    return recurrences._theta(X, u_poly_rec, r, s, t)
+    return recurrences._theta(X, recurrences._u_table(X, max(r, s, t)), r, s, t)
 
 
 def _norm(poly: IntPoly) -> int:
