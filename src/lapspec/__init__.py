@@ -8,7 +8,7 @@ the family's spectral-determination argument on exhaustively enumerated
 small graphs.
 """
 
-from .canonical import are_isomorphic, canonical_form, refined_colors
+from .canonical import are_isomorphic, canonical_form
 from .enumeration import (DEFAULT_CAP, EnumerationCapError, EnumerationTask,
                           enumerate_by_vertex_growth, enumerate_graphs,
                           random_connected_graph)
@@ -24,16 +24,14 @@ from .invariants import (InvalidCharpolyError, SpectralInvariants,
 from .laplacian import (charpoly, charpoly_interpolated, det_bareiss, laplacian,
                         spanning_tree_count, trailing_charpolys, u_matrix,
                         verify_deletion_formula)
-from .polynomials import IntPoly, LaurentPoly, Y_SUBSTITUTION, substitute_y
-from .recurrences import (dumbbell_charpoly_rec, dumbbell_helper_poly,
-                          dumbbell_value_at4, path_charpoly_rec, path_value_at4,
-                          theta_charpoly_rec, theta_helper_poly, theta_value_at4,
-                          u_generating_identity_holds, u_poly_rec, u_value_at2,
-                          u_value_at4)
+from .polynomials import IntPoly, LaurentPoly, substitute_y
+from .recurrences import (dumbbell_charpoly_rec, dumbbell_value_at4,
+                          path_charpoly_rec, path_value_at4, theta_charpoly_rec,
+                          theta_value_at4, u_poly_rec, u_value_at2, u_value_at4)
 from .reports import VerificationReport
 from .termtables import (TermTable, audit_dumbbell_identity, audit_theta_identity,
-                         correction_poly, dumbbell_table, dumbbell_table_lowest_term,
-                         identity_lhs, theta_table, theta_table_lowest_term)
+                         dumbbell_table, dumbbell_table_lowest_term, identity_lhs,
+                         theta_table, theta_table_lowest_term)
 from .verify import (family_members, member_charpoly, verify_census,
                      verify_cospectral_structure, verify_deletion_suite,
                      verify_determination, verify_dumbbell_table,

@@ -30,8 +30,8 @@ vertex, groups them by sum and puts the groups in place of the class,
 larger sum first; a singleton class keeps its place without a key.  The
 new list of classes is the dense ranking of all the keys, as a full
 re-keying and sort would give, and a round that splits no class ends the
-refinement.  ``_search`` takes these classes as its cells, and
-``refined_colors`` reads the ranks off them.
+refinement.  ``_search`` takes these classes as its cells; a vertex's
+color is the index of its class.
 
 The search reads the graph's int bitmask rows (``Graph.rows``), one per
 vertex, for the twin test ``rows[v] & ~(1 << w) == rows[w] & ~(1 << v)``,
@@ -102,17 +102,6 @@ def _refined_cells(n: int, adj: Sequence[Collection[int]]) -> list[list[int]]:
             break
         cells = split
     return cells
-
-
-def refined_colors(n: int, adj: Sequence[Collection[int]]) -> list[int]:
-    """Stable vertex coloring: start from degrees, repeatedly split classes
-    by the multiset of neighbor colors.  Color ranks are derived from sorted
-    structural keys, so they are invariant under relabeling."""
-    colors = [0] * n
-    for c, cell in enumerate(_refined_cells(n, adj)):
-        for v in cell:
-            colors[v] = c
-    return colors
 
 
 def _walk(n: int, rows: tuple[int, ...], adj: list[list[int]],

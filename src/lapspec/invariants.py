@@ -86,16 +86,14 @@ def degree_constraint_solver(inv: SpectralInvariants) -> Optional[dict[int, int]
 
     and since (i-1)(i-2) >= 6 for i >= 4, the only solution in nonnegative
     integers is x_3 = 2, x_i = 0 for i >= 4, then x_1 = 0, x_2 = n - 2.
+    That needs n >= 4, since no simple graph on fewer vertices has a
+    vertex of degree 3.
 
     Returns {1: 0, 2: n-2, 3: 2} when forced, None when the invariants do
     not match the premise (which is an answer, not an error)."""
     n = inv.vertices
     if inv.components != 1 or inv.edges != n + 1:
         return None
-    if inv.degree_square_sum != 4 * n + 10:
-        return None
-    # sum (i-1)(i-2) x_i = sum i^2 x_i - 3 sum i x_i + 2 sum x_i
-    weighted = inv.degree_square_sum - 3 * (2 * inv.edges) + 2 * n
-    if weighted != 4 or n < 4:
+    if inv.degree_square_sum != 4 * n + 10 or n < 4:
         return None
     return {1: 0, 2: n - 2, 3: 2}

@@ -70,9 +70,6 @@ class IntPoly:
             return self._coeffs[k]
         return 0
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -189,9 +186,6 @@ class LaurentPoly:
     def coeff(self, exp: int) -> int:
         return self._terms.get(exp, 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -243,10 +237,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by y^k (shift every exponent by k)."""
-        return LaurentPoly((e + k, c) for e, c in self._terms.items())
-
     def lowest_term(self) -> tuple[int, int]:
         """(exponent, coefficient) of the minimal-exponent nonzero term."""
         if not self._terms:
@@ -254,24 +244,11 @@ class LaurentPoly:
         e = min(self._terms)
         return e, self._terms[e]
 
-    def min_exponent(self) -> int:
-        return self.lowest_term()[0]
-
-    def max_exponent(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no highest term")
-        return max(self._terms)
-
     def __str__(self) -> str:
         return _render_terms(self.items(), "y")
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.items()!r})"
-
-
-#: x = y + 2 + 1/y, the substitution that linearizes the three-term
-#: recurrences behind path and cycle Laplacian characteristic polynomials.
-Y_SUBSTITUTION = LaurentPoly({1: 1, 0: 2, -1: 1})
 
 
 def substitute_y(p: IntPoly) -> LaurentPoly:

@@ -28,16 +28,15 @@ against the direct matrix route in the tests rather than trusted.
 
 Each formula is written once, over a ring element x and the values
 u(j) = phi(U_j) in that ring, read from one walk of the interior sequence
-(``_u_table``).  With x = X it computes IntPolys: ``_cycle_block``,
-``dumbbell_helper_poly`` and ``theta_helper_poly`` are those, and they serve
-as the test oracle.  ``dumbbell_charpoly_rec`` and ``theta_charpoly_rec``
-evaluate the same formulas in the integers at the Kronecker point
-x = z = 2^b, and unpack the result into n + 1 balanced base-2^b
-digits in [-2^(b-1), 2^(b-1)).  The map x -> 2^b is a ring homomorphism, so
-the integer is the value at z of the polynomial the formula computes, and
-the unpacking returns that polynomial exactly when every coefficient is
-below 2^(b-1) in magnitude and the degree is at most n (anything left above
-degree n raises ArithmeticError).
+(``_u_table``).  With x = X it computes IntPolys, which the tests compare
+with charpolys of Laplacian submatrices.  ``dumbbell_charpoly_rec`` and
+``theta_charpoly_rec`` evaluate the same formulas in the integers at the
+Kronecker point x = z = 2^b, and unpack the result into n + 1 balanced
+base-2^b digits in [-2^(b-1), 2^(b-1)).  The map x -> 2^b is a ring
+homomorphism, so the integer is the value at z of the polynomial the
+formula computes, and the unpacking returns that polynomial exactly when
+every coefficient is below 2^(b-1) in magnitude and the degree is at most
+n (anything left above degree n raises ArithmeticError).
 
 The width b comes from a bound on the formulas as written, not from the
 Laplacian spectrum, so a wrong formula cannot alias to the right charpoly.
@@ -105,12 +104,17 @@ def path_charpoly_rec(n: int) -> IntPoly:
 # ring for j >= -2 (see the module docstring).
 
 def _block(x, u, c):
-    """(x - 3) phi(U_{c-1}) - 2 phi(U_{c-2}) - 2 (-1)^c: a c-cycle carrying
-    one degree-3 attachment vertex."""
+    """(x - 3) phi(U_{c-1}) - 2 phi(U_{c-2}) - 2 (-1)^c: the charpoly of a
+    c-cycle carrying one degree-3 attachment vertex, degrees kept."""
     return (x - 3) * u(c - 1) - 2 * u(c - 2) - 2 * (-1) ** c
 
 
 def _dumbbell_helper(x, u, q, k):
+    """Charpoly of the dumbbell Laplacian block left after deleting the
+    first cycle: a q-cycle with a dangling path of k vertices, degrees kept.
+
+    Defined for q >= 3 and k >= -1; at k = -1 it degenerates to
+    phi(U_{q-1}), which is what ``_dumbbell`` needs for the k = 0 dumbbell."""
     return _block(x, u, q) * u(k) - u(q - 1) * u(k - 1)
 
 
@@ -120,6 +124,11 @@ def _dumbbell(x, u, p, k, q):
 
 
 def _theta_helper(x, u, r, s, t):
+    """Charpoly of the theta Laplacian block left after deleting one hub:
+    three disjoint paths plus the far hub of degree 3, degrees kept.
+
+    Defined for r, s, t >= -1; a -1 slot collapses that chain into the
+    hub-to-hub edge case that ``_theta`` needs."""
     ur, us, ut = u(r), u(s), u(t)
     return (x - 3) * ur * us * ut \
         - u(r - 1) * us * ut \
@@ -152,25 +161,6 @@ def _at_kronecker_point(n: int, formula, *params: int) -> IntPoly:
     return kronecker_unpack(formula(z, _u_table(z, max(params)), *params), b, n)
 
 
-def _cycle_block(length: int) -> IntPoly:
-    """``_block`` as an IntPoly: a cycle of the given length carrying one
-    degree-3 attachment vertex."""
-    return _block(X, _u_table(X, length), length)
-
-
-def dumbbell_helper_poly(q: int, k: int) -> IntPoly:
-    """Charpoly of the dumbbell Laplacian block left after deleting the first
-    cycle: a q-cycle with a dangling path of k vertices, degrees kept.
-
-    Defined for k >= -1; at k = -1 it degenerates to phi(U_{q-1}), which is
-    what the top-level recurrence needs for the k = 0 dumbbell."""
-    if q < 3:
-        raise ValueError("dumbbell_helper_poly needs q >= 3")
-    if k < -1:
-        raise ValueError("dumbbell_helper_poly needs k >= -1")
-    return _dumbbell_helper(X, _u_table(X, max(q, k)), q, k)
-
-
 def dumbbell_charpoly_rec(p: int, k: int, q: int) -> IntPoly:
     """phi(L(D(p, k, q))) by the recurrence route, evaluated at a Kronecker
     point.
@@ -180,17 +170,6 @@ def dumbbell_charpoly_rec(p: int, k: int, q: int) -> IntPoly:
     if min(p, q) < 3 or k < 0:
         raise ValueError(f"invalid dumbbell parameters (p={p}, k={k}, q={q})")
     return _at_kronecker_point(p + k + q, _dumbbell, p, k, q)
-
-
-def theta_helper_poly(r: int, s: int, t: int) -> IntPoly:
-    """Charpoly of the theta Laplacian block left after deleting one hub:
-    three disjoint paths plus the far hub of degree 3, degrees kept.
-
-    Defined for r, s, t >= -1; a -1 slot collapses that chain into the
-    hub-to-hub edge case used by the top-level recurrence."""
-    if min(r, s, t) < -1:
-        raise ValueError("theta_helper_poly needs r, s, t >= -1")
-    return _theta_helper(X, _u_table(X, max(r, s, t)), r, s, t)
 
 
 def theta_charpoly_rec(r: int, s: int, t: int) -> IntPoly:
@@ -252,17 +231,11 @@ def theta_value_at4(r: int, s: int, t: int) -> int:
             - 2 * (1 + (-1) ** (s + t) + (-1) ** (r + t) + (-1) ** (r + s)))
 
 
-def u_generating_identity_holds(r: int) -> bool:
-    """Check (y^(r+2) - y^r) * phi(U_r)|_{x=y+2+1/y} == y^(2r+2) - 1.
+def _generating_identity_holds(r: int, u_r: IntPoly) -> bool:
+    """Check (y^(r+2) - y^r) * phi(U_r)|_{x=y+2+1/y} == y^(2r+2) - 1, given
+    u_r = phi(U_r).
 
     This is the closed form for phi(U_r) in the substitution variable; it is
     the engine behind the y-side identities for both families."""
-    if r < 0:
-        raise ValueError("r >= 0 required")
-    return _generating_identity_holds(r, u_poly_rec(r))
-
-
-def _generating_identity_holds(r: int, u_r: IntPoly) -> bool:
-    """The generating identity for r, given u_r = phi(U_r)."""
     lhs = (LaurentPoly.monomial(r + 2) - LaurentPoly.monomial(r)) * substitute_y(u_r)
     return lhs == LaurentPoly.monomial(2 * r + 2) - 1

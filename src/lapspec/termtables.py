@@ -199,12 +199,6 @@ _CORRECTION_HEAD = IntPoly((1, -2, -3, 4, 4))
 _CORRECTION_TAIL = IntPoly((-4, -4, 3, 2, -1))
 
 
-def correction_poly(n: int) -> LaurentPoly:
-    """The fixed boundary polynomial f(n; y) added to the shifted charpoly."""
-    return LaurentPoly([*enumerate(_CORRECTION_HEAD.coeffs),
-                        *enumerate(_CORRECTION_TAIL.coeffs, start=2 * n + 2)])
-
-
 def _lhs_bits(n: int, norm: int) -> int:
     """Digit width b for the left-hand side of a degree-n charpoly of 1-norm
     norm: 2^(b-1) > 8 * 4^n * norm + 28 (see the module docstring)."""

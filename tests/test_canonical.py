@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from graph_helpers import relabel
 
 from lapspec import canonical, enumeration
-from lapspec.canonical import are_isomorphic, canonical_form, refined_colors
+from lapspec.canonical import are_isomorphic, canonical_form
 from lapspec.enumeration import (EnumerationTask, enumerate_by_vertex_growth,
                                  enumerate_graphs)
 from lapspec.graph6 import graph6_encode, graph6_pack
@@ -46,6 +46,16 @@ def canonical_graph(g: Graph) -> Graph:
     """g relabeled by its canonical permutation."""
     perm = canonical_permutation(g)
     return relabel(g, {v: i for i, v in enumerate(perm)})
+
+
+def cell_colors(n, adj):
+    """Each vertex's color: the index of its class in the refinement's
+    classes, which are in color order."""
+    colors = [0] * n
+    for c, cell in enumerate(canonical._refined_cells(n, adj)):
+        for v in cell:
+            colors[v] = c
+    return colors
 
 
 def oracle_refined_colors(n, adj):
@@ -126,7 +136,7 @@ def assert_matches_oracle(g: Graph) -> None:
     fields, order = oracle_search(g)
     assert canonical_form(g) == graph6_pack(g.n, fields), graph6_encode(g)
     assert canonical_permutation(g) == tuple(order), graph6_encode(g)
-    assert refined_colors(g.n, g.adjacency()) == oracle_refined_colors(g.n, g.adjacency())
+    assert cell_colors(g.n, g.adjacency()) == oracle_refined_colors(g.n, g.adjacency())
 
 
 @st.composite
@@ -270,11 +280,11 @@ class TestOracle:
 class TestRefinedColors:
     def test_regular_graph_is_monochrome(self):
         g = make_cycle(7)
-        assert len(set(refined_colors(g.n, g.adjacency()))) == 1
+        assert len(set(cell_colors(g.n, g.adjacency()))) == 1
 
     def test_separates_by_structure(self):
         g = make_path(5)
-        colors = refined_colors(g.n, g.adjacency())
+        colors = cell_colors(g.n, g.adjacency())
         # ends, their neighbors, and the middle all land in distinct classes
         assert colors[0] == colors[4]
         assert colors[1] == colors[3]
@@ -282,7 +292,7 @@ class TestRefinedColors:
 
     def test_dumbbell_hubs_separate(self):
         g = make_dumbbell(4, 1, 4)
-        colors = refined_colors(g.n, g.adjacency())
+        colors = cell_colors(g.n, g.adjacency())
         hubs = [v for v, d in enumerate(map(len, g.adjacency())) if d == 3]
         assert colors[hubs[0]] == colors[hubs[1]]
         others = [colors[v] for v in range(g.n) if v not in hubs]

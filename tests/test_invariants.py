@@ -94,3 +94,11 @@ class TestDegreeConstraintSolver:
         parts = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6),
                           (6, 3), (3, 5)])
         assert degree_constraint_solver(graph_invariants(parts)) is None
+
+    def test_refuses_fewer_than_four_vertices(self):
+        # Forged invariants that pass the connectivity, edge and square-sum
+        # checks; no graph on n < 4 vertices has a vertex of degree 3.
+        for n in range(1, 4):
+            inv = SpectralInvariants(vertices=n, edges=n + 1, components=1,
+                                     spanning_trees=1, degree_square_sum=4 * n + 10)
+            assert degree_constraint_solver(inv) is None, n

@@ -8,11 +8,9 @@ from lapspec import recurrences
 from lapspec.graphs import dumbbell_graph, make_path, theta_graph
 from lapspec.laplacian import charpoly, laplacian, submatrix_deleting, u_matrix
 from lapspec.polynomials import IntPoly, X, kronecker_unpack, substitute_y, LaurentPoly
-from lapspec.recurrences import (dumbbell_charpoly_rec, dumbbell_helper_poly,
-                                 dumbbell_value_at4, path_charpoly_rec,
-                                 path_value_at4, theta_charpoly_rec,
-                                 theta_helper_poly, theta_value_at4,
-                                 u_generating_identity_holds, u_poly_rec,
+from lapspec.recurrences import (dumbbell_charpoly_rec, dumbbell_value_at4,
+                                 path_charpoly_rec, path_value_at4,
+                                 theta_charpoly_rec, theta_value_at4, u_poly_rec,
                                  u_value_at2, u_value_at4)
 
 
@@ -119,9 +117,10 @@ class TestDumbbells:
         p, k, q = 4, 1, 3
         g = dumbbell_graph(p, k, q)
         helper = submatrix_charpoly(g, set(range(p)))
-        assert dumbbell_helper_poly(q, k) == helper
+        u = recurrences._u_table(X, max(p, k, q))
+        assert recurrences._dumbbell_helper(X, u, q, k) == helper
         # and keeping only the first cycle leaves the cycle block
-        assert recurrences._cycle_block(p) == submatrix_charpoly(g, set(range(p, g.n)))
+        assert recurrences._block(X, u, p) == submatrix_charpoly(g, set(range(p, g.n)))
 
     def test_value_at_four(self):
         for p, k, q in [(3, 0, 3), (4, 2, 3), (6, 0, 5), (5, 5, 3)]:
@@ -154,7 +153,8 @@ class TestThetas:
     def test_helper_is_hub_deleted_submatrix(self):
         r, s, t = 3, 2, 1
         g = theta_graph(r, s, t)
-        assert theta_helper_poly(r, s, t) == submatrix_charpoly(g, {0})
+        u = recurrences._u_table(X, max(r, s, t))
+        assert recurrences._theta_helper(X, u, r, s, t) == submatrix_charpoly(g, {0})
 
     def test_value_at_four(self):
         for r, s, t in [(1, 1, 0), (3, 2, 1), (4, 4, 4), (5, 1, 0)]:
@@ -172,7 +172,7 @@ class TestThetas:
 class TestGeneratingIdentity:
     @pytest.mark.parametrize("r", range(0, 12))
     def test_holds(self, r):
-        assert u_generating_identity_holds(r)
+        assert recurrences._generating_identity_holds(r, u_poly_rec(r))
 
     def test_explicit_form(self):
         # (y^(r+2) - y^r) * sub(U_r) collapses to y^(2r+2) - 1
@@ -180,10 +180,6 @@ class TestGeneratingIdentity:
             sub = substitute_y(u_poly_rec(r))
             lhs = (LaurentPoly.monomial(r + 2) - LaurentPoly.monomial(r)) * sub
             assert lhs == LaurentPoly({2 * r + 2: 1, 0: -1})
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            u_generating_identity_holds(-1)
 
 
 @st.composite

@@ -10,10 +10,9 @@ from lapspec.laplacian import charpoly, laplacian
 from lapspec.polynomials import IntPoly, LaurentPoly, X, substitute_y
 from lapspec.recurrences import dumbbell_charpoly_rec, theta_charpoly_rec
 from lapspec.termtables import (AffineForm, _parse_table, audit_dumbbell_identity,
-                                audit_theta_identity, correction_poly,
-                                dumbbell_table, dumbbell_table_lowest_term,
-                                identity_lhs, parse_affine, theta_table,
-                                theta_table_lowest_term)
+                                audit_theta_identity, dumbbell_table,
+                                dumbbell_table_lowest_term, identity_lhs,
+                                parse_affine, theta_table, theta_table_lowest_term)
 from lapspec.verify import (_dumbbell_grid, _theta_grid, verify_dumbbell_table,
                             verify_theta_table)
 
@@ -25,10 +24,18 @@ _UNIT_CUBE = (LaurentPoly.monomial(2) - 1) \
     * (LaurentPoly.monomial(2) - 1) * (LaurentPoly.monomial(2) - 1)
 
 
+def oracle_correction(n: int) -> LaurentPoly:
+    """The fixed boundary polynomial f(n; y) = head(y) + y^(2n+2) tail(y),
+    from the two coefficient lists ``identity_lhs`` reads."""
+    return LaurentPoly([*enumerate(termtables._CORRECTION_HEAD.coeffs),
+                        *enumerate(termtables._CORRECTION_TAIL.coeffs, start=2 * n + 2)])
+
+
 def oracle_identity_lhs(phi: IntPoly, n: int) -> LaurentPoly:
     """The left-hand side from sparse LaurentPoly products: phi substituted at
-    x = y + 2 + 1/y, shifted by y^n, times (y^2 - 1)^3, plus f(n; y)."""
-    return substitute_y(phi).shift(n) * _UNIT_CUBE + correction_poly(n)
+    x = y + 2 + 1/y, times y^n, times (y^2 - 1)^3, plus f(n; y)."""
+    shifted = substitute_y(phi) * LaurentPoly.monomial(n)
+    return shifted * _UNIT_CUBE + oracle_correction(n)
 
 
 class TestParseAffine:
@@ -77,7 +84,7 @@ class TestTables:
     def test_instantiation_is_laurent(self):
         poly = dumbbell_table().instantiate(p=3, k=0, q=3)
         assert isinstance(poly, LaurentPoly)
-        assert not poly.is_zero()
+        assert poly
 
     def test_negative_parity_gives_an_integer_sign(self):
         # (-1) ** -3 is the float -1.0; the sign comes from the parity's low bit
@@ -98,15 +105,15 @@ class TestTables:
 
 class TestCorrectionPoly:
     def test_fixed_head_and_tail(self):
-        f = correction_poly(5)
+        f = oracle_correction(5)
         head = {0: 1, 1: -2, 2: -3, 3: 4, 4: 4}
         tail = {12: -4, 13: -4, 14: 3, 15: 2, 16: -1}
         for e, c in {**head, **tail}.items():
             assert f.coeff(e) == c
-        assert f.max_exponent() == 2 * 5 + 6
+        assert f.items()[-1][0] == 2 * 5 + 6
 
     def test_monotone_support(self):
-        assert correction_poly(9).coeff(10) == 0
+        assert oracle_correction(9).coeff(10) == 0
 
 
 class TestIdentityLhs:
