@@ -24,7 +24,7 @@ from .invariants import (InvalidCharpolyError, SpectralInvariants,
 from .laplacian import (charpoly, charpoly_interpolated, det_bareiss, laplacian,
                         spanning_tree_count, trailing_charpolys, u_matrix,
                         verify_deletion_formula)
-from .polynomials import IntPoly, LaurentPoly, substitute_y
+from .polynomials import IntPoly, substitute_y
 from .recurrences import (dumbbell_charpoly_rec, dumbbell_value_at4,
                           path_charpoly_rec, path_value_at4, theta_charpoly_rec,
                           theta_value_at4, u_poly_rec, u_value_at2, u_value_at4)

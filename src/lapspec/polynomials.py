@@ -1,28 +1,28 @@
 """Exact integer polynomial arithmetic.
 
-Two representations are used throughout the package:
-
-  IntPoly      dense univariate polynomial over Z, coefficient index = exponent;
-               this is the natural shape for characteristic polynomials in x.
-  LaurentPoly  sparse polynomial over Z with integer (possibly negative)
-               exponents; this is what the substitution x = y + 2 + 1/y
-               produces.
+There is one polynomial type, ``IntPoly``: a dense univariate polynomial
+over Z, coefficient index = exponent.  It holds the characteristic
+polynomials in x and, read back from a Kronecker point, the y-side
+polynomials of the substitution x = y + 2 + 1/y, cleared of denominators
+by a power of y.
 
 Everything is arbitrary-precision int.  No floats enter any code path here.
 
 ``kronecker_unpack`` reads an integer polynomial back from its value at a
 Kronecker point x = 2^b, as balanced base-2^b digits.  The recurrences, the
 term-table left-hand sides and the second matrix charpoly route are all
-computed as one such integer and read back here.
+computed as one such integer and read back here.  ``substitute_y`` is the
+y side's Horner routine: it returns y^n p(y + 2 + 1/y) as its value at
+y = 2^b.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 
-def _render_terms(items, var: str) -> str:
+def _render_terms(items) -> str:
     """Render nonzero (exponent, coefficient) pairs, exponents ascending."""
     parts: list[str] = []
     for exp, coeff in items:
@@ -31,7 +31,7 @@ def _render_terms(items, var: str) -> str:
         if exp == 0:
             body = str(mag)
         else:
-            power = var if exp == 1 else f"{var}^{exp}"
+            power = "x" if exp == 1 else f"x^{exp}"
             body = power if mag == 1 else f"{mag}*{power}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")
@@ -131,7 +131,7 @@ class IntPoly:
         return acc
 
     def __str__(self) -> str:
-        return _render_terms(((e, c) for e, c in enumerate(self._coeffs) if c), "x")
+        return _render_terms(((e, c) for e, c in enumerate(self._coeffs) if c))
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self._coeffs)!r})"
@@ -160,113 +160,19 @@ def kronecker_unpack(value: int, b: int, n: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-class LaurentPoly:
-    """Sparse polynomial over Z with integer exponents (negatives allowed)."""
+def substitute_y(p: IntPoly, n: int, b: int) -> int:
+    """The value at y = 2^b of y^n p(y + 2 + 1/y), for p of degree <= n.
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
-        acc: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exp, coeff in items:
-            if coeff:
-                acc[exp] = acc.get(exp, 0) + coeff
-                if not acc[exp]:
-                    del acc[exp]
-        self._terms = acc
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls(((exp, coeff),))
-
-    def items(self) -> list[tuple[int, int]]:
-        """Nonzero (exponent, coefficient) pairs, exponents ascending."""
-        return sorted(self._terms.items())
-
-    def coeff(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
-        if isinstance(other, int):
-            return self._terms == LaurentPoly.monomial(0, other)._terms
-        return NotImplemented
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly((e, -c) for e, c in self._terms.items())
-
-    def _combine(self, other: Union["LaurentPoly", int], sign: int) -> "LaurentPoly":
-        """self + sign * other; the constructor merges equal exponents."""
-        if isinstance(other, int):
-            other = LaurentPoly.monomial(0, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly([*self._terms.items(),
-                            *((e, sign * c) for e, c in other._terms.items())])
-
-    def __add__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
-        return self._combine(other, -1)
-
-    def __rsub__(self, other: int) -> "LaurentPoly":
-        return LaurentPoly.monomial(0, other) - self
-
-    def __mul__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
-        if isinstance(other, int):
-            return LaurentPoly((e, other * c) for e, c in self._terms.items())
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-
-    def lowest_term(self) -> tuple[int, int]:
-        """(exponent, coefficient) of the minimal-exponent nonzero term."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no lowest term")
-        e = min(self._terms)
-        return e, self._terms[e]
-
-    def __str__(self) -> str:
-        return _render_terms(self.items(), "y")
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.items()!r})"
-
-
-def substitute_y(p: IntPoly) -> LaurentPoly:
-    """Evaluate p at x = y + 2 + 1/y, exactly, by Horner's rule.
-
-    The result of substituting into a degree-n polynomial has exponents
-    in [-n, n] and is symmetric under y -> 1/y, since x is.  Horner runs
-    on a dense coefficient list over exponents -h..h; multiplying it by
-    y + 2 + 1/y is the stencil new[i] = a[i-1] + 2*a[i] + a[i+1], and one
-    LaurentPoly is built at the end.
-    """
+    With y + 2 + 1/y = (y + 1)^2 / y this is sum_k c_k (y + 1)^(2k) y^(n-k),
+    a polynomial in y.  Horner's rule in w = (y + 1)^2 runs from the top
+    coefficient down, acc -> acc w + c_j y^(n-j), each product by w as three
+    shifted copies of acc.  ``kronecker_unpack`` reads the coefficients back
+    when b is wide enough for them; the callers bound b from the 1-norm,
+    |(y + 1)^(2k)| = 4^k giving a 1-norm of at most 4^n |p|."""
     coeffs = p.coeffs
-    if not coeffs:
-        return LaurentPoly()
-    acc = [coeffs[-1]]  # exponents -h..h, h = len(acc) // 2
-    for c in reversed(coeffs[:-1]):
-        pad = [0, 0, *acc, 0, 0]
-        acc = [a + 2 * b + d for a, b, d in zip(pad, pad[1:], pad[2:])]
-        acc[len(acc) // 2] += c
-    h = len(acc) // 2
-    return LaurentPoly({i - h: c for i, c in enumerate(acc) if c})
+    if len(coeffs) > n + 1:
+        raise ValueError(f"degree {p.degree} is above n={n}")
+    acc = 0
+    for j in range(len(coeffs) - 1, -1, -1):
+        acc = (acc << 2 * b) + (acc << b + 1) + acc + (coeffs[j] << b * (n - j))
+    return acc

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .polynomials import IntPoly, LaurentPoly, X, kronecker_unpack, substitute_y
+from .polynomials import IntPoly, X, kronecker_unpack, substitute_y
 
 
 def _sequence(x, f0, f1):
@@ -236,6 +236,17 @@ def _generating_identity_holds(r: int, u_r: IntPoly) -> bool:
     u_r = phi(U_r).
 
     This is the closed form for phi(U_r) in the substitution variable; it is
-    the engine behind the y-side identities for both families."""
-    lhs = (LaurentPoly.monomial(r + 2) - LaurentPoly.monomial(r)) * substitute_y(u_r)
-    return lhs == LaurentPoly.monomial(2 * r + 2) - 1
+    the engine behind the y-side identities for both families.  Both sides
+    are compared at the Kronecker point y = z = 2^b, the left one as
+    (z^2 - 1) * substitute_y(u_r, r, b).  A u_r of degree above r leaves a
+    negative power of y on the left, so the identity fails.  Otherwise the
+    difference of the sides is a polynomial of 1-norm at most
+    2 * 4^r |u_r| + 2 (see ``substitute_y``), and b makes 2^(b-1) larger than
+    4^(r+1) |u_r| + 2: a nonzero polynomial whose coefficients are all below
+    2^(b-1) in magnitude is nonzero at 2^b, so equal values mean equal
+    polynomials."""
+    if u_r.degree > r:
+        return False
+    b = ((sum(map(abs, u_r.coeffs)) << 2 * r + 2) + 2).bit_length() + 1
+    lhs = substitute_y(u_r, r, b)
+    return (lhs << 2 * b) - lhs == (1 << b * (2 * r + 2)) - 1

@@ -22,14 +22,13 @@ factor.  So the left-hand sides are equal exactly when the charpolys are,
 and each audit builds one left-hand side, from the matrix charpoly.
 
 ``identity_lhs`` computes that left-hand side as one integer at the
-Kronecker point y = z = 2^b: g(z) by Horner's rule in w = (z + 1)^2, as
-T_n = c_n, T_j = T_(j+1) w + c_j z^(n-j) and g(z) = T_0 (each product by
-w as three shifted copies), then three multiplications by z^2 - 1 and
-f(n; z) added.  Every exponent is in
-0..2n+6, and the map y -> 2^b is a ring homomorphism, so the integer unpacks
-(``polynomials.kronecker_unpack``) into the 2n + 7 balanced base-2^b digits in
-[-2^(b-1), 2^(b-1)) that are the coefficients, provided every coefficient
-is below 2^(b-1) in magnitude.  In the 1-norm |.| (sum of absolute
+Kronecker point y = z = 2^b: g(z) by ``polynomials.substitute_y`` (Horner's
+rule in w = (z + 1)^2), then three multiplications by z^2 - 1 and f(n; z)
+added.  Every exponent is in 0..2n+6, and the map y -> 2^b is a ring
+homomorphism, so the integer unpacks (``polynomials.kronecker_unpack``) into
+the 2n + 7 balanced base-2^b digits in [-2^(b-1), 2^(b-1)) that are the
+coefficients, an ``IntPoly`` in y, provided every coefficient is below
+2^(b-1) in magnitude.  In the 1-norm |.| (sum of absolute
 coefficients), |f g| <= |f| |g|, so |(y + 1)^(2k)| = 4^k <= 4^n gives
 |g| <= 4^n |phi|, |(y^2 - 1)^3| = 8 and |f(n; y)| = 28.  Every coefficient
 of the left-hand side is thus at most 8 * 4^n * |phi| + 28, and b is read
@@ -37,13 +36,15 @@ from the input so that 2^(b-1) exceeds that.
 
 ``TermTable.instantiate`` evaluates integer rows compiled once per table,
 on first use: per term its coefficient and the constants of its parity and
-exponent forms, and per symbol the column of its coefficients in each form.  The exponents
-and parities of all terms are the constant columns plus each symbol's value
-times its column; a term's sign is (-1)^parity, read from the parity's low
-bit, so a negative parity still gives an integer coefficient.
+exponent forms, and per symbol the column of its coefficients in each
+form.  The exponents and parities of all terms are the constant columns
+plus each symbol's value times its column; a term's sign is (-1)^parity,
+read from the parity's low bit, so a negative parity still gives an integer
+coefficient.  The result is a dict from exponent to nonzero coefficient, so
+a negative exponent in wrong table data is kept, and the audit reports it.
 
 The lowest-exponent term of an instantiated table is what pins down the
-family parameters from the spectrum, which is why lowest_term gets dedicated
+family parameters from the spectrum, which is why it gets dedicated
 helpers here.
 """
 
@@ -56,7 +57,7 @@ from importlib import resources
 
 from .graphs import dumbbell_graph, theta_graph
 from .laplacian import charpoly, laplacian
-from .polynomials import IntPoly, LaurentPoly, kronecker_unpack
+from .polynomials import IntPoly, kronecker_unpack, substitute_y
 from .recurrences import dumbbell_charpoly_rec, theta_charpoly_rec
 
 
@@ -142,17 +143,20 @@ class TermTable:
                 _columns([t.parity for t in self.terms], self.symbols),
                 _columns([t.exponent for t in self.terms], self.symbols))
 
-    def instantiate(self, **values: int) -> LaurentPoly:
-        """Sum the terms at integer parameter values; colliding exponents
-        accumulate, which is how parameter coincidences merge terms."""
+    def instantiate(self, **values: int) -> dict[int, int]:
+        """Sum the terms at integer parameter values, as a dict from exponent
+        to nonzero coefficient; colliding exponents accumulate, which is how
+        parameter coincidences merge terms."""
         if set(values) != set(self.symbols):
             raise ValueError(f"expected values for {self.symbols}, got {sorted(values)}")
         coeffs, parity_columns, exponent_columns = self._rows
         vals = [values[s] for s in self.symbols]
         parities = _evaluate_columns(parity_columns, vals)
         exponents = _evaluate_columns(exponent_columns, vals)
-        return LaurentPoly(zip(exponents, (-c if p & 1 else c
-                                           for c, p in zip(coeffs, parities))))
+        out: dict[int, int] = {}
+        for e, c, p in zip(exponents, coeffs, parities):
+            out[e] = out.get(e, 0) + (-c if p & 1 else c)
+        return {e: c for e, c in out.items() if c}
 
 
 def _parse_table(text: str) -> TermTable:
@@ -205,22 +209,19 @@ def _lhs_bits(n: int, norm: int) -> int:
     return ((norm << (2 * n + 3)) + 28).bit_length() + 1
 
 
-def identity_lhs(phi: IntPoly, n: int) -> LaurentPoly:
+def identity_lhs(phi: IntPoly, n: int) -> IntPoly:
     """y^n (y^2-1)^3 phi|_{x=y+2+1/y} + f(n; y) for a degree-n charpoly,
-    computed at the Kronecker point y = z = 2^b and unpacked."""
+    computed at the Kronecker point y = z = 2^b and unpacked, coefficient
+    index = exponent of y."""
     if phi.degree != n:
         raise ValueError(f"charpoly degree {phi.degree} does not match n={n}")
-    coeffs = phi.coeffs
-    b = _lhs_bits(n, sum(map(abs, coeffs)))
-    acc = coeffs[n]
-    for j in range(n - 1, -1, -1):
-        # acc * (z + 1)^2 + c_j z^(n-j), the product as three shifted copies
-        acc = (acc << 2 * b) + (acc << b + 1) + acc + (coeffs[j] << b * (n - j))
+    b = _lhs_bits(n, sum(map(abs, phi.coeffs)))
+    acc = substitute_y(phi, n, b)
     for _ in range(3):
         acc = (acc << 2 * b) - acc
     z = 1 << b
     acc += _CORRECTION_HEAD.eval(z) + (_CORRECTION_TAIL.eval(z) << b * (2 * n + 2))
-    return LaurentPoly(enumerate(kronecker_unpack(acc, b, 2 * n + 6).coeffs))
+    return kronecker_unpack(acc, b, 2 * n + 6)
 
 
 def _audit(make_graph, recurrence, table: TermTable, **params: int) -> dict:
@@ -234,8 +235,9 @@ def _audit(make_graph, recurrence, table: TermTable, **params: int) -> dict:
     phi = charpoly(laplacian(g))
     lhs = identity_lhs(phi, g.n)
     instantiated = table.instantiate(**params)
-    diffs = [{"exponent": e, "lhs": lhs.coeff(e), "table": instantiated.coeff(e)}
-             for e, _ in (instantiated - lhs).items()]
+    diffs = [{"exponent": e, "lhs": lhs.coeff(e), "table": instantiated.get(e, 0)}
+             for e in sorted({*instantiated, *range(len(lhs.coeffs))})
+             if lhs.coeff(e) != instantiated.get(e, 0)]
     return {
         "routes_agree": phi == recurrence(*values),
         "table_matches": not diffs,
@@ -256,8 +258,8 @@ def audit_theta_identity(r: int, s: int, t: int) -> dict:
 
 
 def dumbbell_table_lowest_term(p: int, k: int, q: int) -> tuple[int, int]:
-    return dumbbell_table().instantiate(p=p, k=k, q=q).lowest_term()
+    return min(dumbbell_table().instantiate(p=p, k=k, q=q).items())
 
 
 def theta_table_lowest_term(r: int, s: int, t: int) -> tuple[int, int]:
-    return theta_table().instantiate(r=r, s=s, t=t).lowest_term()
+    return min(theta_table().instantiate(r=r, s=s, t=t).items())

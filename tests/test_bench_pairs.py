@@ -84,7 +84,7 @@ def test_a_failed_run_reports_pair_side_exit_code_and_gates(monkeypatch, capsys)
     assert [cwd == bench_pairs.REPO for cwd in calls] == [False, True, True, False]
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        "pair 1: the base run exited 1 and did not report correct true",
+        "pair 1: the base run exited 1 and did not report correct true: a gate failure",
         "pair 1 base: FAIL: determination n=8 pool",
         "failed runs: base 1 of 2, change 0 of 2"]
     # only pair 2, where both runs were correct, is compared
@@ -111,6 +111,41 @@ def test_a_failed_run_prints_the_tail_of_its_output(monkeypatch, capsys):
     assert out[:45] == (["pair 1 base: last 40 lines of its output:"] + lines[-40:]
                         + ["pair 1 base: last 3 lines of its standard error:"] + trace)
     assert out[45] == "pair 1 change: wall_s=1"
+
+
+_PROBE_TRACE = ("Traceback (most recent call last):\n"
+                '  File "perfbench/run.py", line 1, in <module>\n'
+                "statistics.StatisticsError: fmean requires at least one data point\n")
+_OTHER_TRACE = ("Traceback (most recent call last):\n"
+                '  File "perfbench/run.py", line 1, in <module>\n'
+                "ZeroDivisionError: division by zero\n")
+_FAILED_GATE = ("FAIL: warm pass read pools from the cache directory\n"
+                '{"correct": false, "attempted": 9, "failed": 1, "metrics": {}}\n')
+
+
+@pytest.mark.parametrize("stdout, stderr, kind", [
+    ("env: {}\n", _PROBE_TRACE, bench_pairs.PROBE_CRASH),
+    # the probe crash wins over FAIL: lines printed before it
+    (_FAILED_GATE, _PROBE_TRACE, bench_pairs.PROBE_CRASH),
+    (_FAILED_GATE, "", "a gate failure"),
+    ("env: {}\n", _OTHER_TRACE, "another exception"),
+    ("", "", "another exception")],
+    ids=["probe-crash", "probe-crash-after-gates", "gate", "exception", "no-output"])
+def test_a_failed_run_is_labelled_by_its_kind(monkeypatch, capsys, stdout, stderr, kind):
+    def run(cmd, **kwargs):
+        if kwargs["cwd"] == bench_pairs.REPO:
+            return subprocess.CompletedProcess(cmd, 1, stdout=stdout, stderr=stderr)
+        return subprocess.CompletedProcess(cmd, 0, stdout=_result_line(1.0), stderr="")
+
+    monkeypatch.setattr(bench_pairs, "extract", lambda commit, into: None)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "determination-warm",
+                             "--pairs", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == ("pair 1: the change run exited 1 and did not report correct true: "
+                      + kind)
+    gates = [line for line in stdout.splitlines() if line.startswith("FAIL:")]
+    assert err[1:-1] == [f"pair 1 change: {line}" for line in gates]
 
 
 def _verdicts(base, change, better=None):

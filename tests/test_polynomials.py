@@ -1,6 +1,6 @@
 import pytest
 
-from lapspec.polynomials import ONE, X, ZERO, IntPoly, LaurentPoly, substitute_y
+from lapspec.polynomials import ONE, X, ZERO, IntPoly, kronecker_unpack, substitute_y
 
 
 class TestIntPoly:
@@ -53,71 +53,50 @@ class TestIntPoly:
         assert len({X + 1, X + 1, X + 2}) == 2
 
 
-class TestLaurentPoly:
-    def test_cancellation(self):
-        p = LaurentPoly({2: 1, -1: 3})
-        assert not p - p
-        assert LaurentPoly({0: 1, 1: -1}) + LaurentPoly({1: 1}) == 1
-
-    def test_int_comparison(self):
-        assert LaurentPoly({0: 4}) == 4
-        assert LaurentPoly() == 0
-        assert LaurentPoly({1: 1}) != 1
-
-    def test_mul_with_negative_exponents(self):
-        y = LaurentPoly.monomial(1)
-        y_inv = LaurentPoly.monomial(-1)
-        assert y * y_inv == 1
-        assert (y + y_inv) * (y - y_inv) == LaurentPoly({2: 1, -2: -1})
-
-    def test_shift(self):
-        p = LaurentPoly({0: 1, 3: -2})
-        assert p * LaurentPoly.monomial(-3) == LaurentPoly({-3: 1, 0: -2})
-        assert p * LaurentPoly.monomial(2) * LaurentPoly.monomial(-2) == p
-
-    def test_lowest_term(self):
-        p = LaurentPoly({-4: 7, 0: 1, 5: -1})
-        assert p.lowest_term() == (-4, 7)
-        assert p.lowest_term()[0] == -4
-        assert p.items()[-1][0] == 5
-        with pytest.raises(ValueError):
-            LaurentPoly().lowest_term()
-
-    def test_items_sorted(self):
-        p = LaurentPoly({3: 1, -2: 5, 0: -1})
-        assert p.items() == [(-2, 5), (0, -1), (3, 1)]
-
-
 class TestSubstitution:
+    """substitute_y(p, n, b) is y^n p(y + 2 + 1/y) at y = 2^b; ``sub`` reads
+    it back as a polynomial in y (written in X) of degree <= 2n."""
+
+    @staticmethod
+    def sub(p, n, b=32):
+        return kronecker_unpack(substitute_y(p, n, b), b, 2 * n)
+
     def test_structure(self):
-        assert substitute_y(X) == LaurentPoly({1: 1, 0: 2, -1: 1})
+        assert self.sub(X, 1) == IntPoly((1, 2, 1))
 
     def test_linear(self):
         # x - 2 becomes y + 1/y
-        assert substitute_y(X - 2) == LaurentPoly({1: 1, -1: 1})
+        assert self.sub(X - 2, 1) == IntPoly((1, 0, 1))
 
     def test_square(self):
-        got = substitute_y((X - 2) * (X - 2))
-        assert got == LaurentPoly({2: 1, 0: 2, -2: 1})
+        got = self.sub((X - 2) * (X - 2), 2)
+        assert got == IntPoly((1, 0, 2, 0, 1))
 
     def test_constant(self):
-        assert substitute_y(IntPoly.const(-7)) == -7
-        assert substitute_y(ZERO) == 0
+        assert substitute_y(IntPoly.const(-7), 0, 8) == -7
+        assert substitute_y(ZERO, 0, 8) == 0
+        assert self.sub(IntPoly.const(-7), 2) == IntPoly((0, 0, -7))
 
     @pytest.mark.parametrize("coeffs", [(0, 1), (1, -4, 2), (3, 0, 0, 1), (-2, 5, -5, 1, 1)])
     def test_ring_homomorphism(self, coeffs):
         p = IntPoly(coeffs)
         q = IntPoly((2, -1, 1))
-        assert substitute_y(p * q) == substitute_y(p) * substitute_y(q)
-        assert substitute_y(p + q) == substitute_y(p) + substitute_y(q)
+        n = max(p.degree, q.degree)
+        assert self.sub(p * q, p.degree + q.degree) \
+            == self.sub(p, p.degree) * self.sub(q, q.degree)
+        assert self.sub(p + q, n) == self.sub(p, n) + self.sub(q, n)
 
     def test_symmetric_under_inversion(self):
         p = IntPoly((4, -1, 0, 2, 1))
-        sub = substitute_y(p)
-        flipped = LaurentPoly((-e, c) for e, c in sub.items())
-        assert sub == flipped
+        coeffs = self.sub(p, 4).coeffs
+        assert len(coeffs) == 9
+        assert coeffs == coeffs[::-1]
 
     def test_exponent_range(self):
-        sub = substitute_y(IntPoly((0, 0, 0, 1)))
-        assert sub.lowest_term()[0] == -3
-        assert sub.items()[-1][0] == 3
+        sub = self.sub(IntPoly((0, 0, 0, 1)), 3)
+        assert sub.coeff(0) != 0
+        assert sub.degree == 6
+
+    def test_rejects_degree_above_n(self):
+        with pytest.raises(ValueError, match="above n"):
+            substitute_y(X * X, 1, 8)

@@ -5,8 +5,8 @@ twin-pruned edge, leaf and vertex children, children built without
 validation, the top-edge test against the child's own degree pairs and
 against the per-edge test it replaced, the top-vertex rule against the
 child's own neighbor degrees and against deleting a top vertex, the ring
-laws of IntPoly and LaurentPoly, the substitution x = y + 2 + 1/y against
-Horner's rule on plain dicts, and the Berkowitz charpoly against the
+laws of IntPoly, the substitution x = y + 2 + 1/y against Horner's rule on
+plain dicts, and the Berkowitz charpoly against the
 interpolation route on random inputs."""
 
 import pytest
@@ -21,7 +21,7 @@ from lapspec.graph6 import Graph6Error, graph6_decode, graph6_encode
 from lapspec.graphs import Graph, make_path
 from lapspec.laplacian import (_charpoly_at, _charpoly_value, charpoly,
                                charpoly_interpolated, laplacian, u_matrix)
-from lapspec.polynomials import IntPoly, LaurentPoly, substitute_y
+from lapspec.polynomials import IntPoly, kronecker_unpack, substitute_y
 from lapspec.recurrences import path_charpoly_rec, u_poly_rec
 
 # Bounded so the suite stays quick on a slow machine.
@@ -231,8 +231,6 @@ def test_top_vertex_deleted_and_readded_is_a_child(g):
 COEFFS = st.integers(-50, 50)
 RINGS = {
     "IntPoly": (st.lists(COEFFS, max_size=6).map(IntPoly), IntPoly()),
-    "LaurentPoly": (st.dictionaries(st.integers(-4, 4), COEFFS, max_size=5)
-                    .map(LaurentPoly), LaurentPoly()),
 }
 
 
@@ -275,7 +273,12 @@ def horner_on_dicts(p: IntPoly) -> dict[int, int]:
                  st.lists(COEFFS, max_size=12).map(IntPoly),
                  st.lists(st.integers(), max_size=40).map(IntPoly)))
 def test_substitute_y_matches_horner_on_dicts(p):
-    assert dict(substitute_y(p).items()) == horner_on_dicts(p)
+    # y^n p(y + 2 + 1/y) has 1-norm at most 4^n |p|, so b leaves every
+    # coefficient below 2^(b-1) in magnitude
+    n = max(p.degree, 0)
+    b = (sum(map(abs, p.coeffs)) << 2 * n).bit_length() + 2
+    shifted = kronecker_unpack(substitute_y(p, n, b), b, 2 * n)
+    assert {e - n: c for e, c in enumerate(shifted.coeffs) if c} == horner_on_dicts(p)
 
 
 @st.composite

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from lapspec import recurrences
 from lapspec.graphs import dumbbell_graph, make_path, theta_graph
 from lapspec.laplacian import charpoly, laplacian, submatrix_deleting, u_matrix
-from lapspec.polynomials import IntPoly, X, kronecker_unpack, substitute_y, LaurentPoly
+from lapspec.polynomials import IntPoly, X, kronecker_unpack, substitute_y
 from lapspec.recurrences import (dumbbell_charpoly_rec, dumbbell_value_at4,
                                  path_charpoly_rec, path_value_at4,
                                  theta_charpoly_rec, theta_value_at4, u_poly_rec,
@@ -175,11 +175,32 @@ class TestGeneratingIdentity:
         assert recurrences._generating_identity_holds(r, u_poly_rec(r))
 
     def test_explicit_form(self):
-        # (y^(r+2) - y^r) * sub(U_r) collapses to y^(2r+2) - 1
+        # (y^(r+2) - y^r) * sub(U_r) collapses to y^(2r+2) - 1; y^r sub(U_r)
+        # is read back from 2^b as a polynomial in y (written in X), whose
+        # coefficients are at most 4^r |U_r| <= 16^r in magnitude
         for r in range(6):
-            sub = substitute_y(u_poly_rec(r))
-            lhs = (LaurentPoly.monomial(r + 2) - LaurentPoly.monomial(r)) * sub
-            assert lhs == LaurentPoly({2 * r + 2: 1, 0: -1})
+            b = 4 * r + 8
+            shifted = kronecker_unpack(substitute_y(u_poly_rec(r), r, b), b, 2 * r)
+            assert (X * X - 1) * shifted == IntPoly([-1] + [0] * (2 * r + 1) + [1])
+
+    @pytest.mark.parametrize("r", range(0, 21))
+    def test_rejects_wrong_interior_charpolys(self, r):
+        u_r = u_poly_rec(r)
+        for wrong in (u_r + 1, -u_r, u_poly_rec(r - 1)):
+            assert not recurrences._generating_identity_holds(r, wrong)
+
+    @pytest.mark.parametrize("r", [1, 5, 20])
+    def test_rejects_a_wrong_charpoly_that_agrees_at_a_narrow_point(self, r):
+        # y (z x - (z + 1)^2) with x = y + 2 + 1/y is z (y + 1)^2 - (z + 1)^2 y,
+        # which vanishes at y = z = 2^w: a check run at width w would pass
+        # this wrong u_r
+        for w in range(1, 80):
+            z = 1 << w
+            wrong = u_poly_rec(r) + z * X - (z + 1) ** 2
+            assert not recurrences._generating_identity_holds(r, wrong), w
+
+    def test_rejects_a_degree_above_r(self):
+        assert not recurrences._generating_identity_holds(2, u_poly_rec(3))
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import sys
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 from lapspec import polynomials, termtables
 from lapspec.graphs import dumbbell_graph, theta_graph
 from lapspec.laplacian import charpoly, laplacian
-from lapspec.polynomials import IntPoly, LaurentPoly, X, substitute_y
+from lapspec.polynomials import ONE, ZERO, IntPoly, X
 from lapspec.recurrences import dumbbell_charpoly_rec, theta_charpoly_rec
-from lapspec.termtables import (AffineForm, _parse_table, audit_dumbbell_identity,
+from lapspec.termtables import (AffineForm, _audit, _parse_table, audit_dumbbell_identity,
                                 audit_theta_identity, dumbbell_table,
                                 dumbbell_table_lowest_term, identity_lhs,
                                 parse_affine, theta_table, theta_table_lowest_term)
@@ -20,21 +21,34 @@ from lapspec.verify import (_dumbbell_grid, _theta_grid, verify_dumbbell_table,
 DUMBBELL_GRID = _dumbbell_grid(8, 5)
 THETA_GRID = _theta_grid(8)
 
-_UNIT_CUBE = (LaurentPoly.monomial(2) - 1) \
-    * (LaurentPoly.monomial(2) - 1) * (LaurentPoly.monomial(2) - 1)
+# Polynomials in y are IntPolys written in X.
+_UNIT_CUBE = (X * X - 1) * (X * X - 1) * (X * X - 1)
+_W = (X + 1) * (X + 1)
 
 
-def oracle_correction(n: int) -> LaurentPoly:
+def y_power(k: int, coeff: int = 1) -> IntPoly:
+    return IntPoly([0] * k + [coeff])
+
+
+def terms(p: IntPoly) -> dict[int, int]:
+    """A polynomial in y as the exponent -> nonzero coefficient dict that
+    ``TermTable.instantiate`` returns."""
+    return {e: c for e, c in enumerate(p.coeffs) if c}
+
+
+def oracle_correction(n: int) -> IntPoly:
     """The fixed boundary polynomial f(n; y) = head(y) + y^(2n+2) tail(y),
     from the two coefficient lists ``identity_lhs`` reads."""
-    return LaurentPoly([*enumerate(termtables._CORRECTION_HEAD.coeffs),
-                        *enumerate(termtables._CORRECTION_TAIL.coeffs, start=2 * n + 2)])
+    return termtables._CORRECTION_HEAD + termtables._CORRECTION_TAIL * y_power(2 * n + 2)
 
 
-def oracle_identity_lhs(phi: IntPoly, n: int) -> LaurentPoly:
-    """The left-hand side from sparse LaurentPoly products: phi substituted at
-    x = y + 2 + 1/y, times y^n, times (y^2 - 1)^3, plus f(n; y)."""
-    shifted = substitute_y(phi) * LaurentPoly.monomial(n)
+def oracle_identity_lhs(phi: IntPoly, n: int) -> IntPoly:
+    """The left-hand side from IntPoly products: y^n phi(y + 2 + 1/y) as
+    sum_k c_k (y + 1)^(2k) y^(n-k), times (y^2 - 1)^3, plus f(n; y)."""
+    shifted, w_k = ZERO, ONE  # w_k = (y + 1)^(2k)
+    for k, c in enumerate(phi.coeffs):
+        shifted = shifted + c * w_k * y_power(n - k)
+        w_k = w_k * _W
     return shifted * _UNIT_CUBE + oracle_correction(n)
 
 
@@ -83,24 +97,35 @@ class TestTables:
 
     def test_instantiation_is_laurent(self):
         poly = dumbbell_table().instantiate(p=3, k=0, q=3)
-        assert isinstance(poly, LaurentPoly)
+        assert isinstance(poly, dict)
         assert poly
 
     def test_negative_parity_gives_an_integer_sign(self):
         # (-1) ** -3 is the float -1.0; the sign comes from the parity's low bit
         poly = _parse_table("symbols: p\n 3 | p-5 | p\n").instantiate(p=2)
-        assert poly.items() == [(2, -3)]
-        assert type(poly.coeff(2)) is int
+        assert poly == {2: -3}
+        assert type(poly[2]) is int
 
     @pytest.mark.parametrize("table, grid", [(dumbbell_table(), DUMBBELL_GRID),
                                              (theta_table(), THETA_GRID)])
     def test_compiled_rows_match_term_by_term_evaluation(self, table, grid):
         for params in grid:
             values = dict(zip(table.symbols, (getattr(params, s) for s in table.symbols)))
-            want = LaurentPoly((t.exponent.evaluate(values),
-                                t.coeff * (-1 if t.parity.evaluate(values) % 2 else 1))
-                               for t in table.terms)
-            assert table.instantiate(**values) == want, params
+            want: dict[int, int] = {}
+            for t in table.terms:
+                e = t.exponent.evaluate(values)
+                want[e] = want.get(e, 0) \
+                    + t.coeff * (-1 if t.parity.evaluate(values) % 2 else 1)
+            assert table.instantiate(**values) \
+                == {e: c for e, c in want.items() if c}, params
+
+    def test_cancelling_terms_and_a_negative_exponent(self):
+        table = _parse_table("symbols: p\n"
+                             " 4 | p   | p+1\n"   # these two cancel
+                             " 4 | p+1 | p+1\n"
+                             " 7 | 0   | -p\n"    # wrong data: a negative exponent
+                             " 1 | 1   | 2p\n")
+        assert table.instantiate(p=3) == {-3: 7, 6: -1}
 
 
 class TestCorrectionPoly:
@@ -110,7 +135,7 @@ class TestCorrectionPoly:
         tail = {12: -4, 13: -4, 14: 3, 15: 2, 16: -1}
         for e, c in {**head, **tail}.items():
             assert f.coeff(e) == c
-        assert f.items()[-1][0] == 2 * 5 + 6
+        assert f.degree == 2 * 5 + 6
 
     def test_monotone_support(self):
         assert oracle_correction(9).coeff(10) == 0
@@ -124,14 +149,14 @@ class TestIdentityLhs:
     def test_dumbbell_lhs_equals_table(self):
         phi = dumbbell_charpoly_rec(3, 1, 4)
         lhs = identity_lhs(phi, 8)
-        assert lhs == dumbbell_table().instantiate(p=4, k=1, q=3)
+        assert terms(lhs) == dumbbell_table().instantiate(p=4, k=1, q=3)
 
     def test_theta_lhs_differs_by_known_term(self):
         r, s, t = 2, 2, 1
         phi = theta_charpoly_rec(r, s, t)
         lhs = identity_lhs(phi, r + s + t + 2)
         table = theta_table().instantiate(r=r, s=s, t=t)
-        assert table - lhs == LaurentPoly.monomial(2 * r + 2 * t + 6, 2)
+        assert table == terms(lhs + y_power(2 * r + 2 * t + 6, 2))
 
 
     @pytest.mark.parametrize("grid, graph, rec", [
@@ -175,6 +200,24 @@ class TestAudits:
         assert diff["exponent"] == 2 * r + 2 * t + 6
         assert diff["table"] - diff["lhs"] == 2
 
+    def test_a_negative_exponent_in_the_table_is_a_diff(self):
+        # the dumbbell table plus two cancelling terms and one term at y^-p
+        text = resources.files("lapspec.data").joinpath("dumbbell_terms.txt").read_text()
+        table = _parse_table(text + " 5 | p | p+k\n 5 | p+1 | p+k\n 3 | 0 | -p\n")
+        params = {"p": 4, "k": 1, "q": 3}
+        assert table.instantiate(**params) == {**dumbbell_table().instantiate(**params), -4: 3}
+        result = _audit(dumbbell_graph, dumbbell_charpoly_rec, table, **params)
+        assert result["routes_agree"]
+        assert not result["table_matches"]
+        assert result["diffs"] == [{"exponent": -4, "lhs": 0, "table": 3}]
+
+    def test_diffs_are_listed_by_ascending_exponent(self):
+        table = _parse_table("symbols: p k q\n 1 | 0 | -p\n 2 | 0 | 40\n 1 | 0 | -q-p\n")
+        diffs = _audit(dumbbell_graph, dumbbell_charpoly_rec, table, p=3, k=0, q=3)["diffs"]
+        exponents = [d["exponent"] for d in diffs]
+        lhs = identity_lhs(dumbbell_charpoly_rec(3, 0, 3), 6)
+        assert exponents == sorted({-6, -3, 40, *terms(lhs)})
+
 
 def _count_calls(monkeypatch, module, name):
     """Count calls to module.name made from any lapspec module."""
@@ -196,12 +239,12 @@ class TestTableSuites:
     @pytest.mark.parametrize("suite, kwargs", [(verify_dumbbell_table, {"p_max": 5, "k_max": 2}),
                                                (verify_theta_table, {"r_max": 4})])
     def test_one_lhs_per_tuple_and_no_substitution(self, monkeypatch, suite, kwargs):
+        # no substitution besides the one inside each identity_lhs call
         lhs_calls = _count_calls(monkeypatch, termtables, "identity_lhs")
         substitutions = _count_calls(monkeypatch, polynomials, "substitute_y")
         report = suite(**kwargs)
         assert report.passed
-        assert len(lhs_calls) == report.counts["tuples"] > 0
-        assert substitutions == []
+        assert len(lhs_calls) == len(substitutions) == report.counts["tuples"] > 0
 
     @pytest.mark.parametrize("wrong", [lambda rec: lambda *params: X + 1,
                                        lambda rec: lambda *params: rec(*params) + 1],

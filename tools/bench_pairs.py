@@ -15,9 +15,12 @@ once in that tree and once in this checkout, each in its own process, with
 the side that runs first alternating from pair to pair so that a slow phase
 of the machine does not always fall on the same side.  For a run that does
 not report ``correct`` true the script prints its pair number, side, exit
-code and ``FAIL:`` lines, and the last 40 lines of its standard output and
-of its standard error (where a traceback goes), and goes on with the next
-run.  At the end, over the pairs in which both runs were correct, for every
+code, what kind of failure it was and its ``FAIL:`` lines, and the last 40
+lines of its standard output and of its standard error (where a traceback
+goes), and goes on with the next run.  A run whose last lines of standard
+error hold ``StatisticsError`` is the known crash of the benchmark's speed probe on a
+short pass (ROADMAP item 1); any other failed run is a gate failure when
+it printed ``FAIL:`` lines, and another exception otherwise.  At the end, over the pairs in which both runs were correct, for every
 metric of the result lines, the script prints the median and quartiles of
 each side, the change of the medians, whether the checkout shows a gain,
 in how many pairs the checkout was the better side, and a verdict for each
@@ -182,11 +185,22 @@ def run_once(tree: Path, workload: str, seconds: float) -> Run:
                (out.stderr or "").splitlines()[-TAIL_LINES:])
 
 
+PROBE_CRASH = "the speed probe's StatisticsError on a short pass (ROADMAP item 1)"
+
+
+def failure_kind(run: Run) -> str:
+    """What kind of failure a run that did not report correct true was, as
+    the module docstring sorts them."""
+    if any("StatisticsError" in line for line in run.err_tail):
+        return PROBE_CRASH
+    return "a gate failure" if run.failures else "another exception"
+
+
 def report_failed(pair: int, side: str, run: Run) -> None:
     """What a run that did not report correct true left behind."""
     label = f"pair {pair} {side}"
     print(f"pair {pair}: the {side} run exited {run.code} and did not report "
-          f"correct true", file=sys.stderr)
+          f"correct true: {failure_kind(run)}", file=sys.stderr)
     for line in run.failures:
         print(f"{label}: {line}", file=sys.stderr)
     print(f"{label}: last {len(run.out_tail)} lines of its output:")
