@@ -13,7 +13,9 @@ recurrences suite takes the charpolys of every interior matrix
 independent route (``charpoly_interpolated``) takes one Bareiss determinant
 of 2^b I - M and reads the coefficients off it as n + 1 balanced base-2^b
 digits (``polynomials.kronecker_unpack``); it exists only to cross-check
-the first and is never used as the reference.  Both, and the Bareiss
+the first and is never used as the reference.  For a graph,
+``laplacian_charpoly`` takes that route with a cheaper determinant (see
+``_charpoly_value`` below).  Both, and the Bareiss
 determinant, refuse a matrix that is not square, and both raise
 ArithmeticError on an entry that is not an int: the width below is only
 derived for integers.
@@ -83,10 +85,18 @@ product (once for two hubs, never for one).  Where this does not reduce
 the core (no hub or more than two, a core vertex on no chain between hubs,
 or a continuant that is 0 at x), it gives up and returns ``_charpoly_at``
 of the whole Laplacian, the Bareiss elimination that is also its test
-oracle.  The pool suites in ``verify`` use it to find the few pool graphs
-whose charpoly can equal a member's before running Berkowitz on them; no
-pool graph makes it give up at their x0 = -3.  Bareiss skips the products
-of rows that are zero in the pivot column, so sparse matrices cost less.
+oracle.  Two kinds of suite use it.  The pool suites in ``verify`` take it
+at x0 = -3 to find the few pool graphs whose charpoly can equal a member's
+before running Berkowitz on them; no pool graph makes it give up there.
+At x = 2^b, with the Gershgorin width b above, it is a charpoly route:
+``laplacian_charpoly`` reads det(xI - L) off that one value as balanced
+digits, the interpolation route of ``charpoly_interpolated`` with a
+cheaper determinant.  It is the matrix route of the recurrences suite
+(paths, dumbbells, thetas) and of both term-table audits, where it never
+gives up: 2^b exceeds every eigenvalue, so 2^b I - L is positive definite
+and no continuant is 0, and every graph there has at most two hubs.
+Bareiss skips the products of rows that are zero in the pivot column, so
+sparse matrices cost less.
 
 Also here: principal submatrices (vertex-deleted Laplacians keep the
 degrees of the original graph), the tridiagonal matrix family behind the
@@ -455,6 +465,18 @@ def charpoly_interpolated(mat: IntMatrix) -> IntPoly:
     entry is an int."""
     n, b = _kronecker_bits(mat)
     return kronecker_unpack(_charpoly_at(mat, 1 << b), b, n)
+
+
+def laplacian_charpoly(g: Graph) -> IntPoly:
+    """det(xI - L(g)) read off ``_charpoly_value`` at the Kronecker point
+    x = 2^b: the interpolation route of ``charpoly_interpolated`` for a
+    graph, at the same width b = bit_length((1 + 2 Delta)^n) + 2 (2 Delta
+    is L's largest absolute row sum, read from the degrees without building
+    L).  The value is exact at every integer x and falls back to one
+    Bareiss elimination only where it cannot fold the core into one or two
+    hubs."""
+    b = ((1 + 2 * max(g.degree_sequence(), default=0)) ** g.n).bit_length() + 2
+    return kronecker_unpack(_charpoly_value(g, 1 << b), b, g.n)
 
 
 def submatrix_deleting(mat: IntMatrix, delete: Iterable[int]) -> IntMatrix:

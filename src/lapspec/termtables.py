@@ -11,7 +11,10 @@ exponent form, all affine in the family parameters) and are treated as data
 under test: the verifiers compute the left side independently, from the
 matrix charpoly, check that the recurrence charpoly equals the matrix one,
 and report any exponent where the instantiated table disagrees.  A table
-mismatch is reported, never patched.
+mismatch is reported, never patched.  The matrix charpoly is
+``laplacian.laplacian_charpoly``: one elimination of 2^b I - L, its chains
+folded into the two hubs, read back as balanced base-2^b digits.  It
+shares no code with the recurrences.
 
 Comparing the two charpolys is comparing the two left-hand sides.  The map
 phi -> y^n (y^2 - 1)^3 phi|_{x=y+2+1/y} is linear, and it is injective: with
@@ -56,7 +59,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 
 from .graphs import dumbbell_graph, theta_graph
-from .laplacian import charpoly, laplacian
+from .laplacian import laplacian_charpoly
 from .polynomials import IntPoly, kronecker_unpack, substitute_y
 from .recurrences import dumbbell_charpoly_rec, theta_charpoly_rec
 
@@ -227,12 +230,13 @@ def identity_lhs(phi: IntPoly, n: int) -> IntPoly:
 def _audit(make_graph, recurrence, table: TermTable, **params: int) -> dict:
     """One grid point of a y-side identity, for the family with this layout
     builder, recurrence charpoly and term table.  routes_agree compares the
-    matrix and recurrence charpolys, which is comparing their left-hand
+    matrix charpoly (``laplacian_charpoly``, one elimination at a Kronecker
+    point) and the recurrence charpoly, which is comparing their left-hand
     sides (the map between them is injective); the table is compared with
     the one left-hand side built from the matrix charpoly."""
     values = list(params.values())
     g = make_graph(*values)
-    phi = charpoly(laplacian(g))
+    phi = laplacian_charpoly(g)
     lhs = identity_lhs(phi, g.n)
     instantiated = table.instantiate(**params)
     diffs = [{"exponent": e, "lhs": lhs.coeff(e), "table": instantiated.get(e, 0)}

@@ -66,8 +66,8 @@ from .graphs import (DumbbellParams, FamilyParams, Graph, ThetaParams,
 from .invariants import (InvalidCharpolyError, degree_constraint_solver,
                          invariants_from_charpoly)
 from .laplacian import (_charpoly_value, charpoly, laplacian,
-                        spanning_tree_count, trailing_charpolys, u_matrix,
-                        verify_deletion_formula)
+                        laplacian_charpoly, spanning_tree_count,
+                        trailing_charpolys, u_matrix, verify_deletion_formula)
 from .polynomials import IntPoly, X
 from .recurrences import (_generating_identity_holds, _interior_sequence,
                           _path_sequence, dumbbell_charpoly_rec, dumbbell_value_at4,
@@ -247,13 +247,21 @@ def verify_recurrences(path_n_max: int = 40, p_max: int = 8, k_max: int = 5,
     """Recurrence route equals direct matrix charpoly, exactly: paths and
     cycle-interior matrices up to path_n_max, dumbbells over the full
     p,q in [3,p_max] x k in [0,k_max] grid (both orders of p and q), thetas
-    with r <= r_max."""
+    with r <= r_max.
+
+    A graph's matrix charpoly is ``laplacian_charpoly``: one exact
+    elimination of its own Laplacian at a Kronecker point x = 2^b, hung
+    trees peeled and chains folded into at most two hubs, read back as
+    balanced base-2^b digits.  The interior matrices, which are no graph's
+    Laplacian, take theirs from one Berkowitz run on u_matrix(path_n_max)
+    (``trailing_charpolys``).  Neither route shares code with the
+    recurrences."""
     counterexamples = []
     counts = {"paths": 0, "interior_matrices": 0, "dumbbells": 0, "thetas": 0}
 
     for n, phi in zip(range(1, path_n_max + 1), islice(_path_sequence(X), 1, None)):
         counts["paths"] += 1
-        if phi != charpoly(laplacian(make_path(n))):
+        if phi != laplacian_charpoly(make_path(n)):
             counterexamples.append({"case": "path", "n": n})
     # u_matrix(n) is the trailing n x n block of u_matrix(path_n_max).
     interior = trailing_charpolys(u_matrix(path_n_max))
@@ -265,11 +273,11 @@ def verify_recurrences(path_n_max: int = 40, p_max: int = 8, k_max: int = 5,
         for q in range(3, p_max + 1):
             for k in range(k_max + 1):
                 counts["dumbbells"] += 1
-                if dumbbell_charpoly_rec(p, k, q) != charpoly(laplacian(dumbbell_graph(p, k, q))):
+                if dumbbell_charpoly_rec(p, k, q) != laplacian_charpoly(dumbbell_graph(p, k, q)):
                     counterexamples.append({"case": "dumbbell", "p": p, "k": k, "q": q})
     for h in _theta_grid(r_max):
         counts["thetas"] += 1
-        if theta_charpoly_rec(h.r, h.s, h.t) != charpoly(laplacian(theta_graph(h.r, h.s, h.t))):
+        if theta_charpoly_rec(h.r, h.s, h.t) != laplacian_charpoly(theta_graph(h.r, h.s, h.t)):
             counterexamples.append({"case": "theta", "r": h.r, "s": h.s, "t": h.t})
     return (f"paths and interior matrices n <= {path_n_max}; dumbbells "
             f"p,q in [3,{p_max}], k in [0,{k_max}]; thetas r <= {r_max}",

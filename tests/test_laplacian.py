@@ -8,16 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_helpers import gauss_jordan_adjugate
-from lapspec import verify
+from lapspec import termtables, verify
 from lapspec.enumeration import (EnumerationTask, enumerate_graphs,
                                  random_connected_graph)
-from lapspec.graphs import (Graph, make_cycle, make_dumbbell, make_path,
-                            make_theta)
+from lapspec.graphs import (Graph, dumbbell_graph, make_cycle, make_dumbbell,
+                            make_path, make_theta, theta_graph)
 from lapspec.laplacian import (_adjugate, _charpoly_at, _charpoly_value,
                                _cycles_by_vertex, _cycles_from, _deletion_bits,
-                               _pair_minor, _require_square, charpoly,
-                               charpoly_interpolated,
-                               det_bareiss, laplacian, submatrix_deleting,
+                               _kronecker_bits, _pair_minor, _require_square,
+                               charpoly, charpoly_interpolated,
+                               det_bareiss, laplacian, laplacian_charpoly,
+                               submatrix_deleting,
                                spanning_tree_count, trailing_charpolys, u_matrix,
                                verify_deletion_formula)
 from lapspec.polynomials import IntPoly, X
@@ -438,6 +439,114 @@ class TestCharpolyValue:
         for x in range(-4, g.n + 2):
             _charpoly_value(g, x)
         assert oracle_calls == points
+
+
+def core_hubs(g: Graph) -> int:
+    """The number of vertices of degree >= 3 in the 2-core of g."""
+    adj = g.adjacency()
+    leaves = [v for v in range(g.n) if len(adj[v]) <= 1]
+    while leaves:
+        v = leaves.pop()
+        for u in adj[v]:
+            adj[u].discard(v)
+            if len(adj[u]) == 1:
+                leaves.append(u)
+        adj[v] = set()
+    return sum(len(a) >= 3 for a in adj)
+
+
+def random_forest(rng: Random, n: int) -> Graph:
+    """A random tree on n vertices with about a third of its edges dropped."""
+    tree = random_connected_graph(rng, n)
+    return Graph(n, [e for e in tree.edges if rng.random() > 1 / 3])
+
+
+class TestLaplacianCharpoly:
+    """The charpoly read off one value at x = 2^b, against Berkowitz."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """The digit width b of every ``kronecker_unpack`` call."""
+        calls = []
+        real = laplacian_module.kronecker_unpack
+
+        def counted(value, b, n):
+            calls.append(b)
+            return real(value, b, n)
+
+        monkeypatch.setattr(laplacian_module, "kronecker_unpack", counted)
+        return calls
+
+    def check(self, graphs, widths) -> list[int]:
+        """Check each graph's charpoly by both routes, and that the one
+        unpacking in ``laplacian_charpoly`` has Berkowitz's width; return
+        those widths."""
+        route_widths = []
+        for g in graphs:
+            mat = laplacian(g)
+            del widths[:]
+            phi = laplacian_charpoly(g)
+            assert widths == [_kronecker_bits(mat)[1]]
+            route_widths += widths
+            assert phi == charpoly(mat), g.edges
+        return route_widths
+
+    def test_every_graph_of_the_recurrence_and_table_grids(self, widths, oracle_calls):
+        # the table suites' grids are the normalized part of these
+        graphs = [make_path(n) for n in range(1, 41)]
+        graphs += [dumbbell_graph(p, k, q) for p in range(3, 9) for q in range(3, 9)
+                   for k in range(6)]
+        graphs += [theta_graph(h.r, h.s, h.t) for h in verify._theta_grid(8)]
+        assert len(graphs) == 40 + 216 + 156
+        self.check(graphs, widths)
+        assert oracle_calls == []
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_every_pool_graph(self, n, bicyclic_pool, widths, oracle_calls):
+        self.check(bicyclic_pool(n), widths)
+        assert oracle_calls == []
+
+    def test_three_or_more_hubs_take_the_bareiss_fallback(self, widths, oracle_calls):
+        rng = Random(43)
+        graphs = [random_connected_graph(rng, rng.randint(6, 12), rng.randint(3, 8))
+                  for _ in range(30)]
+        graphs = [g for g in graphs if core_hubs(g) >= 3]
+        assert len(graphs) >= 20
+        assert oracle_calls == [1 << b for b in self.check(graphs, widths)]
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_forests_isolated_vertices_complete_graphs_and_stars(self, n, widths):
+        rng = Random(n)
+        self.check([Graph(n), random_forest(rng, n) if n else Graph(0),
+                    Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]),
+                    Graph(n, [(0, j) for j in range(1, n)])], widths)
+
+    def test_no_vertex_and_one_vertex(self):
+        assert laplacian_charpoly(Graph(0)) == IntPoly([1])
+        assert laplacian_charpoly(Graph(1)) == X
+
+    def test_family_suites_at_their_acceptance_bounds_never_fall_back(
+            self, monkeypatch, oracle_calls):
+        """The recurrences and both table suites take every graph's charpoly
+        from ``laplacian_charpoly`` and never need ``_charpoly_at``."""
+        calls = []
+        real = laplacian_module.laplacian_charpoly
+
+        def counted(g):
+            calls.append(g.n)
+            return real(g)
+
+        for module in (verify, termtables):
+            monkeypatch.setattr(module, "laplacian_charpoly", counted)
+        reports = [verify.verify_recurrences(path_n_max=40, p_max=8, k_max=5, r_max=8),
+                   verify.verify_dumbbell_table(p_max=8, k_max=5),
+                   verify.verify_theta_table(r_max=8)]
+        assert all(r.passed for r in reports)
+        recurrences, dumbbells, thetas = (r.counts for r in reports)
+        assert len(calls) == (recurrences["paths"] + recurrences["dumbbells"]
+                              + recurrences["thetas"] + dumbbells["tuples"]
+                              + thetas["tuples"])
+        assert oracle_calls == []
 
 
 class TestUMatrix:
