@@ -85,7 +85,7 @@ product (once for two hubs, never for one).  Where this does not reduce
 the core (no hub or more than two, a core vertex on no chain between hubs,
 or a continuant that is 0 at x), it gives up and returns ``_charpoly_at``
 of the whole Laplacian, the Bareiss elimination that is also its test
-oracle.  Two kinds of suite use it.  The pool suites in ``verify`` take it
+oracle.  Three kinds of suite use it.  The pool suites in ``verify`` take it
 at x0 = -3 to find the few pool graphs whose charpoly can equal a member's
 before running Berkowitz on them; no pool graph makes it give up there.
 At x = 2^b, with the Gershgorin width b above, it is a charpoly route:
@@ -94,7 +94,9 @@ digits, the interpolation route of ``charpoly_interpolated`` with a
 cheaper determinant.  It is the matrix route of the recurrences suite
 (paths, dumbbells, thetas) and of both term-table audits, where it never
 gives up: 2^b exceeds every eigenvalue, so 2^b I - L is positive definite
-and no continuant is 0, and every graph there has at most two hubs.
+and no continuant is 0, and every graph there has at most two hubs.  The
+deletion check below takes it as phi(L)(z) at its own width, where a graph
+with more than two hubs (K4, many sampled graphs) falls back to Bareiss.
 Bareiss skips the products of rows that are zero in the pivot column, so
 sparse matrices cost less.
 
@@ -116,8 +118,10 @@ triangle of about n^3 / 6 entry updates is all the work.  Then
 phi(L_u)(z) = adj_uu, and by Jacobi's identity
 phi(L_uv)(z) = (adj_uu adj_vv - adj_uv adj_vu) / det M, an exact division
 (a remainder fails the vertex; it is never floored).  Each distinct cycle
-vertex set Z gets one Bareiss determinant of M_Z.  phi(L) itself is still
-one Berkowitz charpoly, and its value at z must equal det M.
+vertex set Z gets one Bareiss determinant of M_Z.  phi(L)(z) itself is
+``_charpoly_value(g, z)``, hung trees peeled and chains folded into at most
+two hubs, or one Bareiss elimination of M beyond two hubs; it shares no code
+with the bordering, and it must equal det M.
 
 The width b comes from the spectrum.  L is positive semidefinite with
 largest eigenvalue at most 2 Delta (Delta the maximum degree), and every
@@ -605,8 +609,9 @@ def verify_deletion_formula(g: Graph) -> tuple[bool, ...]:
     adj M; phi(L_u) is read off adj M's diagonal and each phi(L_uv) by
     Jacobi's identity, and each distinct cycle vertex set gets one
     determinant, shared by every cycle on it (K4's three 4-cycles), while
-    each cycle keeps its own term.  phi(L) is one Berkowitz charpoly, and
-    every vertex fails unless its value at 2^b is det M."""
+    each cycle keeps its own term.  phi(L)(2^b) is ``_charpoly_value``,
+    which shares no code with the bordering, and every vertex fails unless
+    it is det M."""
     n = g.n
     adj = g.adjacency()
     through = _cycles_by_vertex(adj)
@@ -614,7 +619,7 @@ def verify_deletion_formula(g: Graph) -> tuple[bool, ...]:
     mat = laplacian(g)
     shifted = _shifted(mat, z)
     det, adjugate = _adjugate(shifted)
-    if charpoly(mat).eval(z) != det:
+    if _charpoly_value(g, z) != det:
         return (False,) * n
     pairs = {(u, v): _pair_minor(adjugate, det, u, v) for u, v in g.edges}
     cycle_minors: dict[frozenset[int], int] = {}

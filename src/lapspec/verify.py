@@ -53,7 +53,7 @@ from itertools import islice
 from random import Random
 from typing import Callable
 
-from . import enumeration
+from . import enumeration, recurrences
 from .canonical import canonical_form
 from .enumeration import (DEFAULT_CAP, EnumerationCapError, EnumerationTask,
                           enumerate_by_vertex_growth, enumerate_graphs,
@@ -63,16 +63,16 @@ from .graphs import (DumbbellParams, FamilyParams, Graph, ThetaParams,
                      classify_bicyclic, connected_components, dumbbell_graph,
                      dumbbell_parameter_grid, make_dumbbell, make_path,
                      make_theta, theta_graph, theta_parameter_grid)
-from .invariants import (InvalidCharpolyError, degree_constraint_solver,
-                         invariants_from_charpoly)
+from .invariants import (InvalidCharpolyError, SpectralInvariants,
+                         degree_constraint_solver, invariants_from_charpoly)
 from .laplacian import (_charpoly_value, charpoly, laplacian,
                         laplacian_charpoly, spanning_tree_count,
                         trailing_charpolys, u_matrix, verify_deletion_formula)
 from .polynomials import IntPoly, X
 from .recurrences import (_generating_identity_holds, _interior_sequence,
-                          _path_sequence, dumbbell_charpoly_rec, dumbbell_value_at4,
-                          path_value_at4, theta_charpoly_rec, theta_value_at4,
-                          u_value_at2, u_value_at4)
+                          _path_sequence, _u_table, dumbbell_charpoly_rec,
+                          dumbbell_value_at4, path_value_at4, theta_charpoly_rec,
+                          theta_value_at4, u_value_at2, u_value_at4)
 from .reports import VerificationReport
 from .termtables import audit_dumbbell_identity, audit_theta_identity
 
@@ -161,6 +161,17 @@ def _family_charpoly(params: FamilyParams) -> IntPoly:
     raise ValueError("graph does not carry dumbbell or theta parameters")
 
 
+def _family_value(params: FamilyParams, x: int, u) -> int:
+    """The recurrence formula of the dumbbell or theta with these parameters
+    run in the integers at x, with u = _u_table(x, top) for a top at least
+    its largest parameter.  Evaluation at x is a ring homomorphism Z[x] -> Z,
+    so this is exactly ``_family_charpoly(params).eval(x)``; the formula is
+    read from the recurrences module, the one the charpoly route runs."""
+    if isinstance(params, DumbbellParams):
+        return recurrences._dumbbell(x, u, params.p, params.k, params.q)
+    return recurrences._theta(x, u, params.r, params.s, params.t)
+
+
 def member_charpoly(g: Graph) -> IntPoly:
     """Laplacian charpoly of a family member via its recurrence, dispatched
     on the parameters stored in Graph.family."""
@@ -178,7 +189,8 @@ def _g6(g: Graph) -> str:
 
 
 # The point at which pool graphs and members are compared before any
-# Berkowitz run; see the module docstring for why it is negative.
+# Berkowitz run, and at which within-family keys its members; see the
+# module docstring for why it is negative.
 _X0 = -3
 
 # The forms list of the last pool whose values at _X0 were computed, and
@@ -367,16 +379,20 @@ def verify_family_values(p_max: int = 8, k_max: int = 5,
                          r_max: int = 8) -> VerificationReport:
     """Closed forms for the family charpolys at x=4 equal direct evaluation
     over the grids; includes the 5-vertex theta with all bridge paths of one
-    interior vertex, whose value at 4 is -16 by its known spectrum."""
+    interior vertex, whose value at 4 is -16 by its known spectrum.
+
+    As in special-values, the direct evaluation runs the recurrence
+    formulas in the integers at x = 4 (``_family_value``), from one table
+    of u(j) at 4; that is exactly the value of the recurrence charpoly
+    there, and no polynomial is built."""
     dumbbells = _dumbbell_grid(p_max, k_max)
     thetas = _theta_grid(r_max)
+    u = _u_table(4, max(p_max, k_max, r_max, 1))
     counterexamples = [_params_dict(d) for d in dumbbells
-                       if dumbbell_charpoly_rec(d.p, d.k, d.q).eval(4)
-                       != dumbbell_value_at4(d.p, d.k, d.q)]
+                       if _family_value(d, 4, u) != dumbbell_value_at4(d.p, d.k, d.q)]
     counterexamples += [_params_dict(h) for h in thetas
-                        if theta_charpoly_rec(h.r, h.s, h.t).eval(4)
-                        != theta_value_at4(h.r, h.s, h.t)]
-    spot = theta_charpoly_rec(1, 1, 1).eval(4)
+                        if _family_value(h, 4, u) != theta_value_at4(h.r, h.s, h.t)]
+    spot = _family_value(ThetaParams(1, 1, 1), 4, u)
     if spot != -16 or theta_value_at4(1, 1, 1) != -16:
         counterexamples.append({"family": "theta", "r": 1, "s": 1, "t": 1,
                                 "failure": f"spot value {spot} != -16"})
@@ -440,9 +456,8 @@ def verify_invariants_suite(samples: int = 200, n_max: int = 10,
             "spanning_trees": spanning_tree_count(g),
             "degree_square_sum": sum(d * d for d in g.degree_sequence()),
         }
-        derived = asdict(inv)
-        if derived != direct:
-            counterexamples.append({"graph6": _g6(g), "derived": derived,
+        if inv != SpectralInvariants(**direct):
+            counterexamples.append({"graph6": _g6(g), "derived": asdict(inv),
                                     "direct": direct})
     return (f"{samples} random connected graphs, n <= {n_max}",
             {"graphs": samples}, counterexamples)
@@ -452,16 +467,28 @@ def verify_invariants_suite(samples: int = 200, n_max: int = 10,
 def verify_within_family(n_max: int = 20) -> VerificationReport:
     """All dumbbells and thetas with n <= n_max have pairwise distinct
     Laplacian charpolys, by exact comparison of recurrence-route
-    polynomials within each vertex count."""
+    polynomials within each vertex count.
+
+    Each member is first keyed by the exact integer value of its recurrence
+    formula at x0 = -3 (``_family_value``, from one table of u(j) at x0).
+    Members with distinct values have distinct charpolys, so only members
+    whose value another member of their n shares get the recurrence
+    charpoly and the coefficient comparison: a shared value costs time and
+    decides nothing."""
     counterexamples = []
     members_total = 0
     pairs = 0
+    u = _u_table(_X0, n_max)
     for n in range(4, n_max + 1):
-        by_coeffs: dict[tuple, FamilyParams] = {}
         members = dumbbell_parameter_grid(n) + theta_parameter_grid(n)
         members_total += len(members)
         pairs += len(members) * (len(members) - 1) // 2
-        for params in members:
+        values = [_family_value(params, _X0, u) for params in members]
+        shared = {value for value, count in Counter(values).items() if count > 1}
+        by_coeffs: dict[tuple, FamilyParams] = {}
+        for params, value in zip(members, values):
+            if value not in shared:
+                continue
             key = _family_charpoly(params).coeffs
             other = by_coeffs.get(key)
             if other is not None:

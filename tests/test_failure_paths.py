@@ -1,7 +1,9 @@
-"""Each counterexample branch of the recurrences suite, and the
-"computational routes disagree" branch of both term-table suites, made to
-fire.  A case makes one route wrong at exactly one input, by one added to
-the charpoly it returns there, and checks that:
+"""Each counterexample branch of the recurrences suite, the
+"computational routes disagree" branch of both term-table suites, a wrong
+closed form of the family-values suite and a duplicate of the
+within-family suite, made to fire.  A case makes one route wrong at
+exactly one input, by one added to the charpoly or value it returns there,
+or gives one member the formula of another, and checks that:
 
 - the report fails, and its counterexamples are exactly that input;
 - every count and every detail is what the unpatched suite reports;
@@ -13,7 +15,7 @@ the table counts."""
 
 import pytest
 
-from lapspec import termtables, verify
+from lapspec import recurrences, termtables, verify
 from lapspec.cli import main
 from lapspec.graphs import dumbbell_graph, make_path, theta_graph
 from lapspec.reports import VerificationReport
@@ -22,6 +24,8 @@ from lapspec.verify import SUITES
 RECURRENCES = {"path_n_max": 6, "p_max": 5, "k_max": 2, "r_max": 3}
 DUMBBELL_TABLE = {"p_max": 5, "k_max": 2}
 THETA_TABLE = {"r_max": 3}
+FAMILY_VALUES = {"p_max": 5, "k_max": 2, "r_max": 3}
+WITHIN_FAMILY = {"n_max": 8}
 
 
 def wrong_graph_charpoly(bad):
@@ -41,10 +45,18 @@ def wrong_interior(n):
     return "trailing_charpolys", wrong
 
 
-def wrong_recurrence(name, bad):
-    """The recurrence ``termtables.<name>``, one more at the parameters bad."""
-    real = getattr(termtables, name)
+def one_more_at(module, name, bad):
+    """The function ``<module>.<name>``, one more at the parameters bad."""
+    real = getattr(module, name)
     return name, lambda *params: real(*params) + 1 if params == bad else real(*params)
+
+
+def theta_twin(bad, twin):
+    """The theta formula ``recurrences._theta``, run by both the value and
+    the charpoly route of within-family, giving at the parameters bad what
+    it gives at twin."""
+    real = recurrences._theta
+    return "_theta", lambda x, u, *params: real(x, u, *(twin if params == bad else params))
 
 
 ROUTES_DISAGREE = "computational routes disagree"
@@ -60,13 +72,24 @@ CASES = {
               wrong_graph_charpoly(theta_graph(3, 2, 1)),
               {"case": "theta", "r": 3, "s": 2, "t": 1}),
     "dumbbell-table": ("dumbbell-table", DUMBBELL_TABLE, termtables,
-                       wrong_recurrence("dumbbell_charpoly_rec", (5, 2, 4)),
+                       one_more_at(termtables, "dumbbell_charpoly_rec", (5, 2, 4)),
                        {"family": "dumbbell", "p": 5, "k": 2, "q": 4,
                         "failure": ROUTES_DISAGREE}),
     "theta-table": ("theta-table", THETA_TABLE, termtables,
-                    wrong_recurrence("theta_charpoly_rec", (3, 2, 1)),
+                    one_more_at(termtables, "theta_charpoly_rec", (3, 2, 1)),
                     {"family": "theta", "r": 3, "s": 2, "t": 1,
                      "failure": ROUTES_DISAGREE}),
+    "family-values-dumbbell": ("family-values", FAMILY_VALUES, verify,
+                               one_more_at(verify, "dumbbell_value_at4", (5, 2, 4)),
+                               {"family": "dumbbell", "p": 5, "k": 2, "q": 4}),
+    "family-values-theta": ("family-values", FAMILY_VALUES, verify,
+                            one_more_at(verify, "theta_value_at4", (3, 2, 1)),
+                            {"family": "theta", "r": 3, "s": 2, "t": 1}),
+    # theta(3, 1, 1) and theta(2, 2, 1) are both on 7 vertices
+    "within-family": ("within-family", WITHIN_FAMILY, recurrences,
+                      theta_twin((3, 1, 1), (2, 2, 1)),
+                      {"n": 7, "first": {"family": "theta", "r": 2, "s": 2, "t": 1},
+                       "second": {"family": "theta", "r": 3, "s": 1, "t": 1}}),
 }
 
 

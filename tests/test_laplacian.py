@@ -16,7 +16,7 @@ from lapspec.graphs import (Graph, dumbbell_graph, make_cycle, make_dumbbell,
 from lapspec.laplacian import (_adjugate, _charpoly_at, _charpoly_value,
                                _cycles_by_vertex, _cycles_from, _deletion_bits,
                                _kronecker_bits, _pair_minor, _require_square,
-                               charpoly, charpoly_interpolated,
+                               _shifted, charpoly, charpoly_interpolated,
                                det_bareiss, laplacian, laplacian_charpoly,
                                submatrix_deleting,
                                spanning_tree_count, trailing_charpolys, u_matrix,
@@ -699,23 +699,49 @@ class TestDeletionFormula:
             check_against_matrix_route(g)
 
     def test_one_charpoly_and_one_elimination_per_graph(self, monkeypatch):
-        calls = {"charpoly": [], "_adjugate": [], "det_bareiss": []}
+        calls = {"_charpoly_value": [], "_adjugate": [], "det_bareiss": []}
         for name in calls:
-            def counted(mat, name=name, original=getattr(laplacian_module, name)):
-                calls[name].append(len(mat))
-                return original(mat)
+            def counted(arg, *rest, name=name, original=getattr(laplacian_module, name)):
+                # a graph for _charpoly_value, a matrix for the other two
+                calls[name].append(arg.n if isinstance(arg, Graph) else len(arg))
+                return original(arg, *rest)
 
             monkeypatch.setattr(laplacian_module, name, counted)
         # theta(2, 2, 1) has three cycles on three vertex sets; K4 has seven
-        # cycles on five: its three 4-cycles share one
-        for g, sets in [(make_theta(2, 2, 1), 3), (K4, 5)]:
+        # cycles on five: its three 4-cycles share one.  K4 has four hubs, so
+        # its phi(L)(z) falls back to one Bareiss elimination of order 4.
+        for g, sets, fallback in [(make_theta(2, 2, 1), 3, []), (K4, 5, [4])]:
             for made in calls.values():
                 made.clear()
             assert verify_deletion_formula(g) == (True,) * g.n
             cycle_sets = {frozenset(c) for u in range(g.n) for c in cycles_through(g, u)}
             assert len(cycle_sets) == sets
-            assert calls["charpoly"] == calls["_adjugate"] == [g.n]
-            assert sorted(calls["det_bareiss"]) == sorted(g.n - len(z) for z in cycle_sets)
+            assert calls["_charpoly_value"] == calls["_adjugate"] == [g.n]
+            assert sorted(calls["det_bareiss"]) == sorted(
+                [g.n - len(z) for z in cycle_sets] + fallback)
+
+    @pytest.mark.parametrize("g", [
+        K4,
+        # hubs of degree 4, 3 and 3: a triangle with two chains on its sides
+        Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (2, 4)]),
+        # the prism, six hubs, with a tree hung on one of them
+        Graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                  (0, 3), (1, 4), (2, 5), (5, 6), (6, 7)]),
+    ], ids=["K4", "three-hubs", "prism-with-tree"])
+    def test_more_than_two_hubs_fall_back_to_one_bareiss(self, monkeypatch, g):
+        adj = g.adjacency()
+        z = 1 << _deletion_bits(adj, _cycles_by_vertex(adj))
+        fallbacks = []
+
+        def recorded(mat, x):
+            fallbacks.append((len(mat), x))
+            return _charpoly_at(mat, x)
+
+        monkeypatch.setattr(laplacian_module, "_charpoly_at", recorded)
+        assert _charpoly_value(g, z) == _adjugate(_shifted(laplacian(g), z))[0]
+        assert fallbacks == [(g.n, z)]
+        assert verify_deletion_formula(g) == (True,) * g.n
+        assert fallbacks == [(g.n, z)] * 2
 
     @pytest.mark.parametrize("g", [make_theta(2, 2, 1), make_dumbbell(4, 1, 3)],
                              ids=["theta(2,2,1)", "dumbbell(4,1,3)"])
@@ -763,8 +789,8 @@ class TestDeletionFormula:
 
     def test_a_wrong_charpoly_fails_every_vertex(self, monkeypatch):
         g = make_theta(2, 1, 0)
-        monkeypatch.setattr(laplacian_module, "charpoly",
-                            lambda mat: charpoly(mat) + 1)
+        monkeypatch.setattr(laplacian_module, "_charpoly_value",
+                            lambda g, x: _charpoly_value(g, x) + 1)
         assert verify_deletion_formula(g) == (False,) * g.n
 
 

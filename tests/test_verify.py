@@ -3,6 +3,7 @@ import gc
 import io
 import os
 import tracemalloc
+from dataclasses import asdict
 
 import pytest
 
@@ -127,6 +128,63 @@ class TestSuitesPass:
         monkeypatch.setattr(Graph, "__init__", counted)
         assert verify_within_family(n_max=12).passed
         assert built == []
+
+    def count_family_charpolys(self, monkeypatch):
+        calls = []
+        real = verify._family_charpoly
+        monkeypatch.setattr(verify, "_family_charpoly",
+                            lambda params: calls.append(params) or real(params))
+        return calls
+
+    def test_within_family_builds_no_charpoly_without_a_shared_value(self, monkeypatch):
+        calls = self.count_family_charpolys(monkeypatch)
+        assert verify_within_family(n_max=20).passed
+        assert calls == []
+
+    def test_within_family_falls_back_where_every_value_is_shared(self, monkeypatch):
+        # every Laplacian charpoly is 0 at 0, so at x0 = 0 every member
+        # shares its value with the other members of its n and gets its
+        # charpoly; only theta(1, 1, 0) is alone, on n = 4
+        expected = verify_within_family(n_max=20).without_timing().to_json()
+        calls = self.count_family_charpolys(monkeypatch)
+        monkeypatch.setattr(verify, "_X0", 0)
+        report = verify_within_family(n_max=20)
+        assert len(set(calls)) == len(calls) == report.counts["members"] - 1
+        assert ThetaParams(1, 1, 0) not in calls
+        assert report.without_timing().to_json() == expected
+
+    def test_within_family_at_80(self):
+        report = verify_within_family(n_max=80)
+        assert report.passed and report.counts["members"] == 52247
+
+    def test_family_values_are_the_recurrence_charpolys_at_four(self):
+        u = verify._u_table(4, 8)
+        for d in verify._dumbbell_grid(8, 5):
+            assert verify._family_value(d, 4, u) == \
+                verify.dumbbell_charpoly_rec(d.p, d.k, d.q).eval(4)
+        for h in verify._theta_grid(8):
+            assert verify._family_value(h, 4, u) == \
+                verify.theta_charpoly_rec(h.r, h.s, h.t).eval(4)
+
+    def test_a_wrong_invariant_keeps_the_counterexample_dict(self, monkeypatch):
+        # one more spanning tree counted directly at the third sample
+        graphs = []
+        real = verify.spanning_tree_count
+
+        def wrong(g):
+            graphs.append(g)
+            return real(g) + (len(graphs) == 3)
+
+        monkeypatch.setattr(verify, "spanning_tree_count", wrong)
+        report = verify_invariants_suite(samples=30, n_max=7)
+        g = graphs[2]
+        derived = invariants.invariants_from_charpoly(charpoly(laplacian(g)))
+        assert report.counterexamples == [{
+            "graph6": canonical_form(g).decode("ascii"),
+            "derived": asdict(derived),
+            "direct": {"vertices": g.n, "edges": g.m, "components": 1,
+                       "spanning_trees": derived.spanning_trees + 1,
+                       "degree_square_sum": derived.degree_square_sum}}]
 
 
 class TestPoolSuites:
